@@ -10,6 +10,7 @@ constants shared by every consumer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -245,8 +246,9 @@ def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     return classify_points(t.a, t.b, t.c, tol)
 
 
-def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> None:
-    """Raise NotAcuteError naming the offending angle unless t is acute."""
+def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
+    """Raise NotAcuteError naming the offending angle unless t is acute;
+    return the classification otherwise."""
     cls = classify(t, tol)
     if cls.kind is not TriangleKind.ACUTE:
         i, largest = angles(t).largest()
@@ -254,6 +256,26 @@ def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> None:
             f"triangle is {cls.kind.value}, not acute: largest angle "
             f"{largest!r} rad at vertex {'abc'[i]}"
         )
+    return cls
+
+
+def projection_param(
+    px: float, py: float, qx: float, qy: float, rx: float, ry: float
+) -> float:
+    """Parameter s of the orthogonal projection of p onto the line q + s*(r - q).
+
+    Raises DegenerateTriangleError when |r - q|^2 leaves the normal double
+    range: it underflows for tiny sides and overflows for huge ones, and the
+    quotient would be a division by zero or inf/inf.
+    """
+    dx, dy = rx - qx, ry - qy
+    dd = dx * dx + dy * dy
+    if not (sys.float_info.min <= dd <= sys.float_info.max):
+        raise DegenerateTriangleError(
+            f"side ({qx!r}, {qy!r})-({rx!r}, {ry!r}) has squared length {dd!r}, "
+            "outside the normal double range; rescale the triangle"
+        )
+    return ((px - qx) * dx + (py - qy) * dy) / dd
 
 
 def foot_of_altitude(t: Triangle, vertex: int) -> Point:
@@ -264,9 +286,7 @@ def foot_of_altitude(t: Triangle, vertex: int) -> Point:
     p = v[vertex]
     q = v[(vertex + 1) % 3]
     r = v[(vertex + 2) % 3]
-    d = r - q
-    s = (p - q).dot(d) / d.dot(d)
-    return lerp(q, r, s)
+    return lerp(q, r, projection_param(p.x, p.y, q.x, q.y, r.x, r.y))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ parameter picks an affine point on one side of an acute triangle:
 
 Both exist to be checked against the closed-form answer, the orthic triangle's
 perimeter, so neither route is allowed to peek at altitude feet.
+
+Inputs are validated once at entry; the inner loops run on bare floats.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ import numpy as np
 
 from .geometry import (
     ANGLE_TOL,
+    DegenerateTriangleError,
     GeometryError,
     Point,
     Triangle,
-    classify,
     lerp,
     orthic_triangle,
     perimeter,
+    projection_param,
     require_acute,
 )
 
@@ -139,8 +142,7 @@ def _raw_objective(t: Triangle):
     return f
 
 
-def _near_right_warning(t: Triangle) -> str | None:
-    margin = classify(t).margin
+def _near_right_warning(margin: float) -> str | None:
     if margin < NEAR_RIGHT_MARGIN:
         return (
             f"parent is within {margin!r} rad of right-angled; the minimum is "
@@ -149,36 +151,26 @@ def _near_right_warning(t: Triangle) -> str | None:
     return None
 
 
+def _pair_distances(ux, uy, vx, vy) -> np.ndarray:
+    """Table D[i, j] = |u_i - v_j| over two point rows."""
+    dx = ux[:, None] - vx[None, :]
+    dy = uy[:, None] - vy[None, :]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def _grid_best(t: Triangle, grid_n: int) -> tuple[tuple[float, float, float], float]:
     """Best node of the interior grid ((i+0.5)/n per axis) and its value."""
     ts = (np.arange(grid_n) + 0.5) / grid_n
-    t1, t2, t3 = np.meshgrid(ts, ts, ts, indexing="ij")
-    p = np.stack(
-        [t.b.x + t1 * (t.c.x - t.b.x), t.b.y + t1 * (t.c.y - t.b.y)], axis=-1
-    )
-    q = np.stack(
-        [t.c.x + t2 * (t.a.x - t.c.x), t.c.y + t2 * (t.a.y - t.c.y)], axis=-1
-    )
-    r = np.stack(
-        [t.a.x + t3 * (t.b.x - t.a.x), t.a.y + t3 * (t.b.y - t.a.y)], axis=-1
-    )
-    values = (
-        np.linalg.norm(p - q, axis=-1)
-        + np.linalg.norm(q - r, axis=-1)
-        + np.linalg.norm(r - p, axis=-1)
-    )
-    flat = int(np.argmin(values))
-    i, j, k = np.unravel_index(flat, values.shape)
+    px, py = t.b.x + ts * (t.c.x - t.b.x), t.b.y + ts * (t.c.y - t.b.y)
+    qx, qy = t.c.x + ts * (t.a.x - t.c.x), t.c.y + ts * (t.a.y - t.c.y)
+    rx, ry = t.a.x + ts * (t.b.x - t.a.x), t.a.y + ts * (t.b.y - t.a.y)
+    pq = _pair_distances(px, py, qx, qy)  # [i, j]
+    qr = _pair_distances(qx, qy, rx, ry)  # [j, k]
+    rp = _pair_distances(rx, ry, px, py)  # [k, i]
+    values = pq[:, :, None] + qr[None, :, :] + rp.T[:, None, :]
+    i, j, k = np.unravel_index(int(np.argmin(values)), values.shape)
     best = (float(ts[i]), float(ts[j]), float(ts[k]))
     return best, float(values[i, j, k])
-
-
-def _simplex_diameter(simplex: list[tuple[float, float, float]]) -> float:
-    return max(
-        math.dist(simplex[i], simplex[j])
-        for i in range(len(simplex))
-        for j in range(i + 1, len(simplex))
-    )
 
 
 def minimize_grid_then_simplex(
@@ -192,12 +184,13 @@ def minimize_grid_then_simplex(
     Converged means the final simplex diameter in parameter space fell below
     ``tol``.  The returned perimeter never exceeds any evaluated grid value.
     """
-    require_acute(t)
+    margin = require_acute(t).margin
     if grid_n < 4:
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     f = _raw_objective(t)
+    dist = math.dist
 
     x0, f0 = _grid_best(t, grid_n)
     history: list[tuple[int, float]] = [(0, f0)]
@@ -215,24 +208,44 @@ def minimize_grid_then_simplex(
     iterations = 0
     converged = False
     while iterations < max_iter:
-        order = sorted(range(4), key=lambda i: values[i])
+        order = sorted(range(4), key=values.__getitem__)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if _simplex_diameter(simplex) < tol:
+        best, second, third, worst = simplex
+        diameter = max(
+            dist(best, second),
+            dist(best, third),
+            dist(best, worst),
+            dist(second, third),
+            dist(second, worst),
+            dist(third, worst),
+        )
+        if diameter < tol:
             converged = True
             break
         iterations += 1
 
-        centroid = tuple(
-            sum(simplex[i][k] for i in range(3)) / 3.0 for k in range(3)
+        b0, b1, b2 = best
+        s0, s1, s2 = second
+        h0, h1, h2 = third
+        w0, w1, w2 = worst
+        c0 = (b0 + s0 + h0) / 3.0
+        c1 = (b1 + s1 + h1) / 3.0
+        c2 = (b2 + s2 + h2) / 3.0
+        reflected = (
+            c0 + alpha * (c0 - w0),
+            c1 + alpha * (c1 - w1),
+            c2 + alpha * (c2 - w2),
         )
-        worst = simplex[3]
-        reflected = tuple(centroid[k] + alpha * (centroid[k] - worst[k]) for k in range(3))
         fr = f(reflected)
         if values[0] <= fr < values[2]:
             simplex[3], values[3] = reflected, fr
         elif fr < values[0]:
-            expanded = tuple(centroid[k] + gamma * (centroid[k] - worst[k]) for k in range(3))
+            expanded = (
+                c0 + gamma * (c0 - w0),
+                c1 + gamma * (c1 - w1),
+                c2 + gamma * (c2 - w2),
+            )
             fe = f(expanded)
             if fe < fr:
                 simplex[3], values[3] = expanded, fe
@@ -240,64 +253,63 @@ def minimize_grid_then_simplex(
                 simplex[3], values[3] = reflected, fr
         else:
             if fr < values[3]:
-                contracted = tuple(
-                    centroid[k] + rho * (reflected[k] - centroid[k]) for k in range(3)
+                r0, r1, r2 = reflected
+                contracted = (
+                    c0 + rho * (r0 - c0),
+                    c1 + rho * (r1 - c1),
+                    c2 + rho * (r2 - c2),
                 )
             else:
-                contracted = tuple(
-                    centroid[k] + rho * (worst[k] - centroid[k]) for k in range(3)
+                contracted = (
+                    c0 + rho * (w0 - c0),
+                    c1 + rho * (w1 - c1),
+                    c2 + rho * (w2 - c2),
                 )
             fc = f(contracted)
             if fc < min(fr, values[3]):
                 simplex[3], values[3] = contracted, fc
             else:
-                best = simplex[0]
-                simplex = [best] + [
-                    tuple(best[k] + sigma * (x[k] - best[k]) for k in range(3))
-                    for x in simplex[1:]
+                simplex = [
+                    best,
+                    (b0 + sigma * (s0 - b0), b1 + sigma * (s1 - b1), b2 + sigma * (s2 - b2)),
+                    (b0 + sigma * (h0 - b0), b1 + sigma * (h1 - b1), b2 + sigma * (h2 - b2)),
+                    (b0 + sigma * (w0 - b0), b1 + sigma * (w1 - b1), b2 + sigma * (w2 - b2)),
                 ]
-                values = [values[0]] + [f(x) for x in simplex[1:]]
+                values = [values[0], f(simplex[1]), f(simplex[2]), f(simplex[3])]
         best_now = min(values)
         if best_now < history[-1][1]:
             history.append((iterations, best_now))
 
-    order = sorted(range(4), key=lambda i: values[i])
-    config = InscribedConfig(*simplex[order[0]])
+    order = sorted(range(4), key=values.__getitem__)
+    # values[i] is f(simplex[i]), the same hypot sum as objective().
     return MinimizeResult(
-        config=config,
-        perimeter=objective(t, config),
+        config=InscribedConfig(*simplex[order[0]]),
+        perimeter=values[order[0]],
         iterations=iterations,
         converged=converged,
         history=tuple(history),
-        warning=_near_right_warning(t),
+        warning=_near_right_warning(margin),
     )
 
 
-def _reflect_across(p: Point, q: Point, r: Point) -> Point:
-    """Mirror image of p across the line through q and r."""
-    d = r - q
-    s = (p - q).dot(d) / d.dot(d)
-    foot = lerp(q, r, s)
-    return Point(2.0 * foot.x - p.x, 2.0 * foot.y - p.y)
+def _best_on_side(qx, qy, rx, ry, px, py, fx, fy) -> float:
+    """Parameter on the side q -> r minimizing the broken path
+    |p - X| + |X - f| over the side line.
 
-
-def _step_on_side(side_start: Point, side_end: Point, fixed1: Point, fixed2: Point) -> float:
-    """Parameter on [side_start, side_end] minimizing the broken path
-    |fixed1 - X| + |X - fixed2| over the side line.
-
-    Reflects fixed1 across the side and intersects the straightened segment
-    with it; the result is exactly optimal for this one-dimensional subproblem.
+    Reflects p across the side and intersects the straightened segment with
+    it; the result is exactly optimal for this one-dimensional subproblem.
     """
-    mirrored = _reflect_across(fixed1, side_start, side_end)
-    u = side_end - side_start
-    w = fixed2 - mirrored
-    denom = u.cross(w)
+    s = projection_param(px, py, qx, qy, rx, ry)
+    ux, uy = rx - qx, ry - qy
+    mx = 2.0 * (qx + s * ux) - px
+    my = 2.0 * (qy + s * uy) - py
+    wx, wy = fx - mx, fy - my
+    denom = ux * wy - uy * wx
     if denom == 0.0:
         # Straightened chord parallel to the side: every point ties; keep
         # the projection of the chord midpoint.
-        mid = Point((mirrored.x + fixed2.x) / 2.0, (mirrored.y + fixed2.y) / 2.0)
-        return (mid - side_start).dot(u) / u.dot(u)
-    return (mirrored - side_start).cross(w) / denom
+        return projection_param((mx + fx) / 2.0, (my + fy) / 2.0, qx, qy, rx, ry)
+    return ((mx - qx) * wy - (my - qy) * wx) / denom
 
 
 def minimize_reflection_descent(
@@ -317,18 +329,17 @@ def minimize_reflection_descent(
     floor, not merely at the tolerance.  Only sweeps with an improvement of
     at least ``tol * perimeter`` are recorded in the history.
     """
-    require_acute(t)
+    margin = require_acute(t).margin
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     f = _raw_objective(t)
     params = list(start.as_tuple())
     current = f(tuple(params))
     history: list[tuple[int, float]] = [(0, current)]
-    sides = (
-        (t.b, t.c),  # parameter 0 lives on bc
-        (t.c, t.a),  # parameter 1 on ca
-        (t.a, t.b),  # parameter 2 on ab
-    )
+    a, b, c = (t.a.x, t.a.y), (t.b.x, t.b.y), (t.c.x, t.c.y)
+    # Side k, as (x0, y0, x1, y1), carries parameter k: 0 on bc, 1 on ca, 2 on ab.
+    sides = (b + c, c + a, a + b)
+    lo, hi = CLAMP_MARGIN, 1.0 - CLAMP_MARGIN
     ever_clamped = False
     converged = False
     decided = False
@@ -338,12 +349,20 @@ def minimize_reflection_descent(
         old_params = list(params)
         sweep_clamped = False
         for axis in range(3):
-            s0, s1 = sides[axis]
-            fixed1 = lerp(*sides[(axis + 1) % 3], params[(axis + 1) % 3])
-            fixed2 = lerp(*sides[(axis + 2) % 3], params[(axis + 2) % 3])
-            t_new = _step_on_side(s0, s1, fixed1, fixed2)
-            if not (CLAMP_MARGIN <= t_new <= 1.0 - CLAMP_MARGIN):
-                t_new = min(max(t_new, CLAMP_MARGIN), 1.0 - CLAMP_MARGIN)
+            k1, k2 = (axis + 1) % 3, (axis + 2) % 3
+            x0, y0, x1, y1 = sides[k1]
+            u = params[k1]
+            px, py = x0 + u * (x1 - x0), y0 + u * (y1 - y0)
+            x0, y0, x1, y1 = sides[k2]
+            u = params[k2]
+            fx, fy = x0 + u * (x1 - x0), y0 + u * (y1 - y0)
+            t_new = _best_on_side(*sides[axis], px, py, fx, fy)
+            if not (lo <= t_new <= hi):
+                if t_new != t_new:
+                    raise DegenerateTriangleError(
+                        "reflection step overflowed the double range; rescale the triangle"
+                    )
+                t_new = min(max(t_new, lo), hi)
                 sweep_clamped = True
                 ever_clamped = True
             params[axis] = t_new
@@ -357,7 +376,11 @@ def minimize_reflection_descent(
             break
         improved = current - new
         current = new
-        moved = max(abs(params[k] - old_params[k]) for k in range(3))
+        moved = max(
+            abs(params[0] - old_params[0]),
+            abs(params[1] - old_params[1]),
+            abs(params[2] - old_params[2]),
+        )
         if improved >= tol * current:
             history.append((sweep, new))
         elif not decided:
@@ -368,15 +391,15 @@ def minimize_reflection_descent(
             if not decided:
                 converged, decided = not sweep_clamped, True
             break
-    config = InscribedConfig(*params)
+    # current is f(params), the same hypot sum as objective().
     return MinimizeResult(
-        config=config,
-        perimeter=objective(t, config),
+        config=InscribedConfig(*params),
+        perimeter=current,
         iterations=iterations,
         converged=converged,
         history=tuple(history),
         clamped=ever_clamped,
-        warning=_near_right_warning(t),
+        warning=_near_right_warning(margin),
     )
 
 
@@ -387,14 +410,10 @@ def min_perimeter_closed_form(t: Triangle) -> float:
 
 def orthic_config(t: Triangle) -> InscribedConfig:
     """Side parameters of the altitude feet (the closed-form optimizer seat)."""
-    orth = orthic_triangle(t)
+    fa, fb, fc = orthic_triangle(t).feet
+    a, b, c = t.a, t.b, t.c
     return InscribedConfig(
-        t_on_bc=_param_on(t.b, t.c, orth.foot_from_a),
-        t_on_ca=_param_on(t.c, t.a, orth.foot_from_b),
-        t_on_ab=_param_on(t.a, t.b, orth.foot_from_c),
+        t_on_bc=projection_param(fa.x, fa.y, b.x, b.y, c.x, c.y),
+        t_on_ca=projection_param(fb.x, fb.y, c.x, c.y, a.x, a.y),
+        t_on_ab=projection_param(fc.x, fc.y, a.x, a.y, b.x, b.y),
     )
-
-
-def _param_on(start: Point, end: Point, p: Point) -> float:
-    d = end - start
-    return (p - start).dot(d) / d.dot(d)

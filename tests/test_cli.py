@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fagnano
 from fagnano.cli import main
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -225,6 +229,49 @@ def test_render_unwritable_exit_5(capsys, tmp_path):
         capsys, "render", "equilateral", "--output", str(tmp_path / "no" / "x.svg")
     )
     assert code == 5
+
+
+# ----------------------------------------------------------- extreme scales
+
+# Every side's squared length underflows to 0 at 1e-170 and overflows to inf
+# at 1e200; the projection behind the altitude feet and the reflection step
+# must report that as a precondition failure, not crash or blame NaNs.
+EXTREME_SCALES = {
+    "tiny": "0,0,4e-170,0,1e-170,2e-170",
+    "huge": "0,0,4e200,0,1e200,2e200",
+}
+
+
+@pytest.mark.parametrize("scale", sorted(EXTREME_SCALES))
+@pytest.mark.parametrize(
+    "command",
+    (["orthic"], ["minimize", "--method", "reflection"]),
+    ids=("orthic", "reflection"),
+)
+def test_extreme_scale_exits_2_without_traceback(command, scale):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "fagnano", command[0], EXTREME_SCALES[scale]]
+    proc = subprocess.run(
+        argv + command[1:], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "squared length" in proc.stderr
+    assert "outside the normal double range" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_reflection_step_overflow_exits_2(capsys):
+    # Sides near 1.3e154 keep squared lengths finite, but this start drives
+    # the reflection step's cross products past the double range.
+    code, out, err = run(
+        capsys, "minimize", "0,0,1.3e154,0,6.5e153,1.1e154",
+        "--method", "reflection", "--start", "0.05,0.9,0.1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "reflection step overflowed the double range" in err
 
 
 # ------------------------------------------------------------------- general

@@ -24,6 +24,7 @@ from fagnano.geometry import (
     orthic_triangle,
     orthocenter,
     perimeter,
+    projection_param,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -184,6 +185,17 @@ def test_foot_projection_residual(t):
         side = r - q
         residual = abs(drop.dot(side)) / (drop.norm() * side.norm())
         assert residual <= 1e-12
+
+
+def test_projection_param_on_axis_line():
+    assert projection_param(0.25, 7.0, 0.0, 0.0, 2.0, 0.0) == 0.125
+    assert projection_param(-3.0, 1.0, 1.0, 0.0, 2.0, 0.0) == -4.0  # beyond q
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_projection_param_rejects_sides_outside_double_range(scale):
+    with pytest.raises(DegenerateTriangleError, match="squared length"):
+        projection_param(0.0, 0.0, 4.0 * scale, 0.0, scale, 2.0 * scale)
 
 
 # ------------------------------------------------------------ orthic triangle

@@ -1,11 +1,16 @@
+import hashlib
+import io
 import math
 import random
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import acute_triangles, random_acute_triangle
+import optimize_bits
+from conftest import acute_triangles, random_acute_triangle, sample_acute_angles
+from fagnano import cli
 from fagnano.geometry import (
     NotAcuteError,
     Point,
@@ -16,6 +21,7 @@ from fagnano.geometry import (
 from fagnano.optimize import (
     InscribedConfig,
     InvalidConfigError,
+    _grid_best,
     min_perimeter_closed_form,
     minimize_grid_then_simplex,
     minimize_reflection_descent,
@@ -305,3 +311,106 @@ def test_near_right_warning_flag():
     assert result.warning is not None
     healthy = minimize_grid_then_simplex(Triangle.from_angles(1.0, 1.0))
     assert healthy.warning is None
+
+
+# --------------------------------------------------------------- bit identity
+#
+# The solvers run float arithmetic in a fixed order, so their results are
+# pinned to the bit: optimize_bits.py holds values recorded from the
+# Point-based solvers that the float loops replaced.  Any change there is a
+# change of numerics, not a refactor.
+
+BIT_GRID_NS = (4, 9, 16)
+# (m, beta) for the near-right parents from_angles(pi/2 - m, beta).
+BIT_NEAR_RIGHT = (
+    (1e-2, math.pi / 4),
+    (3e-3, math.pi / 4),
+    (1e-3, math.pi / 4),
+    (1e-2, 0.4),
+    (1e-3, 1.1),
+)
+
+
+def bit_shapes():
+    rng = random.Random(20160622)
+    shapes = [Triangle.from_angles(*sample_acute_angles(rng)) for _ in range(30)]
+    shapes += [Triangle.from_angles(math.pi / 2 - m, b) for m, b in BIT_NEAR_RIGHT]
+    return shapes
+
+
+def bit_starts(count):
+    rng = random.Random(7)
+    return [
+        InscribedConfig(*(rng.uniform(0.05, 0.95) for _ in range(3)))
+        for _ in range(count)
+    ]
+
+
+def history_digest(history):
+    text = "\n".join(f"{i} {p.hex()}" for i, p in history)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def result_bits(result):
+    """Every field of a MinimizeResult, floats as float.hex; the history,
+    thousands of entries for near-right parents, as its length and digest."""
+    return (
+        tuple(v.hex() for v in result.config.as_tuple()),
+        result.perimeter.hex(),
+        result.iterations,
+        result.converged,
+        result.clamped,
+        result.warning,
+        len(result.history),
+        history_digest(result.history),
+    )
+
+
+def grid_best_bits(t, grid_n):
+    node, value = _grid_best(t, grid_n)
+    return tuple(v.hex() for v in node), value.hex()
+
+
+def cli_stdout_digest(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    data = out.getvalue().encode()
+    return code, len(data), hashlib.sha256(data).hexdigest()
+
+
+BIT_CLI_COMMANDS = {
+    "grid-simplex": ["minimize", "golden-bfc"],
+    "reflection": ["minimize", "golden-bfc", "--method", "reflection"],
+}
+
+
+def test_grid_best_bit_identical():
+    for index, t in enumerate(bit_shapes()):
+        for grid_n in BIT_GRID_NS:
+            assert grid_best_bits(t, grid_n) == optimize_bits.GRID_BEST[index, grid_n], (
+                index,
+                grid_n,
+            )
+
+
+def test_grid_simplex_bit_identical():
+    for index, t in enumerate(bit_shapes()):
+        for grid_n in BIT_GRID_NS:
+            result = minimize_grid_then_simplex(t, grid_n=grid_n)
+            assert result_bits(result) == optimize_bits.SIMPLEX[index, grid_n], (
+                index,
+                grid_n,
+            )
+
+
+def test_reflection_descent_bit_identical():
+    shapes = bit_shapes()
+    for index, (t, start) in enumerate(zip(shapes, bit_starts(len(shapes)))):
+        result = minimize_reflection_descent(t, start)
+        assert result_bits(result) == optimize_bits.DESCENT[index], index
+
+
+def test_cli_minimize_stdout_bit_identical():
+    for method, argv in BIT_CLI_COMMANDS.items():
+        assert cli_stdout_digest(argv) == optimize_bits.CLI_STDOUT[method], method
