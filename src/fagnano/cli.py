@@ -4,11 +4,18 @@ Exit codes are exhaustive and disjoint:
   0 success, 1 parse/config failure, 2 precondition violation (non-acute or
   degenerate input), 3 non-convergence, 4 counterexample or residual breach,
   5 I/O failure.
+
+In-process callers: ``main`` may serve many requests in one process.  It
+builds the argument parser once, on its first call, and reuses it; each
+parse returns a fresh namespace, so no request's options reach the next.  A
+one-shot ``fagnano`` process still builds the parser once, and its time is
+mostly interpreter and numpy import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -225,18 +232,31 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="fagnano", description=__doc__)
+    """The command-line parser, built on the first call and shared after it."""
+    # --help shows the module docstring up to its note for in-process callers.
+    about = __doc__.partition("\n\nIn-process callers")[0] if __doc__ else None
+    parser = _Parser(prog="fagnano", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("orthic", help="altitude feet, orthic angles and perimeter")
+    # --output and --json of the JSON-emitting commands; render has its own.
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--output", help="write JSON here instead of stdout")
+    json_out.add_argument(
+        "--json", action="store_true", help="(JSON is already the output format)"
+    )
+
+    p = sub.add_parser(
+        "orthic", parents=[json_out], help="altitude feet, orthic angles and perimeter"
+    )
     p.add_argument("triangle", help="ax,ay,bx,by,cx,cy or preset (equilateral, golden-bfc)")
     p.add_argument("--tol", type=float, default=ANGLE_TOL, help="acuteness tolerance")
-    p.add_argument("--output", help="write JSON here instead of stdout")
-    p.add_argument("--json", action="store_true", help="(JSON is already the output format)")
     p.set_defaults(func=_cmd_orthic)
 
-    p = sub.add_parser("minimize", help="search for the minimal inscribed triangle")
+    p = sub.add_parser(
+        "minimize", parents=[json_out], help="search for the minimal inscribed triangle"
+    )
     p.add_argument("triangle")
     p.add_argument(
         "--method", choices=("grid-simplex", "reflection"), default="grid-simplex"
@@ -245,22 +265,20 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=float, default=None, help="per-method default when omitted")
     p.add_argument("--start", default="0.5,0.5,0.5", help="reflection start parameters")
-    p.add_argument("--output", help="write JSON here instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("scan", help="sweep shape space for characterization failures")
+    p = sub.add_parser(
+        "scan", parents=[json_out], help="sweep shape space for characterization failures"
+    )
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--tol-angle", type=float, default=ANGLE_TOL)
     p.add_argument("--boundary-band", type=float, default=DEFAULT_BOUNDARY_BAND)
-    p.add_argument("--output", help="write JSON here instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("golden", help="reproduce the golden-rectangle values")
+    p = sub.add_parser(
+        "golden", parents=[json_out], help="reproduce the golden-rectangle values"
+    )
     p.add_argument("--tol", type=float, default=None, help="residual limit (default 1e-12)")
-    p.add_argument("--output", help="write JSON here instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_golden)
 
     p = sub.add_parser("render", help="emit an SVG figure")

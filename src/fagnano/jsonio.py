@@ -8,8 +8,8 @@ are emitted in insertion order; NaN and infinities are rejected.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps(str)'s quoting
 
 
 def format_float(value: float) -> str:
@@ -18,10 +18,12 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _emit(value, pieces: list[str], indent: int) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
+def _emit(value, pieces: list[str], pad: str) -> None:
+    # Floats are most of every document, so they are tested first; float
+    # subclasses such as np.float64 fall through to the isinstance branch.
+    if type(value) is float:
+        pieces.append(format_float(value))
+    elif value is None:
         pieces.append("null")
     elif value is True:
         pieces.append("true")
@@ -32,26 +34,30 @@ def _emit(value, pieces: list[str], indent: int) -> None:
     elif isinstance(value, float):
         pieces.append(format_float(value))
     elif isinstance(value, str):
-        pieces.append(json.dumps(value))
+        pieces.append(_quote(value))
     elif isinstance(value, dict):
         if not value:
             pieces.append("{}")
             return
+        inner = pad + "  "
         pieces.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            pieces.append(f"{inner}{json.dumps(str(key))}: ")
-            _emit(item, pieces, indent + 1)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
+        for key, item in value.items():
+            pieces.append(f"{inner}{_quote(str(key))}: ")
+            _emit(item, pieces, inner)
+            pieces.append(",\n")
+        pieces[-1] = "\n"  # no comma after the last member
         pieces.append(pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             pieces.append("[]")
             return
+        inner = pad + "  "
         pieces.append("[\n")
-        for i, item in enumerate(value):
+        for item in value:
             pieces.append(inner)
-            _emit(item, pieces, indent + 1)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
+            _emit(item, pieces, inner)
+            pieces.append(",\n")
+        pieces[-1] = "\n"  # no comma after the last element
         pieces.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -60,5 +66,5 @@ def _emit(value, pieces: list[str], indent: int) -> None:
 def dumps(value) -> str:
     """Serialize to pretty-printed JSON text with a trailing newline."""
     pieces: list[str] = []
-    _emit(value, pieces, 0)
+    _emit(value, pieces, "")
     return "".join(pieces) + "\n"

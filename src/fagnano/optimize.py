@@ -185,6 +185,10 @@ def minimize_grid_then_simplex(
     ``tol``.  The returned perimeter never exceeds any evaluated grid value.
     """
     margin = require_acute(t).margin
+    # The grid squares coordinate differences, so every side's squared length
+    # must stay in the normal double range; the projection primitive checks it.
+    for q, r in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
+        projection_param(q.x, q.y, q.x, q.y, r.x, r.y)
     if grid_n < 4:
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
     if tol <= 0.0:
@@ -309,6 +313,11 @@ def _best_on_side(qx, qy, rx, ry, px, py, fx, fy) -> float:
         # Straightened chord parallel to the side: every point ties; keep
         # the projection of the chord midpoint.
         return projection_param((mx + fx) / 2.0, (my + fy) / 2.0, qx, qy, rx, ry)
+    if denom - denom != 0.0:
+        # The cross products overflowed: a finite numerator over an infinite
+        # denominator would give a wrong step of 0, so return NaN instead and
+        # let the caller report the overflow.
+        return math.nan
     return ((mx - qx) * wy - (my - qy) * wx) / denom
 
 
@@ -358,7 +367,7 @@ def minimize_reflection_descent(
             fx, fy = x0 + u * (x1 - x0), y0 + u * (y1 - y0)
             t_new = _best_on_side(*sides[axis], px, py, fx, fy)
             if not (lo <= t_new <= hi):
-                if t_new != t_new:
+                if not math.isfinite(t_new):
                     raise DegenerateTriangleError(
                         "reflection step overflowed the double range; rescale the triangle"
                     )

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fagnano
-from fagnano.cli import main
+from fagnano.cli import build_parser, main
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -245,8 +245,8 @@ EXTREME_SCALES = {
 @pytest.mark.parametrize("scale", sorted(EXTREME_SCALES))
 @pytest.mark.parametrize(
     "command",
-    (["orthic"], ["minimize", "--method", "reflection"]),
-    ids=("orthic", "reflection"),
+    (["orthic"], ["minimize", "--method", "reflection"], ["minimize"]),
+    ids=("orthic", "reflection", "grid-simplex"),
 )
 def test_extreme_scale_exits_2_without_traceback(command, scale):
     src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
@@ -257,6 +257,7 @@ def test_extreme_scale_exits_2_without_traceback(command, scale):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert "squared length" in proc.stderr
     assert "outside the normal double range" in proc.stderr
     assert proc.stdout == ""
@@ -267,6 +268,18 @@ def test_reflection_step_overflow_exits_2(capsys):
     # the reflection step's cross products past the double range.
     code, out, err = run(
         capsys, "minimize", "0,0,1.3e154,0,6.5e153,1.1e154",
+        "--method", "reflection", "--start", "0.05,0.9,0.1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "reflection step overflowed the double range" in err
+
+
+def test_reflection_step_infinite_denominator_exits_2(capsys):
+    # Here only the step's denominator overflows, so the quotient is a finite
+    # 0 rather than NaN; it must be reported, not clamped into a wrong answer.
+    code, out, err = run(
+        capsys, "minimize", "0,0,1.1e154,0,5.5e153,9.5e153",
         "--method", "reflection", "--start", "0.05,0.9,0.1",
     )
     assert code == 2
@@ -303,3 +316,76 @@ def test_file_determinism(capsys, tmp_path):
     run(capsys, "render", "golden-figure", "--output", str(a))
     run(capsys, "render", "golden-figure", "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["orthic", "golden-bfc"],
+        ["minimize", "equilateral"],
+        ["scan", "--resolution", "8"],
+        ["golden"],
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_json_flag_changes_nothing(capsys, argv):
+    assert run(capsys, *argv, "--json") == run(capsys, *argv)
+
+
+# ------------------------------------------------------------- parser reuse
+
+
+def run_fresh(capsys, *argv):
+    """One request through a parser built anew instead of the shared one."""
+    args = build_parser.__wrapped__().parse_args(list(argv))
+    code = args.func(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_options_do_not_leak_into_the_next_request(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    code, out, _ = run(
+        capsys, "minimize", "equilateral", "--tol", "1e-3", "--grid-n", "9",
+        "--output", str(path),
+    )
+    assert code == 0 and out == ""
+    second = run(capsys, "minimize", "equilateral")
+    assert second == run_fresh(capsys, "minimize", "equilateral")
+    assert second[1] and second[1] != path.read_text()
+
+
+def test_parse_failure_then_valid_request(capsys):
+    code, out, err = run(capsys, "minimize", "equilateral", "--grid-n", "x")
+    assert code == 1 and out == "" and "--grid-n" in err
+    assert run(capsys, "orthic", "golden-bfc") == run_fresh(capsys, "orthic", "golden-bfc")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["orthic", "equilateral"],
+        ["orthic", "golden-bfc"],
+        ["minimize", "equilateral"],
+        ["minimize", "golden-bfc", "--method", "reflection"],
+        ["scan", "--resolution", "16"],
+        ["golden"],
+        ["render", "equilateral"],
+        ["render", "golden-figure"],
+    ),
+    ids=" ".join,
+)
+def test_shared_parser_matches_a_fresh_one(capsys, tmp_path, argv):
+    # The acceptance suite's criterion-7 commands.
+    if argv[0] == "render":
+        shared, fresh = tmp_path / "shared.svg", tmp_path / "fresh.svg"
+        assert run(capsys, *argv, "--output", str(shared)) == run_fresh(
+            capsys, *argv, "--output", str(fresh)
+        )
+        assert shared.read_bytes() == fresh.read_bytes()
+    else:
+        assert run(capsys, *argv) == run_fresh(capsys, *argv)

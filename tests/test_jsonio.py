@@ -1,7 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fagnano import jsonio
 
@@ -49,3 +51,70 @@ def test_unknown_type_rejected():
 def test_deterministic_output():
     doc = {"values": [1 / 3, 2 / 7], "name": "r"}
     assert jsonio.dumps(doc) == jsonio.dumps(doc)
+
+
+PINNED_DOC = {
+    "nested": {"pair": (1, 4.0), "empty_dict": {}, "empty_list": [], "deep": [[-2.5], {"k": ()}]},
+    "flags": [True, False, None],
+    "int": -42,
+    "negative": -0.1,
+    "subnormal": 5e-324,
+    "huge": 1e300,
+    'quote"back\\slash\ttab\n': "line\nbreak",
+    "caf\u00e9 \u2713": "na\u00efve \u03c0 \U0001d70b",
+    "np": np.float64(1 / 3),
+}
+
+PINNED_TEXT = r"""{
+  "nested": {
+    "pair": [
+      1,
+      4
+    ],
+    "empty_dict": {},
+    "empty_list": [],
+    "deep": [
+      [
+        -2.5
+      ],
+      {
+        "k": []
+      }
+    ]
+  },
+  "flags": [
+    true,
+    false,
+    null
+  ],
+  "int": -42,
+  "negative": -0.10000000000000001,
+  "subnormal": 4.9406564584124654e-324,
+  "huge": 1.0000000000000001e+300,
+  "quote\"back\\slash\ttab\n": "line\nbreak",
+  "caf\u00e9 \u2713": "na\u00efve \u03c0 \ud835\udf0b",
+  "np": 0.33333333333333331
+}
+"""
+
+
+def test_pinned_bytes():
+    # Every CLI report goes through dumps, so its exact text is pinned here:
+    # indentation, separators, escapes and the 17-digit float format.
+    assert jsonio.dumps(PINNED_DOC) == PINNED_TEXT
+
+
+json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@given(json_docs)
+def test_round_trip_property(doc):
+    assert json.loads(jsonio.dumps(doc)) == doc
