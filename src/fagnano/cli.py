@@ -5,11 +5,12 @@ Exit codes are exhaustive and disjoint:
   degenerate input), 3 non-convergence, 4 counterexample or residual breach,
   5 I/O failure.
 
-In-process callers: ``main`` may serve many requests in one process.  It
-builds the argument parser once, on its first call, and reuses it; each
-parse returns a fresh namespace, so no request's options reach the next.  A
-one-shot ``fagnano`` process still builds the parser once, and its time is
-mostly interpreter and numpy import.
+``main`` builds the argument parser on its first call and reuses it for
+later calls in the same process; each parse returns a fresh namespace, so no
+request's options reach the next.  Only a caller that runs many requests in
+one process gains from this, such as the benchmark's ``cli`` workload or the
+tests.  A one-shot ``fagnano`` process builds the parser once, as before, and
+its time is mostly interpreter and numpy import.
 """
 
 from __future__ import annotations
@@ -235,9 +236,7 @@ def _cmd_render(args) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     """The command-line parser, built on the first call and shared after it."""
-    # --help shows the module docstring up to its note for in-process callers.
-    about = __doc__.partition("\n\nIn-process callers")[0] if __doc__ else None
-    parser = _Parser(prog="fagnano", description=about)
+    parser = _Parser(prog="fagnano", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # --output and --json of the JSON-emitting commands; render has its own.

@@ -19,9 +19,8 @@ def format_float(value: float) -> str:
 
 
 def _emit(value, pieces: list[str], pad: str) -> None:
-    # Floats are most of every document, so they are tested first; float
-    # subclasses such as np.float64 fall through to the isinstance branch.
-    if type(value) is float:
+    # Floats are most of every document, so they are tested first.
+    if isinstance(value, float):
         pieces.append(format_float(value))
     elif value is None:
         pieces.append("null")
@@ -31,8 +30,6 @@ def _emit(value, pieces: list[str], pad: str) -> None:
         pieces.append("false")
     elif isinstance(value, int):
         pieces.append(str(value))
-    elif isinstance(value, float):
-        pieces.append(format_float(value))
     elif isinstance(value, str):
         pieces.append(_quote(value))
     elif isinstance(value, dict):
