@@ -3,12 +3,17 @@
 
 Samples random acute shapes on the unit circumradius, solves each with the
 grid-plus-simplex search and with reflection descent from random starts, and
-prints the worst deviations from the orthic-triangle answer.
+prints the worst deviations from the orthic-triangle answer, the number of
+runs that did not converge or clamped, and the mean and largest number of
+descent sweeps.  Exits 3 if any run did not converge.
+
+    PYTHONPATH=src python scripts/run_oracle_sweep.py --triangles 1000
 """
 
 import argparse
 import math
 import random
+import sys
 import time
 
 from fagnano.geometry import Triangle, dist, orthic_triangle
@@ -39,6 +44,8 @@ def main():
 
     rng = random.Random(args.seed)
     worst_rel = worst_feet = 0.0
+    nonconverged = clamped = 0
+    sweeps = []
     start = time.perf_counter()
     for _ in range(args.triangles):
         t = sample_triangle(rng, args.margin)
@@ -51,8 +58,12 @@ def main():
                 rng.uniform(0.05, 0.95),
                 rng.uniform(0.05, 0.95),
             )
-            runs.append(minimize_reflection_descent(t, seed))
+            descent = minimize_reflection_descent(t, seed)
+            sweeps.append(descent.iterations)
+            runs.append(descent)
         for result in runs:
+            nonconverged += not result.converged
+            clamped += result.clamped
             worst_rel = max(worst_rel, abs(result.perimeter - closed) / closed)
             located = result.config.points(t)
             worst_feet = max(
@@ -65,7 +76,13 @@ def main():
         f"worst relative perimeter gap {worst_rel:.3e}, "
         f"worst foot offset {worst_feet:.3e} diameters, {elapsed:.1f}s"
     )
+    if sweeps:
+        print(
+            f"descent sweeps: mean {sum(sweeps) / len(sweeps):.1f}, max {max(sweeps)}"
+        )
+    print(f"runs not converged: {nonconverged}, runs clamped: {clamped}")
+    return 3 if nonconverged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -251,6 +251,10 @@ def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     return the classification otherwise."""
     cls = classify(t, tol)
     if cls.kind is not TriangleKind.ACUTE:
+        # A side whose squared length leaves the double range turns the
+        # angles into NaN; name the side instead of a meaningless angle.
+        for q, r in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
+            projection_param(q.x, q.y, q.x, q.y, r.x, r.y)
         i, largest = angles(t).largest()
         raise NotAcuteError(
             f"triangle is {cls.kind.value}, not acute: largest angle "

@@ -8,6 +8,7 @@ import pytest
 
 import fagnano
 from fagnano.cli import build_parser, main
+from fagnano.geometry import Triangle
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -97,6 +98,21 @@ def test_minimize_non_convergence_exit_3(capsys):
     assert code == 3
     doc = json.loads(out)  # result still printed
     assert doc["converged"] is False
+
+
+def test_minimize_reflection_near_right_converges(capsys):
+    # One angle 1e-4 rad short of right: plain coordinate descent ran out of
+    # its 10 000 sweeps here (exit 3); the extrapolated descent converges.
+    t = Triangle.from_angles(math.pi / 2 - 1e-4, math.pi / 4)
+    coords = ",".join(repr(v) for p in t.vertices for v in (p.x, p.y))
+    code, out, _ = run(
+        capsys, "minimize", coords, "--method", "reflection", "--start", "0.3,0.3,0.3"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert doc["iterations"] <= 100
+    assert "extrapolations" not in doc
 
 
 def test_minimize_bad_method_exit_1(capsys):
@@ -235,10 +251,17 @@ def test_render_unwritable_exit_5(capsys, tmp_path):
 
 # Every side's squared length underflows to 0 at 1e-170 and overflows to inf
 # at 1e200; the projection behind the altitude feet and the reflection step
-# must report that as a precondition failure, not crash or blame NaNs.
+# must report that as a precondition failure, not crash or blame NaNs.  Near
+# 1e154 one overflowing side already turns the angles NaN, so the triangle
+# classifies as non-acute; that verdict must name the side, not an angle.
 EXTREME_SCALES = {
     "tiny": "0,0,4e-170,0,1e-170,2e-170",
     "huge": "0,0,4e200,0,1e200,2e200",
+    "nan-angles": (
+        "8.583045863408102e+153,-5.540433187773721e+153,"
+        "1.0887243497345633e+154,-8.18356394540435e+153,"
+        "-2.9908082907804727e+153,1.002477878833545e+154"
+    ),
 }
 
 

@@ -25,6 +25,7 @@ from fagnano.geometry import (
     orthocenter,
     perimeter,
     projection_param,
+    require_acute,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -196,6 +197,25 @@ def test_projection_param_on_axis_line():
 def test_projection_param_rejects_sides_outside_double_range(scale):
     with pytest.raises(DegenerateTriangleError, match="squared length"):
         projection_param(0.0, 0.0, 4.0 * scale, 0.0, scale, 2.0 * scale)
+
+
+def test_require_acute_names_an_overflowing_side_not_an_angle():
+    # From about 1.3e154 up a side's squared length overflows and the angles
+    # come out NaN; a non-acute verdict must then name the side (exit 2 in
+    # the CLI), never fail with a GeometryError about angles.
+    rng = random.Random(20160622)
+    named = 0
+    for _ in range(200):
+        xs = [rng.uniform(-1.6e154, 1.6e154) for _ in range(6)]
+        t = Triangle(Point(xs[0], xs[1]), Point(xs[2], xs[3]), Point(xs[4], xs[5]))
+        try:
+            require_acute(t)
+        except NotAcuteError:
+            pass
+        except DegenerateTriangleError as exc:
+            assert "squared length" in str(exc)
+            named += 1
+    assert named > 0
 
 
 # ------------------------------------------------------------ orthic triangle

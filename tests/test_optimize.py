@@ -90,6 +90,7 @@ def test_objective_preconditions():
 def test_grid_simplex_equilateral(equilateral):
     result = minimize_grid_then_simplex(equilateral)
     assert result.converged
+    assert result.extrapolations == 0
     assert result.perimeter == pytest.approx(1.5, abs=1e-9)
     for value in result.config.as_tuple():
         assert value == pytest.approx(0.5, abs=1e-6)
@@ -235,6 +236,34 @@ def test_reflection_history_monotone_and_agrees_with_oracle(t, p1, p2, p3):
     assert abs(result.perimeter - closed) / closed <= 1e-9
 
 
+# (m, beta, start) grid of near-right parents from_angles(pi/2 - m, beta):
+# plain coordinate descent needed 2 000 sweeps at m = 1e-3 and ran out of
+# its 10 000 below that; with extrapolation the worst case takes 44.
+NEAR_RIGHT_MS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+NEAR_RIGHT_BETAS = (0.1, math.pi / 4, 1.3)
+NEAR_RIGHT_STARTS = ((0.3, 0.3, 0.3), (0.05, 0.9, 0.1), (0.9, 0.9, 0.9), (0.5, 0.2, 0.7))
+
+
+@pytest.mark.parametrize("beta", NEAR_RIGHT_BETAS)
+@pytest.mark.parametrize("m", NEAR_RIGHT_MS)
+def test_reflection_near_right_converges_in_few_sweeps(m, beta):
+    t = Triangle.from_angles(math.pi / 2 - m, beta)
+    closed = min_perimeter_closed_form(t)
+    feet = orthic_triangle(t).feet
+    for start in NEAR_RIGHT_STARTS:
+        result = minimize_reflection_descent(t, InscribedConfig(*start))
+        assert result.converged and not result.clamped, start
+        assert result.iterations <= 100, start
+        # Fails if a change silently stops accepting extrapolated steps.
+        assert result.extrapolations > 0, start
+        values = [p for _, p in result.history]
+        assert all(later < earlier for earlier, later in zip(values, values[1:]))
+        assert abs(result.perimeter - closed) / closed <= 1e-9, start
+        located = result.config.points(t)
+        offset = max(dist(p, f) for p, f in zip(located, feet)) / t.diameter()
+        assert offset <= 1e-4, start
+
+
 def test_reflection_single_step_is_locally_optimal(golden_bfc):
     # after one sweep, wiggling any single parameter cannot improve it given
     # the other two stay put (exactness of the unfolding step)
@@ -316,9 +345,10 @@ def test_near_right_warning_flag():
 # --------------------------------------------------------------- bit identity
 #
 # The solvers run float arithmetic in a fixed order, so their results are
-# pinned to the bit: optimize_bits.py holds values recorded from the
-# Point-based solvers that the float loops replaced.  Any change there is a
-# change of numerics, not a refactor.
+# pinned to the bit.  optimize_bits.py holds grid and grid + simplex values
+# recorded from the Point-based solvers that the float loops replaced, and
+# descent values re-recorded when the descent gained Anderson extrapolation.
+# Any change there is a change of numerics, not a refactor.
 
 BIT_GRID_NS = (4, 9, 16)
 # (m, beta) for the near-right parents from_angles(pi/2 - m, beta).
