@@ -5,12 +5,17 @@ Exit codes are exhaustive and disjoint:
   degenerate input), 3 non-convergence, 4 counterexample or residual breach,
   5 I/O failure.
 
+A triangle whose first coordinate is negative may be given as is
+(``fagnano orthic -1,0,1,0,0,1.5``) or after ``--``.
+
 ``main`` builds the argument parser on its first call and reuses it for
 later calls in the same process; each parse returns a fresh namespace, so no
 request's options reach the next.  Only a caller that runs many requests in
 one process gains from this, such as the benchmark's ``cli`` workload or the
-tests.  A one-shot ``fagnano`` process builds the parser once, as before, and
-its time is mostly interpreter and numpy import.
+tests.  A one-shot ``fagnano`` process builds the parser once and its time
+is mostly interpreter start-up and imports.  numpy is loaded only by the
+grid search of ``minimize`` (its default method); ``orthic``, ``golden``,
+``scan``, ``render`` and ``minimize --method reflection`` never load it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from . import golden, jsonio, render
@@ -27,9 +33,6 @@ from .geometry import (
     NotAcuteError,
     Point,
     Triangle,
-    TriangleKind,
-    angles,
-    classify_points,
     orthic_triangle,
 )
 from .optimize import (
@@ -59,6 +62,15 @@ class ParseFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read an argument that starts with "-" and a digit, or "-." and a
+        # digit, as a value, so a triangle such as -1,0,1,0,0,1.5 needs no
+        # "--" (argparse's own pattern takes only plain negative numbers).
+        # The attribute is private but present in 3.10 through 3.13; no
+        # option of any subcommand looks like a number, so none is shadowed.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise ParseFailure(message)
 
@@ -88,15 +100,14 @@ def parse_triangle(text: str) -> Triangle:
             raise ParseFailure(f"bad coordinate in {text!r}: {exc}") from exc
         if not all(math.isfinite(v) for v in coords):
             raise ParseFailure(f"coordinates must be finite, got {text!r}")
-    pa = Point(coords[0], coords[1])
-    pb = Point(coords[2], coords[3])
-    pc = Point(coords[4], coords[5])
-    cls = classify_points(pa, pb, pc)
-    if cls.kind is TriangleKind.DEGENERATE:
-        raise DegenerateTriangleError(
-            f"degenerate triangle {text!r}: vertices are (near-)collinear"
+    try:
+        return Triangle(
+            Point(coords[0], coords[1]),
+            Point(coords[2], coords[3]),
+            Point(coords[4], coords[5]),
         )
-    return Triangle(pa, pb, pc)
+    except DegenerateTriangleError as exc:
+        raise DegenerateTriangleError(f"degenerate triangle {text!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> InscribedConfig:

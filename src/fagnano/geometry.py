@@ -148,8 +148,8 @@ class Triangle:
     """Ordered vertex triple, normalized to counterclockwise orientation.
 
     Construction swaps b and c when the input winds clockwise (the swap is
-    observable) and rejects triangles whose area falls below the degeneracy
-    tolerance.
+    observable) and rejects triangles whose longest side is zero or leaves the
+    double range, or whose area falls below the degeneracy tolerance.
     """
 
     a: Point
@@ -157,18 +157,23 @@ class Triangle:
     c: Point
 
     def __post_init__(self):
-        area2 = (self.b - self.a).cross(self.c - self.a)
-        longest = max(
-            dist(self.a, self.b), dist(self.b, self.c), dist(self.c, self.a)
-        )
-        if abs(area2) / 2.0 < DEGENERACY_TOL * longest * longest:
-            raise DegenerateTriangleError(
-                f"degenerate triangle: area {abs(area2) / 2.0:.3e} below "
-                f"{DEGENERACY_TOL:g} * (longest side)^2 = "
-                f"{DEGENERACY_TOL * longest * longest:.3e}"
-            )
+        a, b, c = self.a, self.b, self.c
+        # Measure the sides on bare floats first: a coordinate difference that
+        # overflows must name its side, where a Point subtraction would fail
+        # as a non-finite Point.
+        longest = 0.0
+        for q, r in ((a, b), (b, c), (c, a)):
+            length = dist(q, r)
+            if not math.isfinite(length):
+                raise DegenerateTriangleError(
+                    f"side ({q.x!r}, {q.y!r})-({r.x!r}, {r.y!r}) has length "
+                    f"{length!r}, outside the double range; rescale the triangle"
+                )
+            longest = max(longest, length)
+        area2 = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+        if longest == 0.0 or abs(area2) / 2.0 < DEGENERACY_TOL * longest * longest:
+            raise DegenerateTriangleError("vertices are (near-)collinear")
         if area2 < 0.0:
-            b, c = self.b, self.c
             object.__setattr__(self, "b", c)
             object.__setattr__(self, "c", b)
 

@@ -16,14 +16,14 @@ Both exist to be checked against the closed-form answer, the orthic triangle's
 perimeter, so neither route is allowed to peek at altitude feet.
 
 Inputs are validated once at entry; the inner loops run on bare floats.
+numpy is imported inside ``_grid_best``, its only user, so importing the
+package and every command that runs no grid search skip loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import (
     ANGLE_TOL,
@@ -157,22 +157,23 @@ def _near_right_warning(margin: float) -> str | None:
     return None
 
 
-def _pair_distances(ux, uy, vx, vy) -> np.ndarray:
-    """Table D[i, j] = |u_i - v_j| over two point rows."""
-    dx = ux[:, None] - vx[None, :]
-    dy = uy[:, None] - vy[None, :]
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def _grid_best(t: Triangle, grid_n: int) -> tuple[tuple[float, float, float], float]:
     """Best node of the interior grid ((i+0.5)/n per axis) and its value."""
+    import numpy as np
+
+    def pair_distances(ux, uy, vx, vy):
+        """Table D[i, j] = |u_i - v_j| over two point rows."""
+        dx = ux[:, None] - vx[None, :]
+        dy = uy[:, None] - vy[None, :]
+        return np.sqrt(dx * dx + dy * dy)
+
     ts = (np.arange(grid_n) + 0.5) / grid_n
     px, py = t.b.x + ts * (t.c.x - t.b.x), t.b.y + ts * (t.c.y - t.b.y)
     qx, qy = t.c.x + ts * (t.a.x - t.c.x), t.c.y + ts * (t.a.y - t.c.y)
     rx, ry = t.a.x + ts * (t.b.x - t.a.x), t.a.y + ts * (t.b.y - t.a.y)
-    pq = _pair_distances(px, py, qx, qy)  # [i, j]
-    qr = _pair_distances(qx, qy, rx, ry)  # [j, k]
-    rp = _pair_distances(rx, ry, px, py)  # [k, i]
+    pq = pair_distances(px, py, qx, qy)  # [i, j]
+    qr = pair_distances(qx, qy, rx, ry)  # [j, k]
+    rp = pair_distances(rx, ry, px, py)  # [k, i]
     values = pq[:, :, None] + qr[None, :, :] + rp.T[:, None, :]
     i, j, k = np.unravel_index(int(np.argmin(values)), values.shape)
     best = (float(ts[i]), float(ts[j]), float(ts[k]))

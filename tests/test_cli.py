@@ -50,6 +50,27 @@ def test_orthic_degenerate_exits_2(capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize(
+    "text", ("0,0,1,0,2,0", "0,0,0,0,0,0", "1,1,1,1,2,2"),
+    ids=("collinear", "coincident", "two-coincident"),
+)
+def test_degenerate_input_message(capsys, text):
+    code, out, err = run(capsys, "orthic", text)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"fagnano: precondition: degenerate triangle {text!r}: "
+        "vertices are (near-)collinear\n"
+    )
+
+
+def test_overflowing_side_of_finite_input_exits_2(capsys):
+    # Every coordinate is finite, but b - c is not: the side is named.
+    code, out, err = run(capsys, "orthic", "0,0,1e308,0,-1e308,1")
+    assert (code, out) == (2, "")
+    assert "side (1e+308, 0.0)-(-1e+308, 1.0) has length inf" in err
+    assert "outside the double range" in err
+
+
 def test_orthic_parse_failures(capsys):
     assert run(capsys, "orthic", "0,0,1,0")[0] == 1          # wrong arity
     assert run(capsys, "orthic", "0,0,1,0,x,1")[0] == 1      # not a number
@@ -247,6 +268,37 @@ def test_render_unwritable_exit_5(capsys, tmp_path):
     assert code == 5
 
 
+# -------------------------------------------------- leading minus signs
+
+NEGATIVE = "-1,0,1,0,0,1.5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["orthic", NEGATIVE],
+        ["orthic", NEGATIVE, "--tol", "1e-9"],
+        ["orthic", "-.5,-0.25,1,0,0,1.5"],
+        ["minimize", NEGATIVE],
+        ["minimize", NEGATIVE, "--method", "reflection", "--tol", "1e-9"],
+    ),
+    ids=" ".join,
+)
+def test_negative_first_coordinate_is_a_value(capsys, argv):
+    # The unescaped form gives what the "--" form, which always worked, gives.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    escaped = [argv[0], *argv[2:], "--", argv[1]]
+    assert (code, out, err) == run(capsys, *escaped)
+
+
+def test_render_negative_first_coordinate(capsys, tmp_path):
+    plain, escaped = tmp_path / "plain.svg", tmp_path / "escaped.svg"
+    assert run(capsys, "render", NEGATIVE, "--output", str(plain)) == (0, "", "")
+    assert run(capsys, "render", "--output", str(escaped), "--", NEGATIVE) == (0, "", "")
+    assert plain.read_bytes() == escaped.read_bytes()
+
+
 # ----------------------------------------------------------- extreme scales
 
 # Every side's squared length underflows to 0 at 1e-170 and overflows to inf
@@ -308,6 +360,45 @@ def test_reflection_step_infinite_denominator_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "reflection step overflowed the double range" in err
+
+
+# ---------------------------------------------------------------- numpy import
+
+# pytest's own process already holds numpy, so a fresh interpreter imports
+# the package, runs the commands in order and reports after each whether
+# numpy is loaded; only the grid search needs it.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import fagnano, fagnano.cli, fagnano.geometry, fagnano.golden, fagnano.jsonio
+import fagnano.optimize, fagnano.render, fagnano.theorem
+loaded = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fagnano.cli.main(argv)
+    loaded.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_grid_search_loads_numpy(tmp_path):
+    commands = [
+        ["orthic", "golden-bfc"],
+        ["golden"],
+        ["scan", "--resolution", "8"],
+        ["render", "equilateral", "--output", str(tmp_path / "e.svg")],
+        ["minimize", "golden-bfc", "--method", "reflection"],
+        ["minimize", "golden-bfc"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["import", 0, False]] + [
+        [" ".join(argv), 0, argv == ["minimize", "golden-bfc"]] for argv in commands
+    ]
 
 
 # ------------------------------------------------------------------- general

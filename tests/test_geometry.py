@@ -75,6 +75,19 @@ def test_triangle_rejects_collinear():
         Triangle(Point(0, 0), Point(1, 0), Point(2, 1e-13))
 
 
+def test_triangle_rejects_coincident_vertices():
+    # The area test alone compares 0 < 0 here; the zero longest side decides.
+    with pytest.raises(DegenerateTriangleError, match="collinear"):
+        Triangle(Point(0, 0), Point(0, 0), Point(0, 0))
+
+
+def test_triangle_names_an_overflowing_side():
+    # Finite coordinates whose difference overflows: named as a side, not
+    # raised as a non-finite Point.
+    with pytest.raises(DegenerateTriangleError, match=r"side .* has length inf"):
+        Triangle(Point(0, 0), Point(1e308, 0), Point(-1e308, 1))
+
+
 def test_triangle_normalizes_orientation():
     t = Triangle(Point(0, 0), Point(0, 1), Point(1, 0))  # clockwise input
     assert t.b == Point(1, 0) and t.c == Point(0, 1)
