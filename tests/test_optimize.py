@@ -434,6 +434,22 @@ def test_grid_simplex_bit_identical():
             )
 
 
+# Shapes of optimize_bits.SIMPLEX_TIES: symmetric ones, where simplex vertices
+# tie on perimeter and the order among equal values decides the next step.
+TIE_SHAPES = {
+    "equilateral": cli.parse_triangle("equilateral"),
+    "golden-bfc": cli.parse_triangle("golden-bfc"),
+    "isosceles-tall": Triangle(Point(0.0, 0.0), Point(2.0, 0.0), Point(1.0, 3.0)),
+    "isosceles-flat": Triangle(Point(-1.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.5)),
+}
+
+
+def test_grid_simplex_ties_bit_identical():
+    for (name, grid_n, max_iter), bits in optimize_bits.SIMPLEX_TIES.items():
+        result = minimize_grid_then_simplex(TIE_SHAPES[name], grid_n=grid_n, max_iter=max_iter)
+        assert result_bits(result) == bits, (name, grid_n, max_iter)
+
+
 def test_reflection_descent_bit_identical():
     shapes = bit_shapes()
     for index, (t, start) in enumerate(zip(shapes, bit_starts(len(shapes)))):
