@@ -33,6 +33,7 @@ from .geometry import (
     NotAcuteError,
     Point,
     Triangle,
+    check_tolerance,
     orthic_triangle,
 )
 from .optimize import (
@@ -73,6 +74,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ParseFailure(message)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the tolerance options: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        check_tolerance("tolerance", value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _preset_triangle(name: str) -> tuple[float, ...] | None:
@@ -261,7 +275,7 @@ def build_parser() -> _Parser:
         "orthic", parents=[json_out], help="altitude feet, orthic angles and perimeter"
     )
     p.add_argument("triangle", help="ax,ay,bx,by,cx,cy or preset (equilateral, golden-bfc)")
-    p.add_argument("--tol", type=float, default=ANGLE_TOL, help="acuteness tolerance")
+    p.add_argument("--tol", type=_tolerance, default=ANGLE_TOL, help="acuteness tolerance")
     p.set_defaults(func=_cmd_orthic)
 
     p = sub.add_parser(
@@ -273,7 +287,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=float, default=None, help="per-method default when omitted")
+    p.add_argument("--tol", type=_tolerance, default=None, help="per-method default when omitted")
     p.add_argument("--start", default="0.5,0.5,0.5", help="reflection start parameters")
     p.set_defaults(func=_cmd_minimize)
 
@@ -281,14 +295,14 @@ def build_parser() -> _Parser:
         "scan", parents=[json_out], help="sweep shape space for characterization failures"
     )
     p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--tol-angle", type=float, default=ANGLE_TOL)
-    p.add_argument("--boundary-band", type=float, default=DEFAULT_BOUNDARY_BAND)
+    p.add_argument("--tol-angle", type=_tolerance, default=ANGLE_TOL)
+    p.add_argument("--boundary-band", type=_tolerance, default=DEFAULT_BOUNDARY_BAND)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(
         "golden", parents=[json_out], help="reproduce the golden-rectangle values"
     )
-    p.add_argument("--tol", type=float, default=None, help="residual limit (default 1e-12)")
+    p.add_argument("--tol", type=_tolerance, default=None, help="residual limit (default 1e-12)")
     p.set_defaults(func=_cmd_golden)
 
     p = sub.add_parser("render", help="emit an SVG figure")

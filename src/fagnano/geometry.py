@@ -170,8 +170,18 @@ class Triangle:
                     f"{length!r}, outside the double range; rescale the triangle"
                 )
             longest = max(longest, length)
-        area2 = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-        if longest == 0.0 or abs(area2) / 2.0 < DEGENERACY_TOL * longest * longest:
+        ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+        area2 = ux * vy - uy * vx
+        tested, size = area2, longest
+        if not math.isfinite(area2):
+            # The cross products overflowed.  Scaling the differences by 2^-e,
+            # e the exponent of the longest side, is exact and puts the
+            # longest side in [0.5, 1), where the same test cannot overflow.
+            e = -math.frexp(longest)[1]
+            ux, uy = math.ldexp(ux, e), math.ldexp(uy, e)
+            vx, vy = math.ldexp(vx, e), math.ldexp(vy, e)
+            tested, size = ux * vy - uy * vx, math.ldexp(longest, e)
+        if size == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * size * size:
             raise DegenerateTriangleError("vertices are (near-)collinear")
         if area2 < 0.0:
             object.__setattr__(self, "b", c)
@@ -228,14 +238,12 @@ def angles(t: Triangle) -> AngleTriple:
     return AngleTriple(*_raw_angles(t.a, t.b, t.c))
 
 
-def classify_points(
-    a: Point, b: Point, c: Point, tol: float = ANGLE_TOL
+def _classification(
+    area2: float, longest: float, largest: float, tol: float
 ) -> TriangleClass:
-    """Total classification of a raw vertex triple (degenerate is a result)."""
-    area2 = (b - a).cross(c - a)
-    longest = max(dist(a, b), dist(b, c), dist(c, a))
-    raw = _raw_angles(a, b, c)
-    margin = math.pi / 2.0 - max(raw)
+    """Classify from the doubled signed area, the longest side and the
+    largest interior angle."""
+    margin = math.pi / 2.0 - largest
     if longest == 0.0 or abs(area2) / 2.0 < DEGENERACY_TOL * longest * longest:
         return TriangleClass(TriangleKind.DEGENERATE, margin)
     if margin > tol:
@@ -247,13 +255,53 @@ def classify_points(
     return TriangleClass(kind, margin)
 
 
+def classify_points(
+    a: Point, b: Point, c: Point, tol: float = ANGLE_TOL
+) -> TriangleClass:
+    """Total classification of a raw vertex triple (degenerate is a result)."""
+    area2 = (b - a).cross(c - a)
+    longest = max(dist(a, b), dist(b, c), dist(c, a))
+    return _classification(area2, longest, max(_raw_angles(a, b, c)), tol)
+
+
+def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
+    """angle_between on bare floats."""
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
-    return classify_points(t.a, t.b, t.c, tol)
+    """classify_points(t.a, t.b, t.c, tol), bit for bit, on bare floats.
+
+    A Triangle has every side length finite, so none of the coordinate
+    differences that classify_points builds as Points can fail.
+    """
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    # Each difference is formed as classify_points forms it: x - y and
+    # -(y - x) can differ in the sign of a zero.
+    bax, bay, cax, cay = bx - ax, by - ay, cx - ax, cy - ay
+    return _classification(
+        bax * cay - bay * cax,
+        max(math.hypot(ax - bx, ay - by), math.hypot(bx - cx, by - cy), math.hypot(cax, cay)),
+        max(
+            _angle(bax, bay, cax, cay),
+            _angle(cx - bx, cy - by, ax - bx, ay - by),
+            _angle(ax - cx, ay - cy, bx - cx, by - cy),
+        ),
+        tol,
+    )
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless value is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     """Raise NotAcuteError naming the offending angle unless t is acute;
-    return the classification otherwise."""
+    return the classification otherwise.  A tol that is negative, NaN or
+    infinite raises ValueError."""
+    check_tolerance("tol", tol)
     cls = classify(t, tol)
     if cls.kind is not TriangleKind.ACUTE:
         # A side whose squared length leaves the double range turns the

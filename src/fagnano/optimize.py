@@ -15,7 +15,9 @@ parameter picks an affine point on one side of an acute triangle:
 Both exist to be checked against the closed-form answer, the orthic triangle's
 perimeter, so neither route is allowed to peek at altitude feet.
 
-Inputs are validated once at entry; the inner loops run on bare floats.
+Inputs are validated once at entry; the inner loops run on bare floats.  The
+descent checks each side's squared length once, before its first sweep, and
+its steps reuse the side vectors and squared lengths computed there.
 numpy is imported inside ``_grid_best``, its only user, so importing the
 package and every command that runs no grid search skip loading it.
 """
@@ -23,6 +25,7 @@ package and every command that runs no grid search skip loading it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .geometry import (
@@ -131,6 +134,7 @@ def _raw_objective(t: Triangle):
     uca_x, uca_y = t.a.x - t.c.x, t.a.y - t.c.y
     ax, ay = t.a.x, t.a.y
     uab_x, uab_y = t.b.x - t.a.x, t.b.y - t.a.y
+    hypot = math.hypot
 
     def f(params: tuple[float, float, float]) -> float:
         t1, t2, t3 = params
@@ -139,13 +143,24 @@ def _raw_objective(t: Triangle):
         px, py = bx + t1 * ubc_x, by + t1 * ubc_y
         qx, qy = cx + t2 * uca_x, cy + t2 * uca_y
         rx, ry = ax + t3 * uab_x, ay + t3 * uab_y
-        return (
-            math.hypot(px - qx, py - qy)
-            + math.hypot(qx - rx, qy - ry)
-            + math.hypot(rx - px, ry - py)
-        )
+        return hypot(px - qx, py - qy) + hypot(qx - rx, qy - ry) + hypot(rx - px, ry - py)
 
     return f
+
+
+def _checked_sides(t: Triangle) -> tuple[tuple[float, float, float, float, float], ...]:
+    """Sides bc, ca and ab as (q.x, q.y, u.x, u.y, u . u) for the points
+    q + s * u; side k carries parameter k.
+
+    Raises projection_param's DegenerateTriangleError for the first side
+    whose squared length leaves the normal double range.
+    """
+    sides = []
+    for q, r in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
+        projection_param(q.x, q.y, q.x, q.y, r.x, r.y)
+        ux, uy = r.x - q.x, r.y - q.y
+        sides.append((q.x, q.y, ux, uy, ux * ux + uy * uy))
+    return tuple(sides)
 
 
 def _near_right_warning(margin: float) -> str | None:
@@ -193,13 +208,12 @@ def minimize_grid_then_simplex(
     """
     margin = require_acute(t).margin
     # The grid squares coordinate differences, so every side's squared length
-    # must stay in the normal double range; the projection primitive checks it.
-    for q, r in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
-        projection_param(q.x, q.y, q.x, q.y, r.x, r.y)
+    # must stay in the normal double range.
+    _checked_sides(t)
     if grid_n < 4:
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     f = _raw_objective(t)
     dist = math.dist
 
@@ -214,28 +228,31 @@ def minimize_grid_then_simplex(
         x[axis] += step if x[axis] <= 0.5 else -step
         simplex.append(tuple(x))
     values = [f(x) for x in simplex]
+    # The simplex stays sorted by value, in the order a stable sort gives.
+    order = sorted(range(4), key=values.__getitem__)
+    simplex = [simplex[i] for i in order]
+    values = [values[i] for i in order]
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     iterations = 0
     converged = False
     while iterations < max_iter:
-        order = sorted(range(4), key=values.__getitem__)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
         best, second, third, worst = simplex
-        diameter = max(
-            dist(best, second),
-            dist(best, third),
-            dist(best, worst),
-            dist(second, third),
-            dist(second, worst),
-            dist(third, worst),
-        )
-        if diameter < tol:
+        # The same decision as max(six edge lengths) < tol: best-worst, the
+        # edge likeliest to be long, is tested first.
+        if (
+            dist(best, worst) < tol
+            and dist(best, second) < tol
+            and dist(best, third) < tol
+            and dist(second, third) < tol
+            and dist(second, worst) < tol
+            and dist(third, worst) < tol
+        ):
             converged = True
             break
         iterations += 1
 
+        v0, _, v2, v3 = values
         b0, b1, b2 = best
         s0, s1, s2 = second
         h0, h1, h2 = third
@@ -249,9 +266,9 @@ def minimize_grid_then_simplex(
             c2 + alpha * (c2 - w2),
         )
         fr = f(reflected)
-        if values[0] <= fr < values[2]:
-            simplex[3], values[3] = reflected, fr
-        elif fr < values[0]:
+        if v0 <= fr < v2:
+            new, fnew = reflected, fr
+        elif fr < v0:
             expanded = (
                 c0 + gamma * (c0 - w0),
                 c1 + gamma * (c1 - w1),
@@ -259,11 +276,11 @@ def minimize_grid_then_simplex(
             )
             fe = f(expanded)
             if fe < fr:
-                simplex[3], values[3] = expanded, fe
+                new, fnew = expanded, fe
             else:
-                simplex[3], values[3] = reflected, fr
+                new, fnew = reflected, fr
         else:
-            if fr < values[3]:
+            if fr < v3:
                 r0, r1, r2 = reflected
                 contracted = (
                     c0 + rho * (r0 - c0),
@@ -277,25 +294,35 @@ def minimize_grid_then_simplex(
                     c2 + rho * (w2 - c2),
                 )
             fc = f(contracted)
-            if fc < min(fr, values[3]):
-                simplex[3], values[3] = contracted, fc
+            if fc < min(fr, v3):
+                new, fnew = contracted, fc
             else:
+                new = None
                 simplex = [
                     best,
                     (b0 + sigma * (s0 - b0), b1 + sigma * (s1 - b1), b2 + sigma * (s2 - b2)),
                     (b0 + sigma * (h0 - b0), b1 + sigma * (h1 - b1), b2 + sigma * (h2 - b2)),
                     (b0 + sigma * (w0 - b0), b1 + sigma * (w1 - b1), b2 + sigma * (w2 - b2)),
                 ]
-                values = [values[0], f(simplex[1]), f(simplex[2]), f(simplex[3])]
-        best_now = min(values)
-        if best_now < history[-1][1]:
-            history.append((iterations, best_now))
+                values = [v0, f(simplex[1]), f(simplex[2]), f(simplex[3])]
+                # Only a shrink replaces more than one vertex and re-sorts.
+                order = sorted(range(4), key=values.__getitem__)
+                simplex = [simplex[i] for i in order]
+                values = [values[i] for i in order]
+        if new is not None:
+            # The worst vertex goes; its replacement lands after the kept
+            # vertices of equal value, where a stable sort would put it.
+            k = bisect_right(values, fnew, 0, 3)
+            del simplex[3], values[3]
+            simplex.insert(k, new)
+            values.insert(k, fnew)
+        if values[0] < history[-1][1]:
+            history.append((iterations, values[0]))
 
-    order = sorted(range(4), key=values.__getitem__)
-    # values[i] is f(simplex[i]), the same hypot sum as objective().
+    # values[0] is f(simplex[0]), the same hypot sum as objective().
     return MinimizeResult(
-        config=InscribedConfig(*simplex[order[0]]),
-        perimeter=values[order[0]],
+        config=InscribedConfig(*simplex[0]),
+        perimeter=values[0],
         iterations=iterations,
         converged=converged,
         history=tuple(history),
@@ -303,15 +330,14 @@ def minimize_grid_then_simplex(
     )
 
 
-def _best_on_side(qx, qy, rx, ry, px, py, fx, fy) -> float:
-    """Parameter on the side q -> r minimizing the broken path
-    |p - X| + |X - f| over the side line.
+def _best_on_side(qx, qy, ux, uy, uu, px, py, fx, fy) -> float:
+    """Parameter on the side q -> q + u minimizing the broken path
+    |p - X| + |X - f| over the side line; ``uu`` is u . u.
 
     Reflects p across the side and intersects the straightened segment with
     it; the result is exactly optimal for this one-dimensional subproblem.
     """
-    s = projection_param(px, py, qx, qy, rx, ry)
-    ux, uy = rx - qx, ry - qy
+    s = ((px - qx) * ux + (py - qy) * uy) / uu
     mx = 2.0 * (qx + s * ux) - px
     my = 2.0 * (qy + s * uy) - py
     wx, wy = fx - mx, fy - my
@@ -319,7 +345,7 @@ def _best_on_side(qx, qy, rx, ry, px, py, fx, fy) -> float:
     if denom == 0.0:
         # Straightened chord parallel to the side: every point ties; keep
         # the projection of the chord midpoint.
-        return projection_param((mx + fx) / 2.0, (my + fy) / 2.0, qx, qy, rx, ry)
+        return (((mx + fx) / 2.0 - qx) * ux + ((my + fy) / 2.0 - qy) * uy) / uu
     if denom - denom != 0.0:
         # The cross products overflowed: a finite numerator over an infinite
         # denominator would give a wrong step of 0, so return NaN instead and
@@ -359,15 +385,13 @@ def minimize_reflection_descent(
     in the history, which is therefore strictly decreasing.
     """
     margin = require_acute(t).margin
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     f = _raw_objective(t)
     params = list(start.as_tuple())
     current = f(tuple(params))
     history: list[tuple[int, float]] = [(0, current)]
-    a, b, c = (t.a.x, t.a.y), (t.b.x, t.b.y), (t.c.x, t.c.y)
-    # Side k, as (x0, y0, x1, y1), carries parameter k: 0 on bc, 1 on ca, 2 on ab.
-    sides = (b + c, c + a, a + b)
+    sides = _checked_sides(t)
     lo, hi = CLAMP_MARGIN, 1.0 - CLAMP_MARGIN
     ever_clamped = False
     converged = False
@@ -383,12 +407,12 @@ def minimize_reflection_descent(
         sweep_clamped = False
         for axis in range(3):
             k1, k2 = (axis + 1) % 3, (axis + 2) % 3
-            x0, y0, x1, y1 = sides[k1]
-            u = params[k1]
-            px, py = x0 + u * (x1 - x0), y0 + u * (y1 - y0)
-            x0, y0, x1, y1 = sides[k2]
-            u = params[k2]
-            fx, fy = x0 + u * (x1 - x0), y0 + u * (y1 - y0)
+            qx, qy, ux, uy, _ = sides[k1]
+            s = params[k1]
+            px, py = qx + s * ux, qy + s * uy
+            qx, qy, ux, uy, _ = sides[k2]
+            s = params[k2]
+            fx, fy = qx + s * ux, qy + s * uy
             t_new = _best_on_side(*sides[axis], px, py, fx, fy)
             if not (lo <= t_new <= hi):
                 if not math.isfinite(t_new):

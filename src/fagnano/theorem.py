@@ -27,6 +27,7 @@ from .geometry import (
     Triangle,
     angle_at,
     angles,
+    check_tolerance,
     dist,
     foot_of_altitude,
     incenter,
@@ -263,6 +264,8 @@ def scan_angle_space(
     """
     if grid_resolution < 8:
         raise ValueError(f"grid_resolution must be >= 8, got {grid_resolution}")
+    check_tolerance("tol_angle", tol_angle)
+    check_tolerance("boundary_band", boundary_band)
     if boundary_band <= tol_angle:
         raise ValueError(
             f"boundary_band ({boundary_band}) must exceed tol_angle ({tol_angle})"

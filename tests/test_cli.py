@@ -51,8 +51,8 @@ def test_orthic_degenerate_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ("0,0,1,0,2,0", "0,0,0,0,0,0", "1,1,1,1,2,2"),
-    ids=("collinear", "coincident", "two-coincident"),
+    "text", ("0,0,1,0,2,0", "0,0,0,0,0,0", "1,1,1,1,2,2", "0,0,1e200,1e200,2e200,2e200"),
+    ids=("collinear", "coincident", "two-coincident", "collinear-huge"),
 )
 def test_degenerate_input_message(capsys, text):
     code, out, err = run(capsys, "orthic", text)
@@ -60,6 +60,29 @@ def test_degenerate_input_message(capsys, text):
     assert err == (
         f"fagnano: precondition: degenerate triangle {text!r}: "
         "vertices are (near-)collinear\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["orthic", "0,0,1,0,-0.1,1", "--tol", "-1"],
+        ["orthic", "golden-bfc", "--tol", "nan"],
+        ["minimize", "golden-bfc", "--tol", "nan"],
+        ["minimize", "golden-bfc", "--tol", "inf"],
+        ["minimize", "golden-bfc", "--method", "reflection", "--tol", "nan"],
+        ["golden", "--tol", "inf"],
+        ["scan", "--resolution", "8", "--boundary-band", "nan"],
+        ["scan", "--resolution", "8", "--tol-angle", "nan"],
+    ),
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"fagnano: error: argument {argv[-2]}: tolerance must be finite and >= 0, "
+        f"got {float(argv[-1])!r}\n"
     )
 
 

@@ -81,6 +81,15 @@ def test_triangle_rejects_coincident_vertices():
         Triangle(Point(0, 0), Point(0, 0), Point(0, 0))
 
 
+def test_triangle_rejects_collinear_whose_area_overflows():
+    # Both cross-product terms overflow and their difference is NaN; the
+    # area test is redone in a power-of-two frame where it cannot overflow.
+    with pytest.raises(DegenerateTriangleError, match="collinear"):
+        Triangle(Point(0, 0), Point(1e200, 1e200), Point(2e200, 2e200))
+    # A triangle at the same scale that is not collinear still constructs.
+    Triangle(Point(0, 0), Point(1e200, 0), Point(1e200, 2e200))
+
+
 def test_triangle_names_an_overflowing_side():
     # Finite coordinates whose difference overflows: named as a side, not
     # raised as a non-finite Point.
@@ -154,6 +163,36 @@ def test_classify_obtuse():
     assert cls.kind is TriangleKind.OBTUSE
     assert cls.margin == pytest.approx(math.pi / 2 - largest, abs=1e-12)
     assert cls.margin < 0
+
+
+def classify_shapes():
+    """Seeded acute, near-right, right, obtuse and near-degenerate triangles."""
+    rng = random.Random(20161018)
+    shapes = [random_acute_triangle(rng) for _ in range(8)]
+    for m in (1e-3, 1e-9, 2e-9, 1e-12):
+        shapes.append(Triangle.from_angles(math.pi / 2 - m, rng.uniform(0.2, 1.3)))
+        shapes.append(Triangle.from_angles(math.pi / 2 + m, rng.uniform(0.2, 1.3)))
+    for _ in range(4):
+        p, q, s = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0)
+        shapes.append(Triangle(Point(s, 0.0), Point(s + p, 0.0), Point(s, q)))
+    for _ in range(4):
+        shapes.append(Triangle(Point(0, 0), Point(1, 0), Point(rng.uniform(1.1, 3.0), rng.uniform(0.1, 2.0))))
+    for h in (3e-12, 1e-11, 1e-9):
+        shapes.append(Triangle(Point(0, 0), Point(1, 0), Point(rng.uniform(0.0, 1.0), h)))
+        shapes.append(Triangle(Point(0, 0), Point(1, 0), Point(rng.uniform(1.0, 2.0), h)))
+    return shapes
+
+
+def test_classify_matches_classify_points_bit_for_bit():
+    # classify works on bare floats; classify_points builds Point differences.
+    rng = random.Random(5)
+    for shape in classify_shapes():
+        for k in [-500, 500] + [rng.randint(-500, 500) for _ in range(30)]:
+            a, b, c = (Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in shape.vertices)
+            t = Triangle(a, b, c)
+            for tol in (0.0, 1e-9, 1e-3):
+                got, want = classify(t, tol), classify_points(t.a, t.b, t.c, tol)
+                assert (got.kind, got.margin.hex()) == (want.kind, want.margin.hex()), (t, tol)
 
 
 def test_classify_points_degenerate_is_total():
@@ -275,6 +314,10 @@ def test_orthic_rejects_non_acute():
         orthic_triangle(Triangle(Point(0, 0), Point(1, 0), Point(0, 1)))
     with pytest.raises(NotAcuteError, match="obtuse"):
         orthic_triangle(Triangle(Point(0, 0), Point(1, 0), Point(2, 0.1)))
+    # A negative tolerance used to pass this obtuse parent as acute.
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            orthic_triangle(Triangle(Point(0, 0), Point(1, 0), Point(-0.1, 1)), bad)
 
 
 def test_orthic_angle_law_sweep():

@@ -134,8 +134,9 @@ def test_grid_simplex_random_against_oracle():
 def test_grid_simplex_validation(equilateral):
     with pytest.raises(ValueError):
         minimize_grid_then_simplex(equilateral, grid_n=3)
-    with pytest.raises(ValueError):
-        minimize_grid_then_simplex(equilateral, tol=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            minimize_grid_then_simplex(equilateral, tol=bad)
     with pytest.raises(NotAcuteError):
         minimize_grid_then_simplex(Triangle(Point(0, 0), Point(1, 0), Point(0, 1)))
 
@@ -206,8 +207,9 @@ def test_reflection_clamp_recovery():
 
 
 def test_reflection_validation(equilateral):
-    with pytest.raises(ValueError):
-        minimize_reflection_descent(equilateral, InscribedConfig(0.5, 0.5, 0.5), tol=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            minimize_reflection_descent(equilateral, InscribedConfig(0.5, 0.5, 0.5), tol=bad)
     with pytest.raises(NotAcuteError):
         minimize_reflection_descent(
             Triangle(Point(0, 0), Point(1, 0), Point(0, 1)),

@@ -223,6 +223,11 @@ def test_scan_validation():
         scan_angle_space(7)
     with pytest.raises(ValueError):
         scan_angle_space(16, tol_angle=1e-6, boundary_band=1e-6)
+    for bad in (math.nan, math.inf, -1e-9):
+        with pytest.raises(ValueError, match="tol_angle must be finite"):
+            scan_angle_space(16, tol_angle=bad)
+        with pytest.raises(ValueError, match="boundary_band must be finite"):
+            scan_angle_space(16, boundary_band=bad)
 
 
 def test_locus_nodes_all_produce_right_orthic():
