@@ -85,9 +85,14 @@ def lerp(p: Point, q: Point, t: float) -> Point:
     return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
 
 
+def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
+    """Unsigned angle between the vectors (ux, uy) and (vx, vy), in [0, pi]."""
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
 def angle_between(u: Point, v: Point) -> float:
     """Unsigned angle between two vectors, in [0, pi]."""
-    return math.atan2(abs(u.cross(v)), u.dot(v))
+    return _angle(u.x, u.y, v.x, v.y)
 
 
 def angle_at(p: Point, q: Point, r: Point) -> float:
@@ -262,11 +267,6 @@ def classify_points(
     area2 = (b - a).cross(c - a)
     longest = max(dist(a, b), dist(b, c), dist(c, a))
     return _classification(area2, longest, max(_raw_angles(a, b, c)), tol)
-
-
-def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
-    """angle_between on bare floats."""
-    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
