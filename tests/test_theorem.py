@@ -5,15 +5,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import acute_triangles, random_acute_triangle
-from fagnano import jsonio
+import theorem_bits
+from conftest import acute_triangles, random_acute_triangle, sample_acute_angles
+from fagnano import cli, jsonio
 from fagnano.geometry import (
     ANGLE_TOL,
+    GeometryError,
     NotAcuteError,
     Point,
     Triangle,
     angles,
     classify,
+    orthocenter,
     TriangleKind,
 )
 from fagnano.theorem import (
@@ -297,3 +300,91 @@ def test_reverse_direction_samples():
         orth = orthic_triangle(t).angles.as_tuple()
         assert all(abs(o - HALF_PI) > 1e-8 for o in orth)
         assert not verdict(t).orthic_is_right
+
+
+# --------------------------------------------------------------- bit identity
+#
+# The per-triangle checks run float arithmetic in a fixed order, so their
+# results are pinned to the bit.  theorem_bits.py holds values and raised
+# exceptions recorded from the checks that built a Point for every coordinate
+# difference; any change there is a change of numerics, not a refactor.
+
+BIT_SCALES = (-500, -40, 0, 17, 500)
+
+
+def bit_shapes():
+    """The named unit-size shapes of theorem_bits.CHECKS."""
+    rng = random.Random(20160623)
+    shapes = {
+        f"acute-{i}": Triangle.from_angles(*sample_acute_angles(rng)) for i in range(10)
+    }
+    for i, (alpha, beta) in enumerate(quarter_pi_locus_nodes(5)):
+        shapes[f"quarter-{i}"] = Triangle.from_angles(alpha, beta)
+    shapes["equilateral"] = cli.parse_triangle("equilateral")
+    shapes["golden-bfc"] = cli.parse_triangle("golden-bfc")
+    return shapes
+
+
+def scaled(t, k):
+    """t with every coordinate times 2^k, which is exact."""
+    return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in t.vertices))
+
+
+def check_bits(t):
+    """Every field of proof_steps, the incenter check, the orthocenter and
+    the verdict document, floats as float.hex."""
+    report = proof_steps(t)
+    h = orthocenter(t)
+    return (
+        report.angle_sum_residual.hex(),
+        tuple(r.hex() for r in report.bisection_residuals),
+        report.quarter_relation_residual.hex(),
+        report.quarter_relation_active,
+        report.quad_sum_residual.hex(),
+        tuple(r.hex() for r in report.decomposition_residuals),
+        incenter_orthocenter_check(t).hex(),
+        (h.x.hex(), h.y.hex()),
+        verdict(t).to_document(),
+    )
+
+
+BAD_INPUTS = {
+    "right": Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)),
+    "obtuse": Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1)),
+    # Finite sides whose squared lengths overflow.
+    "overflowing-side": Triangle(Point(0.0, 0.0), Point(1e300, 0.0), Point(5e299, 1e300)),
+}
+BAD_TOLS = (-1.0, math.nan, math.inf)
+
+
+def raising_calls():
+    """(function name, case) -> (function, arguments) of every pinned raise."""
+    calls = {}
+    for case, t in BAD_INPUTS.items():
+        for func in (proof_steps, incenter_orthocenter_check, verdict):
+            calls[func.__name__, case] = (func, (t,))
+    calls["orthocenter", "overflowing-side"] = (orthocenter, (BAD_INPUTS["overflowing-side"],))
+    golden = cli.parse_triangle("golden-bfc")
+    for tol in BAD_TOLS:
+        for func in (proof_steps, verdict):
+            calls[func.__name__, f"golden-bfc tol {tol!r}"] = (func, (golden, tol))
+    return calls
+
+
+def raised_bits(func, args):
+    with pytest.raises((GeometryError, ValueError)) as info:
+        func(*args)
+    return type(info.value).__name__, str(info.value)
+
+
+def test_checks_bit_identical():
+    for name, t in bit_shapes().items():
+        for k in BIT_SCALES:
+            assert check_bits(scaled(t, k)) == theorem_bits.CHECKS[name, k], (name, k)
+
+
+def test_check_exceptions_identical():
+    calls = raising_calls()
+    assert calls.keys() == theorem_bits.RAISES.keys()
+    for key, (func, args) in calls.items():
+        assert raised_bits(func, args) == theorem_bits.RAISES[key], key
