@@ -89,6 +89,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _iterations(text: str) -> int:
+    """argparse type of --max-iter: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"iteration limit must be >= 1, got {value!r}")
+    return value
+
+
 def _preset_triangle(name: str) -> tuple[float, ...] | None:
     if name == "equilateral":
         return (0.0, 0.0, 1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0)
@@ -286,7 +297,7 @@ def build_parser() -> _Parser:
         "--method", choices=("grid-simplex", "reflection"), default="grid-simplex"
     )
     p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_iterations, default=DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=_tolerance, default=None, help="per-method default when omitted")
     p.add_argument("--start", default="0.5,0.5,0.5", help="reflection start parameters")
     p.set_defaults(func=_cmd_minimize)

@@ -52,16 +52,8 @@ class Point:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def __add__(self, other: Point) -> Point:
-        return Point(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: Point) -> Point:
         return Point(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> Point:
-        return Point(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
 
     def dot(self, other: Point) -> float:
         return self.x * other.x + self.y * other.y
@@ -181,14 +173,15 @@ class Triangle:
         if not math.isfinite(area2):
             # The cross products overflowed.  Scaling the differences by 2^-e,
             # e the exponent of the longest side, is exact and puts the
-            # longest side in [0.5, 1), where the same test cannot overflow.
+            # longest side in [0.5, 1), where the same test cannot overflow;
+            # the scaled area also gives the orientation below.
             e = -math.frexp(longest)[1]
             ux, uy = math.ldexp(ux, e), math.ldexp(uy, e)
             vx, vy = math.ldexp(vx, e), math.ldexp(vy, e)
             tested, size = ux * vy - uy * vx, math.ldexp(longest, e)
         if size == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * size * size:
             raise DegenerateTriangleError("vertices are (near-)collinear")
-        if area2 < 0.0:
+        if tested < 0.0:
             object.__setattr__(self, "b", c)
             object.__setattr__(self, "c", b)
 
@@ -390,16 +383,15 @@ def orthic_triangle(t: Triangle, tol: float = ANGLE_TOL) -> OrthicResult:
 
 def orthocenter(t: Triangle) -> Point:
     """Common point of the three altitudes (intersection of two of them)."""
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
     # Altitude from a: through a, perpendicular to bc; similarly from b.
-    d1 = t.c - t.b
-    d1 = Point(-d1.y, d1.x)
-    d2 = t.a - t.c
-    d2 = Point(-d2.y, d2.x)
-    det = d1.cross(d2)
+    d1x, d1y = -(cy - by), cx - bx
+    d2x, d2y = -(ay - cy), ax - cx
+    det = d1x * d2y - d1y * d2x
     if det == 0.0:
         raise DegenerateTriangleError("altitudes are parallel")
-    s = (t.b - t.a).cross(d2) / det
-    return t.a + d1 * s
+    s = ((bx - ax) * d2y - (by - ay) * d2x) / det
+    return Point(ax + d1x * s, ay + d1y * s)
 
 
 def incenter(t: Triangle) -> Point:

@@ -25,7 +25,8 @@ from .geometry import (
     ANGLE_TOL,
     AngleTriple,
     Triangle,
-    angle_at,
+    _angle,
+    _raw_angles,
     angles,
     check_tolerance,
     dist,
@@ -115,7 +116,12 @@ def verdict(t: Triangle, tol_angle: float = ANGLE_TOL) -> TheoremVerdict:
     is the index correspondence between those two hits.
     """
     require_acute(t, tol_angle)
-    return _verdict_core(angles(t), orthic_triangle(t, tol_angle).angles, tol_angle)
+    # The orthic angles of orthic_triangle(t, tol_angle) without its second
+    # acuteness test.  The parent angles come first: when the squared sides
+    # overflow, angles(t) raises on a NaN angle before a foot would raise.
+    parent = angles(t)
+    d, e, f = foot_of_altitude(t, 0), foot_of_altitude(t, 1), foot_of_altitude(t, 2)
+    return _verdict_core(parent, AngleTriple(*_raw_angles(d, e, f)), tol_angle)
 
 
 @dataclass(frozen=True)
@@ -154,31 +160,45 @@ class ProofStepReport:
 
 
 def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
+    """Residuals of the proof's identities on the acute triangle ``t``.
+
+    The angles run on bare floats, as ``angle_at`` would compute them from
+    Points: every point is a vertex of the validated ``t`` or an altitude foot
+    whose side passed ``projection_param``'s range check, so no coordinate
+    difference can overflow.
+    """
     require_acute(t, tol_angle)
-    a, b, c = t.a, t.b, t.c
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
     d = foot_of_altitude(t, 0)
     e = foot_of_altitude(t, 1)
     f = foot_of_altitude(t, 2)
+    dx, dy, ex, ey, fx, fy = d.x, d.y, e.x, e.y, f.x, f.y
+    # Edge vectors p - q out of each apex q: "dex" is the x of e - d.
+    dex, dey, dfx, dfy = ex - dx, ey - dy, fx - dx, fy - dy
+    dax, day, dbx, dby = ax - dx, ay - dy, bx - dx, by - dy
+    edx, edy, efx, efy, ebx, eby = dx - ex, dy - ey, fx - ex, fy - ey, bx - ex, by - ey
+    fdx, fdy, fex, fey = dx - fx, dy - fy, ex - fx, ey - fy
+    fcx, fcy, fbx, fby = cx - fx, cy - fy, bx - fx, by - fy
 
-    angle_d = angle_at(e, d, f)
-    angle_e = angle_at(d, e, f)
-    angle_f = angle_at(d, f, e)
+    angle_d = _angle(dex, dey, dfx, dfy)
+    angle_e = _angle(edx, edy, efx, efy)
+    angle_f = _angle(fdx, fdy, fex, fey)
     angle_sum_residual = abs(angle_d + angle_e + angle_f - math.pi)
 
-    dfc = angle_at(d, f, c)
-    cfe = angle_at(c, f, e)
-    fda = angle_at(f, d, a)
-    ade = angle_at(a, d, e)
-    feb = angle_at(f, e, b)
-    bed = angle_at(b, e, d)
+    dfc = _angle(fdx, fdy, fcx, fcy)
+    cfe = _angle(fcx, fcy, fex, fey)
+    fda = _angle(dfx, dfy, dax, day)
+    ade = _angle(dax, day, dex, dey)
+    feb = _angle(efx, efy, ebx, eby)
+    bed = _angle(ebx, eby, edx, edy)
     bisection_residuals = (abs(dfc - cfe), abs(fda - ade), abs(feb - bed))
 
     quarter_relation_residual = abs(cfe + ade - QUARTER_PI)
     quarter_relation_active = abs(angle_e - HALF_PI) <= tol_angle
 
-    angle_b = angle_at(a, b, c)
-    bfe = angle_at(b, f, e)
-    bde = angle_at(b, d, e)
+    angle_b = _angle(ax - bx, ay - by, cx - bx, cy - by)
+    bfe = _angle(fbx, fby, fex, fey)
+    bde = _angle(dbx, dby, dex, dey)
     quad_sum_residual = abs(angle_b + angle_e + bfe + bde - 2.0 * math.pi)
     decomposition_residuals = (
         abs(bfe - HALF_PI - cfe),
@@ -196,7 +216,6 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
 
 def incenter_orthocenter_check(t: Triangle) -> float:
     """Distance between incenter(orthic) and orthocenter, over the diameter."""
-    require_acute(t)
     orth = orthic_triangle(t)
     inner = Triangle(*orth.feet)
     return dist(incenter(inner), orthocenter(t)) / t.diameter()

@@ -74,16 +74,19 @@ def test_degenerate_input_message(capsys, text):
         ["golden", "--tol", "inf"],
         ["scan", "--resolution", "8", "--boundary-band", "nan"],
         ["scan", "--resolution", "8", "--tol-angle", "nan"],
+        ["minimize", "golden-bfc", "--max-iter", "0"],
+        ["minimize", "golden-bfc", "--method", "reflection", "--max-iter", "-1"],
     ),
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == (
-        f"fagnano: error: argument {argv[-2]}: tolerance must be finite and >= 0, "
-        f"got {float(argv[-1])!r}\n"
-    )
+    if argv[-2] == "--max-iter":
+        reason = f"iteration limit must be >= 1, got {int(argv[-1])!r}"
+    else:
+        reason = f"tolerance must be finite and >= 0, got {float(argv[-1])!r}"
+    assert err == f"fagnano: error: argument {argv[-2]}: {reason}\n"
 
 
 def test_overflowing_side_of_finite_input_exits_2(capsys):

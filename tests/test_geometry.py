@@ -103,6 +103,12 @@ def test_triangle_normalizes_orientation():
     assert t.signed_area() > 0
     ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))  # kept as given
     assert ccw.b == Point(1, 0) and ccw.c == Point(0, 1)
+    # Both cross products of the area overflow here; the swap must still
+    # follow the winding, as it does for the same shape at scale 1.
+    small = Triangle(Point(0, 0), Point(1, 2), Point(2, 1))
+    assert small.b == Point(2, 1) and small.c == Point(1, 2)
+    huge = Triangle(Point(0, 0), Point(1e200, 2e200), Point(2e200, 1e200))
+    assert huge.b == Point(2e200, 1e200) and huge.c == Point(1e200, 2e200)
 
 
 def test_angle_triple_invariants():
