@@ -2,9 +2,9 @@
 """Agreement statistics between the numeric searches and the closed form.
 
 Samples random acute shapes on the unit circumradius, solves each with the
-grid-plus-simplex search and with reflection descent from random starts, and
-prints the worst deviations from the orthic-triangle answer, the number of
-runs that did not converge or clamped, and the mean and largest number of
+simplex search and with reflection descent from random starts, and prints
+the worst deviations from the orthic-triangle answer, the number of runs
+that did not converge or clamped, and the mean and largest number of
 descent sweeps.  Exits 3 if any run did not converge.
 
     PYTHONPATH=src python scripts/run_oracle_sweep.py --triangles 1000

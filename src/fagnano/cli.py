@@ -13,9 +13,7 @@ later calls in the same process; each parse returns a fresh namespace, so no
 request's options reach the next.  Only a caller that runs many requests in
 one process gains from this, such as the benchmark's ``cli`` workload or the
 tests.  A one-shot ``fagnano`` process builds the parser once and its time
-is mostly interpreter start-up and imports.  numpy is loaded only by the
-grid search of ``minimize`` (its default method); ``orthic``, ``golden``,
-``scan``, ``render`` and ``minimize --method reflection`` never load it.
+is mostly interpreter start-up and imports.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .geometry import (
 )
 from .optimize import (
     DEFAULT_DESCENT_TOL,
-    DEFAULT_GRID_N,
     DEFAULT_MAX_ITER,
     DEFAULT_SIMPLEX_TOL,
     InscribedConfig,
@@ -210,9 +207,7 @@ def _cmd_minimize(args) -> int:
     t = parse_triangle(args.triangle)
     if args.method == "grid-simplex":
         tol = args.tol if args.tol is not None else DEFAULT_SIMPLEX_TOL
-        result = minimize_grid_then_simplex(
-            t, grid_n=args.grid_n, max_iter=args.max_iter, tol=tol
-        )
+        result = minimize_grid_then_simplex(t, max_iter=args.max_iter, tol=tol)
     else:
         tol = args.tol if args.tol is not None else DEFAULT_DESCENT_TOL
         start = parse_config(args.start)
@@ -296,7 +291,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--method", choices=("grid-simplex", "reflection"), default="grid-simplex"
     )
-    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     p.add_argument("--max-iter", type=_iterations, default=DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=_tolerance, default=None, help="per-method default when omitted")
     p.add_argument("--start", default="0.5,0.5,0.5", help="reflection start parameters")

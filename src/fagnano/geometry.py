@@ -168,18 +168,20 @@ class Triangle:
                 )
             longest = max(longest, length)
         ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
-        area2 = ux * vy - uy * vx
-        tested, size = area2, longest
-        if not math.isfinite(area2):
-            # The cross products overflowed.  Scaling the differences by 2^-e,
-            # e the exponent of the longest side, is exact and puts the
-            # longest side in [0.5, 1), where the same test cannot overflow;
-            # the scaled area also gives the orientation below.
+        tested, limit = ux * vy - uy * vx, DEGENERACY_TOL * longest * longest
+        if not (math.isfinite(tested) and sys.float_info.min <= limit <= sys.float_info.max):
+            # The cross products overflowed, or the limit left the normal
+            # range (it underflows to 0 for tiny sides, which would pass
+            # any collinear triple).  Scaling the differences by 2^-e, e the
+            # exponent of the longest side, is exact and puts the longest
+            # side in [0.5, 1), where the same test can neither overflow nor
+            # underflow; the scaled area also gives the orientation below.
             e = -math.frexp(longest)[1]
             ux, uy = math.ldexp(ux, e), math.ldexp(uy, e)
             vx, vy = math.ldexp(vx, e), math.ldexp(vy, e)
-            tested, size = ux * vy - uy * vx, math.ldexp(longest, e)
-        if size == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * size * size:
+            size = math.ldexp(longest, e)
+            tested, limit = ux * vy - uy * vx, DEGENERACY_TOL * size * size
+        if longest == 0.0 or abs(tested) / 2.0 < limit:
             raise DegenerateTriangleError("vertices are (near-)collinear")
         if tested < 0.0:
             object.__setattr__(self, "b", c)
@@ -227,6 +229,14 @@ class Triangle:
         return max(self.side_lengths())
 
 
+def _largest(x: float, y: float, z: float) -> float:
+    """max(x, y, z), but NaN when any of them is NaN: max skips a NaN that
+    is not its first argument, and a NaN angle must not pass for acute."""
+    if x != x or y != y or z != z:
+        return math.nan
+    return max(x, y, z)
+
+
 def _raw_angles(a: Point, b: Point, c: Point) -> tuple[float, float, float]:
     return (angle_at(b, a, c), angle_at(c, b, a), angle_at(a, c, b))
 
@@ -259,7 +269,7 @@ def classify_points(
     """Total classification of a raw vertex triple (degenerate is a result)."""
     area2 = (b - a).cross(c - a)
     longest = max(dist(a, b), dist(b, c), dist(c, a))
-    return _classification(area2, longest, max(_raw_angles(a, b, c)), tol)
+    return _classification(area2, longest, _largest(*_raw_angles(a, b, c)), tol)
 
 
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
@@ -275,7 +285,7 @@ def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     return _classification(
         bax * cay - bay * cax,
         max(math.hypot(ax - bx, ay - by), math.hypot(bx - cx, by - cy), math.hypot(cax, cay)),
-        max(
+        _largest(
             _angle(bax, bay, cax, cay),
             _angle(cx - bx, cy - by, ax - bx, ay - by),
             _angle(ax - cx, ay - cy, bx - cx, by - cy),

@@ -1,251 +1,64 @@
 """Solver results pinned to the bit, for test_optimize.py's bit-identity tests.
 
-GRID_BEST, SIMPLEX and CLI_STDOUT['grid-simplex'] were recorded from the
-Point-based solvers that the float loops of fagnano.optimize replaced.
+SIMPLEX, SIMPLEX_TIES and CLI_STDOUT['grid-simplex'] were re-recorded when
+the simplex search dropped its grid stage and started at the medial
+configuration, a deliberate change of numerics.  The symmetric shapes of
+SIMPLEX_TIES make vertex perimeters tie, so the order among equal values,
+the one a stable sort gives, decides the next step.
 DESCENT and CLI_STDOUT['reflection'] were re-recorded when the reflection
 descent gained its Anderson extrapolation, a deliberate change of numerics.
-SIMPLEX_TIES was recorded from the Nelder-Mead loop that sorted its simplex
-afresh on every iteration, before it switched to inserting the replaced
-vertex in place; its symmetric shapes make vertex perimeters tie.
 Floats are float.hex strings and each history is its length and SHA-256
 digest (see test_optimize.result_bits).
 """
 
-# (shape index, grid_n): ((node t_on_bc, t_on_ca, t_on_ab), value)
-GRID_BEST = {
-    (0, 4): (('0x1.0000000000000p-3', '0x1.8000000000000p-2', '0x1.c000000000000p-1'), '0x1.1ea628a2fc0b4p+1'),
-    (0, 9): (('0x1.1c71c71c71c72p-2', '0x1.8e38e38e38e39p-2', '0x1.aaaaaaaaaaaabp-1'), '0x1.1de7f9d615bedp+1'),
-    (0, 16): (('0x1.2000000000000p-2', '0x1.6000000000000p-2', '0x1.b000000000000p-1'), '0x1.1c784cfd0aec6p+1'),
-    (1, 4): (('0x1.8000000000000p-2', '0x1.8000000000000p-2', '0x1.4000000000000p-1'), '0x1.4ed839471215dp+1'),
-    (1, 9): (('0x1.8e38e38e38e39p-2', '0x1.0000000000000p-1', '0x1.38e38e38e38e4p-1'), '0x1.4a08e0ffeb484p+1'),
-    (1, 16): (('0x1.a000000000000p-2', '0x1.e000000000000p-2', '0x1.3000000000000p-1'), '0x1.49da2ae77dc1ep+1'),
-    (2, 4): (('0x1.c000000000000p-1', '0x1.0000000000000p-3', '0x1.8000000000000p-2'), '0x1.114830696dd57p+1'),
-    (2, 9): (('0x1.e38e38e38e38ep-1', '0x1.c71c71c71c71cp-5', '0x1.8e38e38e38e39p-2'), '0x1.10164a7223531p+1'),
-    (2, 16): (('0x1.d000000000000p-1', '0x1.4000000000000p-3', '0x1.a000000000000p-2'), '0x1.0fe3b1e46d096p+1'),
-    (3, 4): (('0x1.0000000000000p-3', '0x1.c000000000000p-1', '0x1.8000000000000p-2'), '0x1.ef86d542e905ep+0'),
-    (3, 9): (('0x1.1c71c71c71c72p-2', '0x1.e38e38e38e38ep-1', '0x1.5555555555555p-3'), '0x1.e178dd51431d4p+0'),
-    (3, 16): (('0x1.c000000000000p-3', '0x1.f000000000000p-1', '0x1.8000000000000p-4'), '0x1.df57cc84b4dd4p+0'),
-    (4, 4): (('0x1.c000000000000p-1', '0x1.4000000000000p-1', '0x1.0000000000000p-3'), '0x1.f9a714ae30e81p-1'),
-    (4, 9): (('0x1.e38e38e38e38ep-1', '0x1.0000000000000p-1', '0x1.c71c71c71c71cp-5'), '0x1.b38b30c2ad184p-1'),
-    (4, 16): (('0x1.f000000000000p-1', '0x1.1000000000000p-1', '0x1.0000000000000p-5'), '0x1.aa66c00ea82a6p-1'),
-    (5, 4): (('0x1.0000000000000p-3', '0x1.8000000000000p-2', '0x1.c000000000000p-1'), '0x1.1f63c277d09a4p+1'),
-    (5, 9): (('0x1.1c71c71c71c72p-2', '0x1.8e38e38e38e39p-2', '0x1.aaaaaaaaaaaabp-1'), '0x1.1f123e766b78fp+1'),
-    (5, 16): (('0x1.4000000000000p-3', '0x1.a000000000000p-2', '0x1.d000000000000p-1'), '0x1.1e17478650851p+1'),
-    (6, 4): (('0x1.0000000000000p-3', '0x1.c000000000000p-1', '0x1.4000000000000p-1'), '0x1.cc236d3f26504p-1'),
-    (6, 9): (('0x1.c71c71c71c71cp-5', '0x1.e38e38e38e38ep-1', '0x1.0000000000000p-1'), '0x1.7a9976656962cp-1'),
-    (6, 16): (('0x1.0000000000000p-5', '0x1.f000000000000p-1', '0x1.1000000000000p-1'), '0x1.6d0a355c68045p-1'),
-    (7, 4): (('0x1.8000000000000p-2', '0x1.0000000000000p-3', '0x1.c000000000000p-1'), '0x1.ca9ff9966663ep+0'),
-    (7, 9): (('0x1.5555555555555p-3', '0x1.1c71c71c71c72p-2', '0x1.e38e38e38e38ep-1'), '0x1.b74c9ad5eaf8ep+0'),
-    (7, 16): (('0x1.8000000000000p-4', '0x1.c000000000000p-3', '0x1.f000000000000p-1'), '0x1.b2768294eb5bep+0'),
-    (8, 4): (('0x1.0000000000000p-3', '0x1.4000000000000p-1', '0x1.c000000000000p-1'), '0x1.27f1ef75f8b14p+1'),
-    (8, 9): (('0x1.5555555555555p-3', '0x1.71c71c71c71c7p-1', '0x1.38e38e38e38e4p-1'), '0x1.257b791f3d2d6p+1'),
-    (8, 16): (('0x1.4000000000000p-3', '0x1.5000000000000p-1', '0x1.7000000000000p-1'), '0x1.2456c512bc91cp+1'),
-    (9, 4): (('0x1.c000000000000p-1', '0x1.4000000000000p-1', '0x1.0000000000000p-3'), '0x1.759e88e3908f2p+0'),
-    (9, 9): (('0x1.aaaaaaaaaaaabp-1', '0x1.aaaaaaaaaaaabp-1', '0x1.c71c71c71c71cp-5'), '0x1.6b93c3fbaebc8p+0'),
-    (9, 16): (('0x1.b000000000000p-1', '0x1.b000000000000p-1', '0x1.0000000000000p-5'), '0x1.68b96d9a5b4ccp+0'),
-    (10, 4): (('0x1.8000000000000p-2', '0x1.c000000000000p-1', '0x1.0000000000000p-3'), '0x1.3a290a2c26759p+1'),
-    (10, 9): (('0x1.8e38e38e38e39p-2', '0x1.71c71c71c71c7p-1', '0x1.8e38e38e38e39p-2'), '0x1.3607d8796f209p+1'),
-    (10, 16): (('0x1.a000000000000p-2', '0x1.9000000000000p-1', '0x1.2000000000000p-2'), '0x1.352bc5ca5f94cp+1'),
-    (11, 4): (('0x1.0000000000000p-3', '0x1.8000000000000p-2', '0x1.c000000000000p-1'), '0x1.240ffe54785f1p+1'),
-    (11, 9): (('0x1.8e38e38e38e39p-2', '0x1.1c71c71c71c72p-2', '0x1.aaaaaaaaaaaabp-1'), '0x1.1b8cbec11496dp+1'),
-    (11, 16): (('0x1.6000000000000p-2', '0x1.2000000000000p-2', '0x1.b000000000000p-1'), '0x1.1b7cafef48100p+1'),
-    (12, 4): (('0x1.0000000000000p-3', '0x1.4000000000000p-1', '0x1.c000000000000p-1'), '0x1.18cfef32026a0p+1'),
-    (12, 9): (('0x1.c71c71c71c71cp-5', '0x1.0000000000000p-1', '0x1.e38e38e38e38ep-1'), '0x1.1772af38c68b8p+1'),
-    (12, 16): (('0x1.8000000000000p-4', '0x1.1000000000000p-1', '0x1.d000000000000p-1'), '0x1.16070b040bc57p+1'),
-    (13, 4): (('0x1.4000000000000p-1', '0x1.8000000000000p-2', '0x1.8000000000000p-2'), '0x1.46b148e73c16ap+1'),
-    (13, 9): (('0x1.38e38e38e38e4p-1', '0x1.8e38e38e38e39p-2', '0x1.0000000000000p-1'), '0x1.436cef15a9b41p+1'),
-    (13, 16): (('0x1.5000000000000p-1', '0x1.6000000000000p-2', '0x1.e000000000000p-2'), '0x1.42873385783fap+1'),
-    (14, 4): (('0x1.c000000000000p-1', '0x1.0000000000000p-3', '0x1.8000000000000p-2'), '0x1.3e1345b2c330cp+1'),
-    (14, 9): (('0x1.71c71c71c71c7p-1', '0x1.1c71c71c71c72p-2', '0x1.0000000000000p-1'), '0x1.3513f460c6012p+1'),
-    (14, 16): (('0x1.9000000000000p-1', '0x1.c000000000000p-3', '0x1.e000000000000p-2'), '0x1.356770f11a272p+1'),
-    (15, 4): (('0x1.c000000000000p-1', '0x1.4000000000000p-1', '0x1.0000000000000p-3'), '0x1.d3fcf650a3818p+0'),
-    (15, 9): (('0x1.aaaaaaaaaaaabp-1', '0x1.71c71c71c71c7p-1', '0x1.c71c71c71c71cp-5'), '0x1.c7d84854ddd4ep+0'),
-    (15, 16): (('0x1.9000000000000p-1', '0x1.d000000000000p-1', '0x1.0000000000000p-5'), '0x1.c5d307cd9b8b0p+0'),
-    (16, 4): (('0x1.8000000000000p-2', '0x1.4000000000000p-1', '0x1.4000000000000p-1'), '0x1.421724fc12dabp+1'),
-    (16, 9): (('0x1.1c71c71c71c72p-2', '0x1.38e38e38e38e4p-1', '0x1.38e38e38e38e4p-1'), '0x1.3ed247204843dp+1'),
-    (16, 16): (('0x1.2000000000000p-2', '0x1.3000000000000p-1', '0x1.3000000000000p-1'), '0x1.3f1d2e88ad7dcp+1'),
-    (17, 4): (('0x1.4000000000000p-1', '0x1.4000000000000p-1', '0x1.8000000000000p-2'), '0x1.4a582b4e6ff90p+1'),
-    (17, 9): (('0x1.0000000000000p-1', '0x1.38e38e38e38e4p-1', '0x1.8e38e38e38e39p-2'), '0x1.46463c8a7512ep+1'),
-    (17, 16): (('0x1.1000000000000p-1', '0x1.3000000000000p-1', '0x1.6000000000000p-2'), '0x1.461758b7923fdp+1'),
-    (18, 4): (('0x1.4000000000000p-1', '0x1.8000000000000p-2', '0x1.4000000000000p-1'), '0x1.47421418eb740p+1'),
-    (18, 9): (('0x1.0000000000000p-1', '0x1.8e38e38e38e39p-2', '0x1.38e38e38e38e4p-1'), '0x1.43b5732868a96p+1'),
-    (18, 16): (('0x1.1000000000000p-1', '0x1.6000000000000p-2', '0x1.5000000000000p-1'), '0x1.43e7708ba63a1p+1'),
-    (19, 4): (('0x1.c000000000000p-1', '0x1.0000000000000p-3', '0x1.8000000000000p-2'), '0x1.26f92de8bac43p+1'),
-    (19, 9): (('0x1.aaaaaaaaaaaabp-1', '0x1.8e38e38e38e39p-2', '0x1.1c71c71c71c72p-2'), '0x1.1f003d1ff10acp+1'),
-    (19, 16): (('0x1.b000000000000p-1', '0x1.6000000000000p-2', '0x1.2000000000000p-2'), '0x1.1ef6697dfe816p+1'),
-    (20, 4): (('0x1.8000000000000p-2', '0x1.c000000000000p-1', '0x1.0000000000000p-3'), '0x1.3175881e608c6p+1'),
-    (20, 9): (('0x1.8e38e38e38e39p-2', '0x1.aaaaaaaaaaaabp-1', '0x1.1c71c71c71c72p-2'), '0x1.2ec53f5ff8850p+1'),
-    (20, 16): (('0x1.a000000000000p-2', '0x1.9000000000000p-1', '0x1.2000000000000p-2'), '0x1.2e4d607db9234p+1'),
-    (21, 4): (('0x1.0000000000000p-3', '0x1.c000000000000p-1', '0x1.8000000000000p-2'), '0x1.763b3e1054b30p+0'),
-    (21, 9): (('0x1.5555555555555p-3', '0x1.e38e38e38e38ep-1', '0x1.5555555555555p-3'), '0x1.6b178c308c86dp+0'),
-    (21, 16): (('0x1.4000000000000p-3', '0x1.f000000000000p-1', '0x1.4000000000000p-3'), '0x1.6835300f93430p+0'),
-    (22, 4): (('0x1.0000000000000p-3', '0x1.8000000000000p-2', '0x1.c000000000000p-1'), '0x1.3a2670e541485p+1'),
-    (22, 9): (('0x1.1c71c71c71c72p-2', '0x1.0000000000000p-1', '0x1.71c71c71c71c7p-1'), '0x1.337c26220ae2ep+1'),
-    (22, 16): (('0x1.c000000000000p-3', '0x1.e000000000000p-2', '0x1.9000000000000p-1'), '0x1.33223688e9f63p+1'),
-    (23, 4): (('0x1.0000000000000p-3', '0x1.4000000000000p-1', '0x1.c000000000000p-1'), '0x1.197bb1e7c1ae1p+1'),
-    (23, 9): (('0x1.c71c71c71c71cp-5', '0x1.0000000000000p-1', '0x1.e38e38e38e38ep-1'), '0x1.116d84f846358p+1'),
-    (23, 16): (('0x1.8000000000000p-4', '0x1.1000000000000p-1', '0x1.d000000000000p-1'), '0x1.11d865a3c3764p+1'),
-    (24, 4): (('0x1.0000000000000p-3', '0x1.c000000000000p-1', '0x1.4000000000000p-1'), '0x1.0d47a87919390p+0'),
-    (24, 9): (('0x1.c71c71c71c71cp-5', '0x1.e38e38e38e38ep-1', '0x1.0000000000000p-1'), '0x1.dc834e12a32acp-1'),
-    (24, 16): (('0x1.0000000000000p-5', '0x1.f000000000000p-1', '0x1.1000000000000p-1'), '0x1.d62f5d1efc378p-1'),
-    (25, 4): (('0x1.0000000000000p-3', '0x1.c000000000000p-1', '0x1.8000000000000p-2'), '0x1.cd050dde61880p+0'),
-    (25, 9): (('0x1.5555555555555p-3', '0x1.aaaaaaaaaaaabp-1', '0x1.0000000000000p-1'), '0x1.cecf67c7bb7bcp+0'),
-    (25, 16): (('0x1.8000000000000p-4', '0x1.d000000000000p-1', '0x1.e000000000000p-2'), '0x1.cca2e1e535cfcp+0'),
-    (26, 4): (('0x1.0000000000000p-3', '0x1.4000000000000p-1', '0x1.c000000000000p-1'), '0x1.1e6b432989e54p+1'),
-    (26, 9): (('0x1.5555555555555p-3', '0x1.0000000000000p-1', '0x1.aaaaaaaaaaaabp-1'), '0x1.1c84a39fc6ebdp+1'),
-    (26, 16): (('0x1.8000000000000p-4', '0x1.1000000000000p-1', '0x1.d000000000000p-1'), '0x1.1b4ad8d6d89dfp+1'),
-    (27, 4): (('0x1.0000000000000p-3', '0x1.4000000000000p-1', '0x1.c000000000000p-1'), '0x1.0e4bdbf07b78fp+1'),
-    (27, 9): (('0x1.c71c71c71c71cp-5', '0x1.71c71c71c71c7p-1', '0x1.aaaaaaaaaaaabp-1'), '0x1.0d554546941f1p+1'),
-    (27, 16): (('0x1.8000000000000p-4', '0x1.5000000000000p-1', '0x1.b000000000000p-1'), '0x1.0c1593b46e816p+1'),
-    (28, 4): (('0x1.8000000000000p-2', '0x1.c000000000000p-1', '0x1.0000000000000p-3'), '0x1.031df76d6a53dp+1'),
-    (28, 9): (('0x1.8e38e38e38e39p-2', '0x1.e38e38e38e38ep-1', '0x1.c71c71c71c71cp-5'), '0x1.012a0bfe4b901p+1'),
-    (28, 16): (('0x1.a000000000000p-2', '0x1.f000000000000p-1', '0x1.0000000000000p-5'), '0x1.013690f4658e0p+1'),
-    (29, 4): (('0x1.4000000000000p-1', '0x1.8000000000000p-2', '0x1.4000000000000p-1'), '0x1.3d86d045da0e4p+1'),
-    (29, 9): (('0x1.0000000000000p-1', '0x1.1c71c71c71c72p-2', '0x1.71c71c71c71c7p-1'), '0x1.393dc0d5b4953p+1'),
-    (29, 16): (('0x1.1000000000000p-1', '0x1.2000000000000p-2', '0x1.5000000000000p-1'), '0x1.38d65855bf4ebp+1'),
-    (30, 4): (('0x1.4000000000000p-1', '0x1.c000000000000p-1', '0x1.0000000000000p-3'), '0x1.0c87d2491b3cdp+1'),
-    (30, 9): (('0x1.0000000000000p-1', '0x1.e38e38e38e38ep-1', '0x1.c71c71c71c71cp-5'), '0x1.02d4a46889a7ep+1'),
-    (30, 16): (('0x1.1000000000000p-1', '0x1.f000000000000p-1', '0x1.0000000000000p-5'), '0x1.02f57b30e1cb9p+1'),
-    (31, 4): (('0x1.4000000000000p-1', '0x1.c000000000000p-1', '0x1.0000000000000p-3'), '0x1.0b738653bb301p+1'),
-    (31, 9): (('0x1.0000000000000p-1', '0x1.e38e38e38e38ep-1', '0x1.c71c71c71c71cp-5'), '0x1.012456c5cd196p+1'),
-    (31, 16): (('0x1.1000000000000p-1', '0x1.f000000000000p-1', '0x1.0000000000000p-5'), '0x1.0156903570410p+1'),
-    (32, 4): (('0x1.4000000000000p-1', '0x1.c000000000000p-1', '0x1.0000000000000p-3'), '0x1.0b24b2024129fp+1'),
-    (32, 9): (('0x1.0000000000000p-1', '0x1.e38e38e38e38ep-1', '0x1.c71c71c71c71cp-5'), '0x1.00a8c76149b4cp+1'),
-    (32, 16): (('0x1.1000000000000p-1', '0x1.f000000000000p-1', '0x1.0000000000000p-5'), '0x1.00e00e5da7735p+1'),
-    (33, 4): (('0x1.c000000000000p-1', '0x1.4000000000000p-1', '0x1.0000000000000p-3'), '0x1.81ce7ed0691a8p+0'),
-    (33, 9): (('0x1.aaaaaaaaaaaabp-1', '0x1.aaaaaaaaaaaabp-1', '0x1.c71c71c71c71cp-5'), '0x1.743a22680212ap+0'),
-    (33, 16): (('0x1.b000000000000p-1', '0x1.b000000000000p-1', '0x1.0000000000000p-5'), '0x1.71ac4681a587ep+0'),
-    (34, 4): (('0x1.0000000000000p-3', '0x1.c000000000000p-1', '0x1.8000000000000p-2'), '0x1.b57096c3a7df4p+0'),
-    (34, 9): (('0x1.5555555555555p-3', '0x1.e38e38e38e38ep-1', '0x1.5555555555555p-3'), '0x1.a3a1a3815921ap+0'),
-    (34, 16): (('0x1.c000000000000p-3', '0x1.f000000000000p-1', '0x1.8000000000000p-4'), '0x1.9fb28ebcec544p+0'),
-}
-
-# (shape index, grid_n): minimize_grid_then_simplex(shape, grid_n=grid_n)
+# shape index: minimize_grid_then_simplex(shape)
 SIMPLEX = {
-    (0, 4): (('0x1.f27aabfa12d86p-3', '0x1.5697f5c9f0202p-2', '0x1.b8b7ade1371eep-1'), '0x1.1c4441f3b241cp+1', 98, True, False, None, 54, 'f00393e049f468be5eba54acd44dcac065a470ffc731f1e427aa1916583ebd50'),
-    (0, 9): (('0x1.f27aab59d18fap-3', '0x1.5697f6767c9ecp-2', '0x1.b8b7ae0c5dfa2p-1'), '0x1.1c4441f3b241dp+1', 117, True, False, None, 58, '7d2520ec9f0db41d5ccce0a76b729649bd05f30c60ae9201e7b7d19ce4739adb'),
-    (0, 16): (('0x1.f27aaac2e214cp-3', '0x1.5697f637aebcfp-2', '0x1.b8b7adf533580p-1'), '0x1.1c4441f3b241cp+1', 100, True, False, None, 50, '44bd555e32fc154368f663e395f33c755b6bba07b936ad5da0ff22f11355979b'),
-    (1, 4): (('0x1.b9a89689c8482p-2', '0x1.e69d08895148ep-2', '0x1.2f8a4937301acp-1'), '0x1.499b4473d646ep+1', 124, True, False, None, 58, '62913ed91b7847b90477a7599ad95e52b5540cfff5cd228dff6445ae2f609b43'),
-    (1, 9): (('0x1.b9a8978b22b06p-2', '0x1.e69d07e58fedcp-2', '0x1.2f8a49368ee90p-1'), '0x1.499b4473d646ep+1', 94, True, False, None, 44, '04d23593ad78c4ade315082ad278f20b93634ea14a2ad1d1037f04a369d650fa'),
-    (1, 16): (('0x1.b9a896f913ddcp-2', '0x1.e69d07ecdb464p-2', '0x1.2f8a495a4de7fp-1'), '0x1.499b4473d646dp+1', 91, True, False, None, 36, '73a0c640e6183f9eba1b320aef6b9bccf8492d3f7daa50652ec8a6fe0bcd3a45'),
-    (2, 4): (('0x1.dc71ea87d1214p-1', '0x1.9773b8a2c91eep-4', '0x1.9cdcdfbcaea72p-2'), '0x1.0f860219fff54p+1', 108, True, False, None, 57, 'dd590e3c6fe6e5bf3355f3ecb5dcd644a3382005d3400e4ffff639bef7a3afdd'),
-    (2, 9): (('0x1.dc71ea5c819e6p-1', '0x1.9773bc0cf8cd2p-4', '0x1.9cdcdfbe77baep-2'), '0x1.0f860219fff54p+1', 110, True, False, None, 48, 'eee6c988b898d4759116ea18f08743fe39da683502f1f1434ec812046e5d67fc'),
-    (2, 16): (('0x1.dc71ea6c0bacap-1', '0x1.9773bc062cd82p-4', '0x1.9cdcdf7127b7dp-2'), '0x1.0f860219fff54p+1', 103, True, False, None, 51, 'a05100d82e9adcd115dcd593ac32c6ab0fd1dc428405601e1bbb67b743bb7059'),
-    (3, 4): (('0x1.d7b01dfc48e9dp-3', '0x1.e382100961b54p-1', '0x1.50f3b2606899fp-3'), '0x1.debbb94a897fcp+0', 123, True, False, None, 56, '71d3c136fee2420b1137b73d9144d6ebc43a71f2ab2bc94716ce08069afe5aca'),
-    (3, 9): (('0x1.d7b01d8d12d5ep-3', '0x1.e382103028a8ep-1', '0x1.50f3b16fd8d34p-3'), '0x1.debbb94a897fcp+0', 121, True, False, None, 58, 'd8ab50d3756edbba7acad38a34cac61553cca8f7373295986e218c4ebf5ed89c'),
-    (3, 16): (('0x1.d7b01d39521ccp-3', '0x1.e3821001731c8p-1', '0x1.50f3b308c752dp-3'), '0x1.debbb94a897fcp+0', 97, True, False, None, 51, '5e0636bc46da0cd66bc2765edc106d925ccf08c93f6e2b09a16438ffcfb7663f'),
-    (4, 4): (('0x1.f0df810cdb41ap-1', '0x1.54af074b7bbd7p-1', '0x1.ee168f14378dcp-7'), '0x1.a9214259e0696p-1', 125, True, False, None, 60, '118bb6e8abadc47f47937ed4cb1c0f5c2d4ae01703c96a19de7633d66b2a91e3'),
-    (4, 9): (('0x1.f0df8105a5786p-1', '0x1.54af069ab503cp-1', '0x1.ee1695a4c3940p-7'), '0x1.a9214259e0696p-1', 132, True, False, None, 59, 'eef9bbaf21d2402822806a91586cc666687227dca5578db07cb80e2f2aad5034'),
-    (4, 16): (('0x1.f0df81166b6fep-1', '0x1.54af08d2ec4d0p-1', '0x1.ee168ce5736c6p-7'), '0x1.a9214259e0695p-1', 122, True, False, None, 61, '4931a48e6e691c809e97859c002ad3c3ff85f8f282f7b44b3fbc1bb01dcb7e4b'),
-    (5, 4): (('0x1.5b640f18e2626p-3', '0x1.a26549cd48402p-2', '0x1.c0add27bc819cp-1'), '0x1.1dcf3548c5f5cp+1', 99, True, False, None, 50, '47ed8fcccc7aae49ca1763eaa8f53e9c1b6caf8c6f3426c5bd4eeb52da083871'),
-    (5, 9): (('0x1.5b640da10f9e6p-3', '0x1.a2654a749e1a2p-2', '0x1.c0add27b48c30p-1'), '0x1.1dcf3548c5f5cp+1', 98, True, False, None, 54, '2f3747fd5448cb516d5f0a2bc75e838b7f5f684fb1e6614e383e5373f661b911'),
-    (5, 16): (('0x1.5b640f25c20dcp-3', '0x1.a26549f582e10p-2', '0x1.c0add28448d2ap-1'), '0x1.1dcf3548c5f5cp+1', 98, True, False, None, 43, '2374c939762bd09d51e62b5f0b3cd0c2de1928db61a035cac7ec5686f8d72b4f'),
-    (6, 4): (('0x1.2f0263691764ep-8', '0x1.f1fedd958a0e0p-1', '0x1.b76b196e8b64fp-1'), '0x1.690f9c035111bp-1', 124, True, False, None, 66, '2bed8af84551cef85d45543fe994b034d1b0192e633c5eee6e7914dec718354a'),
-    (6, 9): (('0x1.2f0250fc1e9b2p-8', '0x1.f1fedd8a46660p-1', '0x1.b76b1c9bd9041p-1'), '0x1.690f9c035111ap-1', 157, True, False, None, 68, '916e4e001ae0e9deb722e1d2f376d83499eb1e41c2022fc092d5399d1b4bc6fd'),
-    (6, 16): (('0x1.2f02586aa3c1ep-8', '0x1.f1fedd899e380p-1', '0x1.b76b1c1f52403p-1'), '0x1.690f9c035111bp-1', 128, True, False, None, 61, '2a89db0923b1278b72a0176c7846e6fe0262ea927eaf673c87ec7a5a8581c5e9'),
-    (7, 4): (('0x1.4ac9b49ec3581p-6', '0x1.ceebd934c5494p-3', '0x1.fceff1271e2efp-1'), '0x1.b1e999d8ddb26p+0', 131, True, False, None, 55, 'b3ceadcbddf0936b5e2c6d38b61f4105756010108f28e96900d2f4ca1ff7f710'),
-    (7, 9): (('0x1.4ac9aed457ebap-6', '0x1.ceebd941d9038p-3', '0x1.fceff12db117ap-1'), '0x1.b1e999d8ddb27p+0', 114, True, False, None, 59, 'ecfc194ba4f85868ed73fdb4e4fa5c09b106bbd7a9c6195bb6b6842f547578e1'),
-    (7, 16): (('0x1.4ac9b1351a0eep-6', '0x1.ceebd943ee9c0p-3', '0x1.fceff12ba3d5cp-1'), '0x1.b1e999d8ddb27p+0', 113, True, False, None, 46, '394ddd595cae47c060d869fb7156259345b9999ecdf81f26076c0190a8844d04'),
-    (8, 4): (('0x1.66b62a391f2d4p-3', '0x1.5855201f0e8f2p-1', '0x1.648662c465ad3p-1'), '0x1.24165e7881bc7p+1', 106, True, False, None, 55, 'c719e90f9c34dfcc3d27306861849f28441e48ab21a8b27a96a85f8bc8c8af70'),
-    (8, 9): (('0x1.66b62a55d7710p-3', '0x1.58551febabbc6p-1', '0x1.648662c65a2a9p-1'), '0x1.24165e7881bc7p+1', 100, True, False, None, 49, '6f4fc40b4c7b4d4c6241c50b16fed6fb75c01721a9bedcb6c2ac9e9e2ea444e8'),
-    (8, 16): (('0x1.66b629a521ef9p-3', '0x1.58552002f8322p-1', '0x1.64866277836b2p-1'), '0x1.24165e7881bc8p+1', 93, True, False, None, 40, '6c694d72324e31c40b92a34ecb8cbc5b969b787b4ce5581038e1c38d78476ce3'),
-    (9, 4): (('0x1.bf7a0846e3b4ep-1', '0x1.cf7921f448d18p-1', '0x1.e75af89452d01p-7'), '0x1.671ced82a26c8p+0', 117, True, False, None, 56, '55e39ca4e033465a187bc2c745013767221b1795f7233be0387eca3c329e312a'),
-    (9, 9): (('0x1.bf7a0822e31b8p-1', '0x1.cf7922b590fdap-1', '0x1.e75af36732444p-7'), '0x1.671ced82a26c8p+0', 111, True, False, None, 38, '3ddde6f6bc97103155099d868a57c2c48e92cb5970b9ae40e892e7b5a8f524c9'),
-    (9, 16): (('0x1.bf7a084db52afp-1', '0x1.cf7922f7e3be6p-1', '0x1.e75aedf5f44cbp-7'), '0x1.671ced82a26c8p+0', 111, True, False, None, 47, '20d6fc852b7116844fca45d7be9cb8649a010cd80084b5dea859651b3fee5fd7'),
-    (10, 4): (('0x1.a416706acb3b9p-2', '0x1.87ac34e17fb1cp-1', '0x1.39b37bfd24c01p-2'), '0x1.35117032776c0p+1', 97, True, False, None, 50, 'e0570ddf803a503b69f6cbda6adc7a10a3270638fa9fd17c185ad6126265d6c8'),
-    (10, 9): (('0x1.a41670ef4c026p-2', '0x1.87ac34cfdd221p-1', '0x1.39b37cc4432abp-2'), '0x1.35117032776bfp+1', 101, True, False, None, 45, 'c84b9783da2190fdab93d5c0fc0e66007edc9791eb89a768a14fa3c63f4ea1d0'),
-    (10, 16): (('0x1.a416709d828e6p-2', '0x1.87ac3569b50cfp-1', '0x1.39b37becd5c40p-2'), '0x1.35117032776c0p+1', 90, True, False, None, 44, '387544dad647ed7be7822e4156acbb0175ccfde5e15efbafd38354a46eb7a595'),
-    (11, 4): (('0x1.7a24909906e08p-2', '0x1.0ee68ebbc9a68p-2', '0x1.a6ed779dc46b7p-1'), '0x1.1b3930cd3bab4p+1', 117, True, False, None, 53, 'd13da1d5ac0e24fa6c634e28e82196cf0c1b844c1ad56a026a9169edf2253e17'),
-    (11, 9): (('0x1.7a249127b067ep-2', '0x1.0ee68e6626389p-2', '0x1.a6ed77a645586p-1'), '0x1.1b3930cd3bab4p+1', 100, True, False, None, 45, '205b12c93792b419c08c1a91e3da20de8be562b2bacd11bffb1a360e0564f94e'),
-    (11, 16): (('0x1.7a248f0f95f5ap-2', '0x1.0ee68e92c56f4p-2', '0x1.a6ed77d7d51b0p-1'), '0x1.1b3930cd3bab5p+1', 98, True, False, None, 49, '0c7f6e7554d7748638df9f837b3ef7d1681995076775471115aa1fdbbeb7584a'),
-    (12, 4): (('0x1.62e384f7b3325p-4', '0x1.1dcf9f99a53e8p-1', '0x1.c9327baba20fep-1'), '0x1.15a19d4dd9888p+1', 108, True, False, None, 53, 'd9665942845a6bf049a4d712d6ce8fd34ff4e9a715c18f76f5d9d176b8871f18'),
-    (12, 9): (('0x1.62e38873ba399p-4', '0x1.1dcf9f7028350p-1', '0x1.c9327b888d1d2p-1'), '0x1.15a19d4dd9887p+1', 95, True, False, None, 52, '72b83d9f66d639d1be8393af499802d3b4483049a19c2ada1fbbf9b76fd91112'),
-    (12, 16): (('0x1.62e385ca8f4b3p-4', '0x1.1dcf9f494be34p-1', '0x1.c9327c29d541cp-1'), '0x1.15a19d4dd9888p+1', 102, True, False, None, 47, '4d127708539c7008f531dfa5b79d6d0014f5b76d1f0cdd61694d940517285e5b'),
-    (13, 4): (('0x1.5a012b4eb236cp-1', '0x1.76d3d38a15ecep-2', '0x1.d0b57a63d941bp-2'), '0x1.423771ec8c1b3p+1', 102, True, False, None, 44, 'e01707aa42e3f155149df5a6571ebdb29e2ef28dc53984fd9a8f93839d17c858'),
-    (13, 9): (('0x1.5a012b1f1e77ep-1', '0x1.76d3d2fafeb7cp-2', '0x1.d0b579e443bccp-2'), '0x1.423771ec8c1b4p+1', 102, True, False, None, 52, 'b146397f00394a46b60ea2af4d5fe8aa3cee691949e795750d94bb3aedbdf35d'),
-    (13, 16): (('0x1.5a012b120f60ap-1', '0x1.76d3d337969acp-2', '0x1.d0b57acdee6a1p-2'), '0x1.423771ec8c1b3p+1', 89, True, False, None, 44, 'c52660f6a88f79922855caf5ea0d2d0f8216569d8683be0f68246de2ead81fab'),
-    (14, 4): (('0x1.832a31e17a57ap-1', '0x1.f40a782231f02p-3', '0x1.ff8687db13518p-2'), '0x1.34d62e8b9a570p+1', 114, True, False, None, 45, '57d383356025dcf38fa0458cb868a0cd67d6c27d8f41e58027ffa74b57c11a48'),
-    (14, 9): (('0x1.832a320b3c874p-1', '0x1.f40a78d4f2aaep-3', '0x1.ff8686e182508p-2'), '0x1.34d62e8b9a570p+1', 97, True, False, None, 46, '4d6bf9285c2b2a1b0ff0eedae030f08859ce8f78c08c4a297907a918ca08588a'),
-    (14, 16): (('0x1.832a322346836p-1', '0x1.f40a79182704fp-3', '0x1.ff86870c92f69p-2'), '0x1.34d62e8b9a570p+1', 104, True, False, None, 39, '8b5118c8a5ace6c89767a2b6eb8b902cf94f0029af657089623d60566ee5dce7'),
-    (15, 4): (('0x1.9676db2544060p-1', '0x1.b5d8a0fac2377p-1', '0x1.590e4d9bf3bdep-5'), '0x1.c57efede463a3p+0', 120, True, False, None, 60, '6a1af9f64c4cd5e5b10fc5ca591f0e328887e025c5795cdb1ccbd4c8681088bd'),
-    (15, 9): (('0x1.9676db5572502p-1', '0x1.b5d8a0c28a84ap-1', '0x1.590e50ada33c5p-5'), '0x1.c57efede463a4p+0', 114, True, False, None, 54, 'f74476393a41a6d51477401f192d4bedef5a72b5451d41a9f993359299a6446f'),
-    (15, 16): (('0x1.9676db458e25ep-1', '0x1.b5d8a0b7425e2p-1', '0x1.590e503a110acp-5'), '0x1.c57efede463a3p+0', 102, True, False, None, 49, 'fcb424073ce8fbb0d6e5fddd9cc3724388039257893e0521347638ac388acd0e'),
-    (16, 4): (('0x1.37759482b2c84p-2', '0x1.39b5fe2b5ffcbp-1', '0x1.2eae69eb1b41ap-1'), '0x1.3ea38bf51ffcep+1', 105, True, False, None, 44, 'a0830aa6592b9d075c3d5e3debf10030fad815cdfe85f2cc10730582818078c5'),
-    (16, 9): (('0x1.3775942389e57p-2', '0x1.39b5fe1fc0e51p-1', '0x1.2eae6a0769ee8p-1'), '0x1.3ea38bf51ffcep+1', 93, True, False, None, 41, '4add610f0165001e893767ed4303295feb209b3f9684950d70fe95974ec0971a'),
-    (16, 16): (('0x1.37759548653b4p-2', '0x1.39b5fd9b9eee6p-1', '0x1.2eae6ab411ea2p-1'), '0x1.3ea38bf51ffd1p+1', 99, True, False, None, 50, '341cb64a273465dd8aff5b1db2aa7442b35bed592911913fb6a69a0b49d6beac'),
-    (17, 4): (('0x1.1203930be4ad2p-1', '0x1.372f9626580fap-1', '0x1.6fc9b21ca5e06p-2'), '0x1.45d6ad7f23b3bp+1', 95, True, False, None, 57, '4fad871334b360d68ffcf514d60927a2305668c257bddde79ad56b8c598e9069'),
-    (17, 9): (('0x1.120392ef84fdep-1', '0x1.372f9637c016cp-1', '0x1.6fc9b156a9b1ap-2'), '0x1.45d6ad7f23b3ap+1', 88, True, False, None, 46, '8c5f995bd288373162321e941ac5da629cf931a4dc0e71ac4283f49bf5840072'),
-    (17, 16): (('0x1.120392ff81f55p-1', '0x1.372f95e19db89p-1', '0x1.6fc9b1d57e7c7p-2'), '0x1.45d6ad7f23b3ap+1', 93, True, False, None, 53, '57d7cc5a4f44ff2d06ff8a7140c247cc8fbdc1c06a7e7106af7fa21ad84853a3'),
-    (18, 4): (('0x1.01f753a0d050ep-1', '0x1.74eaa49971b40p-2', '0x1.43b784e9a50b2p-1'), '0x1.437aa9843fc54p+1', 102, True, False, None, 41, '704df0c94685b44158125403470bd3315d2369b3480ab5419b82dad1ab0232c1'),
-    (18, 9): (('0x1.01f7540d0515ep-1', '0x1.74eaa416537d4p-2', '0x1.43b784bd4f9a8p-1'), '0x1.437aa9843fc54p+1', 98, True, False, None, 48, '96637e31f5a2644e44ad1a14f861e31a88c5bfd553f3f19603657d71b42050a7'),
-    (18, 16): (('0x1.01f753db2244dp-1', '0x1.74eaa4dbb2b70p-2', '0x1.43b78459f0558p-1'), '0x1.437aa9843fc54p+1', 104, True, False, None, 47, '6ca676b4b63c41bf957f62174b89ad22aae3c1892205811d39ad8ca27341668c'),
-    (19, 4): (('0x1.a2a6e919fb974p-1', '0x1.7c860051fc91ep-2', '0x1.186225ce79874p-2'), '0x1.1eb04b3d7a1adp+1', 101, True, False, None, 55, 'a68deab965e467722e258aef84d7bcc9d603256a707fc590717dc84b4ed342a3'),
-    (19, 9): (('0x1.a2a6e90c02a88p-1', '0x1.7c85ff9d8a1a6p-2', '0x1.1862265b47122p-2'), '0x1.1eb04b3d7a1adp+1', 98, True, False, None, 46, '2b092f24db9a92bb74bc7ebcc2d93b64b78968de5be1d4da287ff06e695dd3e8'),
-    (19, 16): (('0x1.a2a6e9612c051p-1', '0x1.7c85ff2112df6p-2', '0x1.1862262ec1c89p-2'), '0x1.1eb04b3d7a1adp+1', 101, True, False, None, 54, '038708f79f364d0f51487d14a70d2f3b45c20d1b42821faf95d130d9d19c5d4b'),
-    (20, 4): (('0x1.a3c28fd676146p-2', '0x1.9aa092fa99f4ap-1', '0x1.0c7cbd5ca4038p-2'), '0x1.2e3204b8ebce4p+1', 105, True, False, None, 61, '51682e8354e8e30fd3d3cb68535bd8719637242e9cf64844e7950589bd1f5616'),
-    (20, 9): (('0x1.a3c28f20f8d6ap-2', '0x1.9aa0936fe6b1ep-1', '0x1.0c7cbd89d0024p-2'), '0x1.2e3204b8ebce4p+1', 94, True, False, None, 53, '85ab7c7f202cbbc71ce1f9e168bb35f533715bd473baff6078299501fc794180'),
-    (20, 16): (('0x1.a3c28f49b1022p-2', '0x1.9aa093852b200p-1', '0x1.0c7cbcfb04b5cp-2'), '0x1.2e3204b8ebce4p+1', 92, True, False, None, 46, '4ff3be55c19f4a5a3ba88522353d9320037ff93a380892c547082a36f3982dba'),
-    (21, 4): (('0x1.0b7c7ddb3c310p-3', '0x1.fa868382cc57fp-1', '0x1.12e72b4fe133ap-4'), '0x1.66cb73587749ap+0', 132, True, False, None, 66, '350c87de56dfa6ece7213e5fc15167838b27746193ee92fa20c43e9c0ba3f5ef'),
-    (21, 9): (('0x1.0b7c7e6a59987p-3', '0x1.fa868399c6949p-1', '0x1.12e7255485a6ap-4'), '0x1.66cb73587749ap+0', 109, True, False, None, 55, 'f4449b203428ad8e3be30021993ff4a13562511622ef38e1237f3dfa7a8c3901'),
-    (21, 16): (('0x1.0b7c7d7c9fb7cp-3', '0x1.fa8683c331932p-1', '0x1.12e71dc9c9d26p-4'), '0x1.66cb73587749ap+0', 111, True, False, None, 49, 'b01a541a6d08227af75196c2564ed154daf5ba6166c59fef19fb98e78222f72f'),
-    (22, 4): (('0x1.edbc2470e2142p-3', '0x1.ebc868bc0dad8p-2', '0x1.8bd0e17d755e8p-1'), '0x1.32ee851f54adbp+1', 97, True, False, None, 47, '3e316c31bb0102039354cb5b07216d42715893331118474d6af7ed2e91428ea3'),
-    (22, 9): (('0x1.edbc2496fb16cp-3', '0x1.ebc868392d728p-2', '0x1.8bd0e1b61ae08p-1'), '0x1.32ee851f54adbp+1', 104, True, False, None, 50, 'fa4789fd26a2346f718e5f93b3530be3da175b4ce2198d445bc77ed2a53a1b48'),
-    (22, 16): (('0x1.edbc257ec9454p-3', '0x1.ebc868c63fe20p-2', '0x1.8bd0e1305cb6fp-1'), '0x1.32ee851f54adbp+1', 104, True, False, None, 49, '6f6d74f1929d85b66b4617f6b64c6f51c743a885afed8d3cb549f1fb111dedd0'),
-    (23, 4): (('0x1.1ece6cccf7868p-4', '0x1.025d9a7666ba6p-1', '0x1.db8730e2873dcp-1'), '0x1.11627fd658f1cp+1', 106, True, False, None, 47, 'b0301735156610ca5150fe98d0f63a5f1a28eadf8b8fff6257f30a2a21a00a48'),
-    (23, 9): (('0x1.1ece6906d6116p-4', '0x1.025d9ace1193ep-1', '0x1.db87312a75f0cp-1'), '0x1.11627fd658f1dp+1', 92, True, False, None, 40, '7518489dc057ac93eb31051e3765630a266dd921c305dbee86e358610fd3a1e5'),
-    (23, 16): (('0x1.1ece6a9cd6ca6p-4', '0x1.025d9a74f0616p-1', '0x1.db8730d2a4b46p-1'), '0x1.11627fd658f1cp+1', 94, True, False, None, 46, '2fd4d4ef6cc9869eed2d9d6439d74a60f011557b4ff86496a549c18900fd47ca'),
-    (24, 4): (('0x1.73444b0fa4736p-6', '0x1.ef8087765796cp-1', '0x1.2dd26abff01bcp-1'), '0x1.d5d5f9913283ep-1', 120, True, False, None, 52, '1e94987d2eb8621b03fe5d987ad4a4cd83f0ada26664db3f24330894c81d5df7'),
-    (24, 9): (('0x1.73444b63b5b5cp-6', '0x1.ef80876c735fep-1', '0x1.2dd26b7c9bc35p-1'), '0x1.d5d5f9913283ep-1', 127, True, False, None, 62, 'f772fcbe67eaf0ba14f74e1526ddabf63c95a1c85e6b4332e627e19a5cbc82b0'),
-    (24, 16): (('0x1.73444a5d6ea3cp-6', '0x1.ef80875e071fap-1', '0x1.2dd26c7d10dd3p-1'), '0x1.d5d5f9913283ep-1', 106, True, False, None, 54, '1d8fbb171a2b61ac5d9d46c3ce2677f2a3e8845e4616d81ce8f0bbe750a4161d'),
-    (25, 4): (('0x1.f458447a8a99cp-4', '0x1.c2634132da9d5p-1', '0x1.fba1c20bb8109p-2'), '0x1.cb19685b6b017p+0', 107, True, False, None, 48, 'f2dac6fc6517cfc0a69da03c42a1b11103929af8e239a2cb412c7a5f35d0b7da'),
-    (25, 9): (('0x1.f45845e07c66ep-4', '0x1.c263411e25e2ep-1', '0x1.fba1c15c68309p-2'), '0x1.cb19685b6b018p+0', 103, True, False, None, 48, '03beb6a0e101d2fc2c4f6d5ae80b89dc6ccab7036fe36ead15d1c947b89bd117'),
-    (25, 16): (('0x1.f45843dbfa0aap-4', '0x1.c263412b7b193p-1', '0x1.fba1c2c885756p-2'), '0x1.cb19685b6b018p+0', 109, True, False, None, 53, 'aadd7f0d88d96a665e71b5c41eff62b8dc676e7bfbdce1c10b8672732ac23e05'),
-    (26, 4): (('0x1.bad862f423ffep-4', '0x1.19ec3341038a3p-1', '0x1.bdc8a67d952d0p-1'), '0x1.1af9858ffa64ap+1', 92, True, False, None, 57, 'eab2ffc09e2b0e0124ac901f419f5c40c4e4565e384de06f83012b8c6b056642'),
-    (26, 9): (('0x1.bad8627040dbcp-4', '0x1.19ec33799a0d0p-1', '0x1.bdc8a6968db22p-1'), '0x1.1af9858ffa64ap+1', 103, True, False, None, 47, 'b45aabc8f1f421232deaa1ea67d48d15dd5347a142f76c86d6e9c377d04af682'),
-    (26, 16): (('0x1.bad860c748616p-4', '0x1.19ec335308d3ap-1', '0x1.bdc8a6b09f609p-1'), '0x1.1af9858ffa64ap+1', 99, True, False, None, 57, 'dafe8c5c980f5e88ef6b8ff64fd0b82e1fd7ee592bc180c4a563b3329cb70a81'),
-    (27, 4): (('0x1.562a279acb1f3p-4', '0x1.5906bde25cce6p-1', '0x1.aed9872bb178fp-1'), '0x1.0be7d1f826af8p+1', 106, True, False, None, 57, 'a4c697d1179ebb0410f6f22a11832cb5bf83c6af1b6dcc39dbe3dc957e93cdb4'),
-    (27, 9): (('0x1.562a26f04f0b4p-4', '0x1.5906be0aa7ef8p-1', '0x1.aed9873441374p-1'), '0x1.0be7d1f826af8p+1', 100, True, False, None, 48, '2fb050aa7ab7655330f9c093216710b12ba8d88bc3db5a722d47ba5789d306b7'),
-    (27, 16): (('0x1.562a26d25f2eap-4', '0x1.5906bdf8b01f8p-1', '0x1.aed987a2c0316p-1'), '0x1.0be7d1f826af8p+1', 100, True, False, None, 47, '1743d595b463fbc5553f5136ff54398142d67b8251893288a96035be804be0c8'),
-    (28, 4): (('0x1.829aee70ce59ep-2', '0x1.f287282fda56ep-1', '0x1.5d6ab952c9502p-5'), '0x1.00a50733cf8fdp+1', 109, True, False, None, 46, 'e3051a75d40a1bca39550dbf1d7e1035616c3fc0bc7e4fd6feec137032509660'),
-    (28, 9): (('0x1.829aee2448db5p-2', '0x1.f287285d85f82p-1', '0x1.5d6ab4d296e54p-5'), '0x1.00a50733cf8fdp+1', 114, True, False, None, 46, 'd09abc47339db069eb8896b55baed37dac778955e81f22ea4ce4aced7076e156'),
-    (28, 16): (('0x1.829aedbae9e01p-2', '0x1.f2872805e4f22p-1', '0x1.5d6abe6f099a2p-5'), '0x1.00a50733cf8fdp+1', 106, True, False, None, 53, 'eb0ca49367b59ef5ca0d9892ff9e917bb72a01113b9f193de5b10900aa88866b'),
-    (29, 4): (('0x1.14ceb948104ebp-1', '0x1.29ea84d1e5ed1p-2', '0x1.5944add8728c9p-1'), '0x1.387d4110b79e8p+1', 109, True, False, None, 53, '0c8414123b99e930edc65c109e6402df5aa01675732aea52965963ec3944f8e7'),
-    (29, 9): (('0x1.14ceb8e297cdep-1', '0x1.29ea8555f68a4p-2', '0x1.5944ad8fb9c6ap-1'), '0x1.387d4110b79e7p+1', 104, True, False, None, 44, 'd26947b6f6f25a562a43c0f4c2b04aaa11ac8d57698e252a3ef064dd3a3498ec'),
-    (29, 16): (('0x1.14ceb8dd70124p-1', '0x1.29ea84c5b82e2p-2', '0x1.5944adbcd796ap-1'), '0x1.387d4110b79e7p+1', 98, True, False, None, 41, '9b13b5b2a4bbaaef153f34eb6987b07e5b6a062915d0a4e958ed624b6d67ff9f'),
-    (30, 4): (('0x1.028f61e767d98p-1', '0x1.fad442bbed244p-1', '0x1.447243ec8f066p-7'), '0x1.0288c34f4ae16p+1', 133, True, False, None, 56, '57afd26b1443d0d5a8ca1be674f3709960706d426ca5b69bdd19ad9ec61ab5fb'),
-    (30, 9): (('0x1.028f61d0aacbcp-1', '0x1.fad442e86050cp-1', '0x1.447238247eceep-7'), '0x1.0288c34f4ae16p+1', 113, True, False, None, 37, '48d279c505b61782c995c598722f0bda24d8b7a3937bc3b13cc77f3f5637d454'),
-    (30, 16): (('0x1.028f61c305368p-1', '0x1.fad44297735a0p-1', '0x1.44724c25583f4p-7'), '0x1.0288c34f4ae16p+1', 103, True, False, None, 48, '8a2a405dd34acf801a1ae0b017fb62a1ad39912c2499b3aa7c7f0d58a29ba077'),
-    (31, 4): (('0x1.00c49bbad2c1ep-1', '0x1.fe759bbbc77f6p-1', '0x1.880a18b4b9276p-9'), '0x1.00c40459fd30ep+1', 123, True, False, None, 48, 'c7d54b04dcdebc672289dd24b2cf161c087a7923db45f7cbf703a7545b1dab85'),
-    (31, 9): (('0x1.00c49bb203834p-1', '0x1.fe759b67a315cp-1', '0x1.880a6c06db00ap-9'), '0x1.00c40459fd30ep+1', 112, True, False, None, 44, '2cfdefb8558f85020d0bb52f79ce060d3a495a6b3bbee8f665eca9c009e651d6'),
-    (31, 16): (('0x1.00c49bcd5d10ap-1', '0x1.fe759b86200bcp-1', '0x1.880a56612d76fp-9'), '0x1.00c40459fd30ep+1', 108, True, False, None, 43, 'f77cb9fb4c594845f5128c01c6641b759aabcf91f730dafbc3da54d681073d32'),
-    (32, 4): (('0x1.0041893582674p-1', '0x1.ff7ccc2840996p-1', '0x1.05e1993c7df2ap-10'), '0x1.0041786d7781cp+1', 130, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 51, 'a4923ea71dd070265758951feaef53c58caa0395eb6902e4253788f24faa42e7'),
-    (32, 9): (('0x1.0041893de4dbcp-1', '0x1.ff7ccc42c82c6p-1', '0x1.05e15c3e0728cp-10'), '0x1.0041786d7781cp+1', 118, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 53, '759f4b6537051543cd9f177eb8a7ba91f0ba6a667ebde60e31278e0f207c6daf'),
-    (32, 16): (('0x1.00418941bda2fp-1', '0x1.ff7ccb9552812p-1', '0x1.05e2c0b547294p-10'), '0x1.0041786d7781dp+1', 113, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 44, '362561f6120b6cb29a28d3f164eea4ee562bbd76b42874be0a89867182beeea9'),
-    (33, 4): (('0x1.b431836266544p-1', '0x1.f3d6f32f655f0p-1', '0x1.13ecc31bb7534p-8'), '0x1.70cd66c2d3b40p+0', 128, True, False, None, 59, '3334ce24382eeb04aa295040ae8b1c60f8151cf214e50e4a1d5bae7908e03f00'),
-    (33, 9): (('0x1.b431833204b28p-1', '0x1.f3d6f51c18ab5p-1', '0x1.13ec9cefe6e21p-8'), '0x1.70cd66c2d3b40p+0', 123, True, False, None, 59, '72a46256f9cdb7ac3c4a1a28b7f0f9e3a3e554b2ffb08bfa39cbe15ba0bde577'),
-    (33, 16): (('0x1.b431835bfa12fp-1', '0x1.f3d6f4b6cd843p-1', '0x1.13eca317c38a4p-8'), '0x1.70cd66c2d3b3fp+0', 124, True, False, None, 53, '122e2601cd0afdcfae37608621322178b9802c4bc34f86ceb529655ef7329716'),
-    (34, 4): (('0x1.a633e77d6d00ep-3', '0x1.ffbd283a1fac6p-1', '0x1.010570f7167dbp-9'), '0x1.9ec357b1592f8p+0', 146, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 62, 'c4a05cff6a29e3d55556d02cb72b29abde9a32da66a568f38e74f31444f9856d'),
-    (34, 9): (('0x1.a633e70d358ccp-3', '0x1.ffbd2866af71ep-1', '0x1.0104c8146537ap-9'), '0x1.9ec357b1592f8p+0', 133, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 52, 'a469e5347c0e731de403b0d678ec12ad7ab4d9a42fd38dcfc0ea39e66b73f66e'),
-    (34, 16): (('0x1.a633e88eb9527p-3', '0x1.ffbd287ef3e9dp-1', '0x1.010479053398ap-9'), '0x1.9ec357b1592f8p+0', 136, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 61, 'f516fe06fb11914dfdfd0f89ab5617245aa9b785e9ed8f3966f0e1d63afd5548'),
+    0: (('0x1.f27aab14ef67ap-3', '0x1.5697f6431737ap-2', '0x1.b8b7adf5cf579p-1'), '0x1.1c4441f3b241cp+1', 114, True, False, None, 60, '769d12f0c69398054ac2e332b4e471c575f7f1d87300bed5dfbe9e092aeb8c47'),
+    1: (('0x1.b9a89726bfebfp-2', '0x1.e69d078bc11e2p-2', '0x1.2f8a494ba9b02p-1'), '0x1.499b4473d646dp+1', 114, True, False, None, 64, '1c9313831003f95c3d359d0bf318798da16d9a9e143c6e838080494889d0aa20'),
+    2: (('0x1.dc71eab2ec3ecp-1', '0x1.9773b7df7e5acp-4', '0x1.9cdcdfe2c2d18p-2'), '0x1.0f860219fff54p+1', 114, True, False, None, 49, '2fe28ba409f0e657e2827ecb38db5e9bc5ca7159c0c09b0df70b70cc23efd887'),
+    3: (('0x1.d7b01db7a1468p-3', '0x1.e382103a47f06p-1', '0x1.50f3b0039e776p-3'), '0x1.debbb94a897fdp+0', 109, True, False, None, 54, '752d6c85884e70ea74373d566a0ee1672a6499034688dc3275c5effaba793368'),
+    4: (('0x1.f0df810ee4f33p-1', '0x1.54af074d6889cp-1', '0x1.ee1694192733ap-7'), '0x1.a9214259e0695p-1', 122, True, False, None, 54, '792c6bba8b969e67b3c0a7fa75ae3180c8965d87f535816f6db399793ca952b1'),
+    5: (('0x1.5b64102470cfap-3', '0x1.a2654a3249b24p-2', '0x1.c0add25493906p-1'), '0x1.1dcf3548c5f5cp+1', 108, True, False, None, 43, '44fb30435d7b5d8c9d8535edc32ce4de1ce079774757af578fae353822979d82'),
+    6: (('0x1.2f0257860a6f0p-8', '0x1.f1fedd8dba377p-1', '0x1.b76b1ad8481c8p-1'), '0x1.690f9c035111ap-1', 126, True, False, None, 59, '81cb1466daa4e3892b9435d18c748097abfde29b68a6acfa40bfbe9fad2d54bd'),
+    7: (('0x1.4ac9bc72af1b4p-6', '0x1.ceebd99ebc4fep-3', '0x1.fceff10ab2eb2p-1'), '0x1.b1e999d8ddb27p+0', 112, True, False, None, 56, '20599868de75fbfcafb6008fddb2b7eb7b45f6cc1e2882a408ce4225cfa3378d'),
+    8: (('0x1.66b62a11991b0p-3', '0x1.585520345b780p-1', '0x1.64866293b6762p-1'), '0x1.24165e7881bc7p+1', 109, True, False, None, 56, 'e551226281928bb463bdf03d957fee214bedc2d74c0eb4761fafab760f2a70d2'),
+    9: (('0x1.bf7a081f05cb8p-1', '0x1.cf79225897dcap-1', '0x1.e75aef7343caap-7'), '0x1.671ced82a26c8p+0', 123, True, False, None, 52, '0fb15eb06f83bd705e0be111f93f880b196bfe40c9b19045bc3015beec73186f'),
+    10: (('0x1.a41670e12d988p-2', '0x1.87ac35719e9e5p-1', '0x1.39b37bc69771cp-2'), '0x1.35117032776c0p+1', 108, True, False, None, 52, '537dc47e84fb349b29d6f623858aa9d9b637654290a83c584ca41b5d36c2cc1c'),
+    11: (('0x1.7a249149d67c4p-2', '0x1.0ee68e550fc8fp-2', '0x1.a6ed77b75c5c6p-1'), '0x1.1b3930cd3bab4p+1', 110, True, False, None, 53, 'bfd549ca706406bf506ca2ad8cfaae7a6cab5dc6acef01e566cd53cbe8caf6a2'),
+    12: (('0x1.62e386cc32939p-4', '0x1.1dcf9f64ed63ep-1', '0x1.c9327ba25b9acp-1'), '0x1.15a19d4dd9887p+1', 117, True, False, None, 54, 'b5f88fad5858511d66951a2d1487a33ae435d8a47f743bf4e27da193f54bec4a'),
+    13: (('0x1.5a012b32f51ecp-1', '0x1.76d3d36a5e8c9p-2', '0x1.d0b57a38cd7acp-2'), '0x1.423771ec8c1b3p+1', 102, True, False, None, 49, '120bfc2865eef023e150819cdf27f5ed68a463dcc5c0e46c64eaad936be18494'),
+    14: (('0x1.832a31f2dc773p-1', '0x1.f40a77f5b208ep-3', '0x1.ff86871a1269cp-2'), '0x1.34d62e8b9a570p+1', 101, True, False, None, 55, 'bd8b89249b46bfaf4afe752c81f675a99bc289e4cef676f64ce27fc114e5f132'),
+    15: (('0x1.9676db3dad57ep-1', '0x1.b5d8a0579578cp-1', '0x1.590e503c3f676p-5'), '0x1.c57efede463a3p+0', 125, True, False, None, 57, 'dfb6eff348cf787bdf64a3282a4acb58e621b47cb85c72ec38ff444b2ee7e5b2'),
+    16: (('0x1.3775950c2ee48p-2', '0x1.39b5fdd97f4b6p-1', '0x1.2eae699ef2bccp-1'), '0x1.3ea38bf51ffcfp+1', 104, True, False, None, 50, '02611d26fabe8a9440a1c5f2dbb4afaf93f20a6c64906300bc897ec34778ee37'),
+    17: (('0x1.120392dc973bfp-1', '0x1.372f95f9eb362p-1', '0x1.6fc9b1ffafb04p-2'), '0x1.45d6ad7f23b3ap+1', 104, True, False, None, 47, 'dee6767472e030f65197a6d89f077932cc0eefa643ac31daabcae1089a656f4a'),
+    18: (('0x1.01f7540c04509p-1', '0x1.74eaa51f994cep-2', '0x1.43b784860c5f7p-1'), '0x1.437aa9843fc54p+1', 107, True, False, None, 55, 'c4a7109a8f1bd75bbd6d7f86fe224e17e4702bf4b11c8d19494400e12338c35e'),
+    19: (('0x1.a2a6e954e59d0p-1', '0x1.7c85fee84acc2p-2', '0x1.1862261450bc8p-2'), '0x1.1eb04b3d7a1adp+1', 108, True, False, None, 49, '33ceb84e64186f5b02ac5f6548d2164c1b5eae69b2115003d767e41d590f38d8'),
+    20: (('0x1.a3c28f08a35b0p-2', '0x1.9aa09397074e5p-1', '0x1.0c7cbd0e9b7d6p-2'), '0x1.2e3204b8ebce4p+1', 101, True, False, None, 49, 'f965f8127a501bc58a95125d0822adfb062f1997422e835a867a05c895910d51'),
+    21: (('0x1.0b7c7d9b3f523p-3', '0x1.fa8683da22b9cp-1', '0x1.12e71a0d277e0p-4'), '0x1.66cb73587749ap+0', 134, True, False, None, 64, 'c6b60d6d41627da57fefca69e668502b695ae2f6679c23fac0e502c142bd5009'),
+    22: (('0x1.edbc258b15144p-3', '0x1.ebc8679e0fb4cp-2', '0x1.8bd0e1a04d186p-1'), '0x1.32ee851f54adbp+1', 107, True, False, None, 47, '1d88dcc7b5440a3cb63222cf3fb076be974342f70638829f98b48a985b4c34c5'),
+    23: (('0x1.1ece6c3f57bcbp-4', '0x1.025d9a601e65cp-1', '0x1.db8730d44201dp-1'), '0x1.11627fd658f1cp+1', 109, True, False, None, 57, '834c5ce3cfffd5df6ba4da6bf34e4168abfb1f30a80a09ef39ea3de3cdb11ee3'),
+    24: (('0x1.73444b9a8e650p-6', '0x1.ef80877094858p-1', '0x1.2dd26b6fcafcep-1'), '0x1.d5d5f9913283ep-1', 134, True, False, None, 64, 'e89fb2716d9d78eaecfcadad4bb829d13b4864c087da8fe78be702bbc5708f08'),
+    25: (('0x1.f4584349d23d0p-4', '0x1.c26341215483ep-1', '0x1.fba1c3914ed4ap-2'), '0x1.cb19685b6b018p+0', 117, True, False, None, 53, '13e4a4348dee3b45c28ba06e43ff052270135a1e0104b49e8fd5ee4e03371202'),
+    26: (('0x1.bad8628d08529p-4', '0x1.19ec3336d5720p-1', '0x1.bdc8a64ec79a4p-1'), '0x1.1af9858ffa64ap+1', 111, True, False, None, 58, '11a28e79f576ae9f97b06bcaf0bc6d8e785e218bad3d286a5fe6fd1375ae73be'),
+    27: (('0x1.562a25ee21781p-4', '0x1.5906bdea29bf0p-1', '0x1.aed9875001714p-1'), '0x1.0be7d1f826af8p+1', 115, True, False, None, 53, '247141ca47f72c292308e88612d2d1103503b2e64e2cdbade4a7367e8c11db4e'),
+    28: (('0x1.829aee7a6a182p-2', '0x1.f28727dd9afb2p-1', '0x1.5d6ac01a94525p-5'), '0x1.00a50733cf8fdp+1', 126, True, False, None, 57, '58300ee4519d6a03ff15da00e8a6b09f2e21aa663ee85269aaeba0478f707bf0'),
+    29: (('0x1.14ceb8ee47601p-1', '0x1.29ea8474b3fa4p-2', '0x1.5944ada9807acp-1'), '0x1.387d4110b79e8p+1', 94, True, False, None, 52, '9f38ea9d9e90d0e16c276dd3b1522c3103d0faa45b012e3512b1a664aa7486c0'),
+    30: (('0x1.028f61c8a32a4p-1', '0x1.fad442c42f912p-1', '0x1.4472497159023p-7'), '0x1.0288c34f4ae17p+1', 116, True, False, None, 45, '79a2cf8340e18c048b6eadcda380f44a4eba2c815ee1222c6d457966d5ee3d03'),
+    31: (('0x1.00c49bc5c8092p-1', '0x1.fe759b635c1e3p-1', '0x1.880a696e5d982p-9'), '0x1.00c40459fd30ep+1', 132, True, False, None, 57, '7b5b59ff58f99099d546bd844e34caf79434fa2583135c0f8d0d22da19ff7c2f'),
+    32: (('0x1.004189371baccp-1', '0x1.ff7ccc53b7bd9p-1', '0x1.05e14781d71aep-10'), '0x1.0041786d7781cp+1', 132, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 55, '53a81b9305925ef9cc8ff29a18eb2bfb7aa568d2793771936c3b7aecbfbcf4d4'),
+    33: (('0x1.b431836244505p-1', '0x1.f3d6f519c1d9cp-1', '0x1.13ec9da87b8e4p-8'), '0x1.70cd66c2d3b40p+0', 128, True, False, None, 61, 'ad23e786669e540e357ec3d0683d545e5b7cb5088a253904d37ae3e358a90686'),
+    34: (('0x1.a633e7f0ef66ep-3', '0x1.ffbd287e39d04p-1', '0x1.01047930e4b46p-9'), '0x1.9ec357b1592f8p+0', 128, True, False, 'parent is within 0.0009999999999998899 rad of right-angled; the minimum is ill-conditioned', 50, 'd41a9674cf5c657ebbe4d2e3304353d3297fb6e77a25b6429c8351a72133a2da'),
 }
 
-# (shape name, grid_n, max_iter): minimize_grid_then_simplex(shape, grid_n, max_iter)
+# (shape name, max_iter): minimize_grid_then_simplex(shape, max_iter=max_iter)
 SIMPLEX_TIES = {
-    ('equilateral', 4, 10000): (('0x1.ffffffdb24d0ep-2', '0x1.ffffff6cfb04dp-2', '0x1.ffffffc5d5675p-2'), '0x1.8000000000000p+0', 106, True, False, None, 56, '180593290f5995ae529ffc40c51b24f6adec9ae48a96112251bacf459cefc443'),
-    ('equilateral', 9, 10000): (('0x1.0000000357a13p-1', '0x1.ffffffb78c5fep-2', '0x1.0000002adc942p-1'), '0x1.7ffffffffffffp+0', 120, True, False, None, 2, 'dda61e71c14c8286767cf5744a213be7f543af010a35af1136fdc6b30c436b38'),
-    ('equilateral', 16, 10000): (('0x1.000000443fd68p-1', '0x1.ffffff2b01c30p-2', '0x1.0000003c3facep-1'), '0x1.8000000000000p+0', 98, True, False, None, 53, '2cbda5a5458b329856898391bb18432ee133dfa7007b38e76efcd4161ff94ffe'),
-    ('golden-bfc', 4, 10000): (('0x1.727c96ddb2de3p-1', '0x1.87221951c7943p-3', '0x1.3c6ef39951982p-1'), '0x1.f24db1094205ap+0', 109, True, False, None, 46, '3e92dfac8037ea7ba1f1b186d2409bd12f885e4fa6f654c05aa580724f989d30'),
-    ('golden-bfc', 9, 10000): (('0x1.727c97212c120p-1', '0x1.872218228a568p-3', '0x1.3c6ef37d7ded6p-1'), '0x1.f24db1094205ap+0', 102, True, False, None, 44, '27b24f60aa28455efe576a7b51a9cc1c988c308477bf1bf4682a1a21a9b0d1cb'),
-    ('golden-bfc', 16, 10000): (('0x1.727c96fa767f4p-1', '0x1.87221911f70f3p-3', '0x1.3c6ef3757f166p-1'), '0x1.f24db1094205ap+0', 91, True, False, None, 42, '14c0935f4f27a69e487ac75eae71c0ed6684e5dc0543e20895922c8174660b29'),
-    ('isosceles-tall', 4, 10000): (('0x1.99999a2ca1b95p-3', '0x1.999999a0b4650p-1', '0x1.ffffff9fd14c4p-2'), '0x1.cccccccccccccp+1', 120, True, False, None, 45, '9b8ca049731d690736c5d31442be5c807950d1ab216ef01758336058c4b309a9'),
-    ('isosceles-tall', 9, 10000): (('0x1.99999964177e0p-3', '0x1.999999a85e664p-1', '0x1.ffffffc85566ep-2'), '0x1.cccccccccccccp+1', 99, True, False, None, 41, 'f7d0c96b0660ab8eb16fc51c574cb4d1a45ea64adbedb9ab41c5e4855898bdce'),
-    ('isosceles-tall', 16, 10000): (('0x1.999998787180dp-3', '0x1.9999999c53e65p-1', '0x1.00000020d7f79p-1'), '0x1.cccccccccccccp+1', 94, True, False, None, 45, '472742de7d632b51b90e4324a2514a09ad3b29fc247a716e6f7dc092bc2c0556'),
-    ('isosceles-flat', 4, 10000): (('0x1.3b13b134ab3a0p-1', '0x1.89d89dbc80c44p-2', '0x1.00000006125fep-1'), '0x1.6276276276276p+1', 110, True, False, None, 54, 'eb0faf7eae32563d08502bc2f5ec7beeb8ff691c30f8a4435c75fd4d189b42c8'),
-    ('isosceles-flat', 9, 10000): (('0x1.3b13b16b124c8p-1', '0x1.89d89dc171ac6p-2', '0x1.ffffffed54792p-2'), '0x1.6276276276276p+1', 100, True, False, None, 38, '0e60743f09c94b3f85b2895336d035ce11b4a80556ccb9e85481de42b1d284c7'),
-    ('isosceles-flat', 16, 10000): (('0x1.3b13b126bcfbep-1', '0x1.89d89e0af0fd6p-2', '0x1.ffffff6cd552bp-2'), '0x1.6276276276276p+1', 109, True, False, None, 48, '0c0c811843a993bdeabf8007f444b619748411defe328b6fbfbe82f4ca55d859'),
-    ('golden-bfc', 16, 1): (('0x1.7000000000000p-1', '0x1.c000000000000p-3', '0x1.3000000000000p-1'), '0x1.f2e40676278cep+0', 1, False, False, None, 1, 'fc0745d7ddfff723ba413eef4cbf4ecb92cae4078b47a7ff1d8a5ea71628bd5d'),
-    ('golden-bfc', 16, 5): (('0x1.6cd6e9e06522ep-1', '0x1.b29161f9add3ap-3', '0x1.3da12f684bda0p-1'), '0x1.f2874b667ab36p+0', 5, False, False, None, 3, 'a9ab7a1f266215c6a5d834c46bfe05c61966014ea8c4b4395c5b616f32d9c270'),
-    ('golden-bfc', 16, 50): (('0x1.727cae810cdabp-1', '0x1.87214a7d94e88p-3', '0x1.3c6f16533a2edp-1'), '0x1.f24db10948142p+0', 50, False, False, None, 29, 'bdce0ebdff9f10910195e4b767e497855bf167284feb48a16167ae5bec086fb1'),
+    ('equilateral', 10000): (('0x1.fffffff5086b8p-2', '0x1.ffffffcbba004p-2', '0x1.0000000b07b76p-1'), '0x1.7ffffffffffffp+0', 128, True, False, None, 2, '86c48db239ac3edb616285016559a9291da83dc9fcfc4e23cc1ac564007086d8'),
+    ('golden-bfc', 10000): (('0x1.727c974d7c016p-1', '0x1.8722189b65746p-3', '0x1.3c6ef381c59d3p-1'), '0x1.f24db1094205ap+0', 113, True, False, None, 51, '98e7d2f87ac384b6936446895b5a67da9cb9df27c0377e23e71a3b1d20dbc393'),
+    ('isosceles-tall', 10000): (('0x1.9999996100c06p-3', '0x1.9999997bb78c6p-1', '0x1.0000000dfbc0fp-1'), '0x1.cccccccccccccp+1', 105, True, False, None, 51, '26edf10e0f6c459a27ea696a738d48b77731c2e19e84f96190353c36e79d5a2f'),
+    ('isosceles-flat', 10000): (('0x1.3b13b129f0fa4p-1', '0x1.89d89d480c5c4p-2', '0x1.ffffff8d4d1b2p-2'), '0x1.6276276276276p+1', 97, True, False, None, 52, '54c9bda6907c32d833b762d0c10851c5aa155f9e02d66886da86ff62a3963227'),
+    ('golden-bfc', 1): (('0x1.3ffffffffffffp-1', '0x1.0000000000000p-2', '0x1.3ffffffffffffp-1'), '0x1.f4658023bef02p+0', 1, False, False, None, 2, 'c677db5e9d2e9cca21a6ade51cdda05e39692ee94c8d9c2b5cf4eb2735ece7a1'),
+    ('golden-bfc', 5): (('0x1.7555555555556p-1', '0x1.2aaaaaaaaaaacp-3', '0x1.4aaaaaaaaaaa8p-1'), '0x1.f3ab094159421p+0', 5, False, False, None, 3, '280387084dc3b6868090f3f0c6170a74ea43d9a4992b6348b41ef6caa32cb044'),
+    ('golden-bfc', 50): (('0x1.727c8ce42cd26p-1', '0x1.8726f47595514p-3', '0x1.3c6e0ad6dc7a5p-1'), '0x1.f24db10a4dbadp+0', 50, False, False, None, 28, '43be8067c7d1764f8affcf55816ae2e0112b8e7c9fde31720a6d83f3aeb36130'),
 }
 
 # shape index: minimize_reflection_descent(shape, start)
@@ -289,6 +102,6 @@ DESCENT = {
 
 # method: (exit code, stdout length, stdout SHA-256) of fagnano minimize golden-bfc
 CLI_STDOUT = {
-    'grid-simplex': (0, 2436, '1ec1ee2c2c887d70b4b6f06589d1500e069629f52d1be86820fe331170315b2a'),
+    'grid-simplex': (0, 2867, 'f259b5d67b7b4e984154cb725ad3e8caffb94671f0f453f4daf0cf5608f7777d'),
     'reflection': (0, 996, '76fdcfef018dedfd5fd36db5ccb5580e54c06d97101cf7a56a831d090414fca2'),
 }

@@ -51,8 +51,19 @@ def test_orthic_degenerate_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ("0,0,1,0,2,0", "0,0,0,0,0,0", "1,1,1,1,2,2", "0,0,1e200,1e200,2e200,2e200"),
-    ids=("collinear", "coincident", "two-coincident", "collinear-huge"),
+    "text",
+    (
+        "0,0,1,0,2,0",
+        "0,0,0,0,0,0",
+        "1,1,1,1,2,2",
+        "0,0,1e200,1e200,2e200,2e200",
+        "0,0,1e-160,0,2e-160,0",
+        "5e-324,0,0,0,0,0",
+    ),
+    ids=(
+        "collinear", "coincident", "two-coincident", "collinear-huge", "collinear-tiny",
+        "coincident-tiny",
+    ),
 )
 def test_degenerate_input_message(capsys, text):
     code, out, err = run(capsys, "orthic", text)
@@ -392,7 +403,7 @@ def test_reflection_step_infinite_denominator_exits_2(capsys):
 
 # pytest's own process already holds numpy, so a fresh interpreter imports
 # the package, runs the commands in order and reports after each whether
-# numpy is loaded; only the grid search needs it.
+# numpy is loaded; none of them needs it.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import fagnano, fagnano.cli, fagnano.geometry, fagnano.golden, fagnano.jsonio
@@ -406,7 +417,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_the_grid_search_loads_numpy(tmp_path):
+def test_no_command_loads_numpy(tmp_path):
     commands = [
         ["orthic", "golden-bfc"],
         ["golden"],
@@ -423,7 +434,7 @@ def test_only_the_grid_search_loads_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [["import", 0, False]] + [
-        [" ".join(argv), 0, argv == ["minimize", "golden-bfc"]] for argv in commands
+        [" ".join(argv), 0, False] for argv in commands
     ]
 
 
@@ -432,6 +443,12 @@ def test_only_the_grid_search_loads_numpy(tmp_path):
 
 def test_unknown_command_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
+
+
+def test_grid_n_is_an_unknown_option(capsys):
+    code, out, err = run(capsys, "minimize", "equilateral", "--grid-n", "9")
+    assert (code, out) == (1, "")
+    assert err == "fagnano: error: unrecognized arguments: --grid-n 9\n"
 
 
 def test_missing_command_exit_1(capsys):
@@ -490,7 +507,7 @@ def test_parser_is_built_once():
 def test_options_do_not_leak_into_the_next_request(capsys, tmp_path):
     path = tmp_path / "m.json"
     code, out, _ = run(
-        capsys, "minimize", "equilateral", "--tol", "1e-3", "--grid-n", "9",
+        capsys, "minimize", "equilateral", "--tol", "1e-3", "--max-iter", "50",
         "--output", str(path),
     )
     assert code == 0 and out == ""
@@ -500,8 +517,8 @@ def test_options_do_not_leak_into_the_next_request(capsys, tmp_path):
 
 
 def test_parse_failure_then_valid_request(capsys):
-    code, out, err = run(capsys, "minimize", "equilateral", "--grid-n", "x")
-    assert code == 1 and out == "" and "--grid-n" in err
+    code, out, err = run(capsys, "minimize", "equilateral", "--max-iter", "x")
+    assert code == 1 and out == "" and "--max-iter" in err
     assert run(capsys, "orthic", "golden-bfc") == run_fresh(capsys, "orthic", "golden-bfc")
 
 

@@ -73,6 +73,14 @@ def test_triangle_rejects_collinear():
         Triangle(Point(0, 0), Point(1, 0), Point(2, 0))
     with pytest.raises(DegenerateTriangleError):
         Triangle(Point(0, 0), Point(1, 0), Point(2, 1e-13))
+    # Tiny sides: the limit DEGENERACY_TOL * size^2 underflows to 0 and the
+    # test is redone in a power-of-two frame, as for overflowing areas.
+    with pytest.raises(DegenerateTriangleError, match="collinear"):
+        Triangle(Point(0, 0), Point(1e-160, 0), Point(2e-160, 0))
+    with pytest.raises(DegenerateTriangleError, match="collinear"):
+        Triangle(Point(5e-324, 0), Point(0, 0), Point(0, 0))
+    # A triangle at the same scale that is not collinear still constructs.
+    Triangle(Point(0, 0), Point(1e-160, 0), Point(0, 1e-160))
 
 
 def test_triangle_rejects_coincident_vertices():
@@ -274,6 +282,12 @@ def test_require_acute_names_an_overflowing_side_not_an_angle():
             assert "squared length" in str(exc)
             named += 1
     assert named > 0
+    # Here only the angle at c is NaN; max would skip it and return the
+    # angle at a, pi/4, and call the triangle acute.
+    t = Triangle(Point(0, 0), Point(1e300, 0), Point(5e299, 1e300))
+    assert classify(t).kind is not TriangleKind.ACUTE
+    with pytest.raises(DegenerateTriangleError, match=r"side \(1e\+300, 0.0\)-.* squared length inf"):
+        require_acute(t)
 
 
 # ------------------------------------------------------------ orthic triangle

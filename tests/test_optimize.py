@@ -4,7 +4,6 @@ import math
 import random
 from contextlib import redirect_stdout
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +20,6 @@ from fagnano.geometry import (
 from fagnano.optimize import (
     InscribedConfig,
     InvalidConfigError,
-    _grid_best,
     min_perimeter_closed_form,
     minimize_grid_then_simplex,
     minimize_reflection_descent,
@@ -107,9 +105,9 @@ def test_grid_simplex_golden_matches_closed_forms(golden_bfc):
 
 
 def test_grid_simplex_never_worse_than_grid(golden_bfc):
-    result = minimize_grid_then_simplex(golden_bfc, grid_n=8)
-    # independent evaluation of the same coarse grid
-    ts = (np.arange(8) + 0.5) / 8
+    result = minimize_grid_then_simplex(golden_bfc)
+    # independent evaluation of a coarse grid
+    ts = [(i + 0.5) / 8 for i in range(8)]
     best = math.inf
     for t1 in ts:
         for t2 in ts:
@@ -132,8 +130,6 @@ def test_grid_simplex_random_against_oracle():
 
 
 def test_grid_simplex_validation(equilateral):
-    with pytest.raises(ValueError):
-        minimize_grid_then_simplex(equilateral, grid_n=3)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             minimize_grid_then_simplex(equilateral, tol=bad)
@@ -266,6 +262,45 @@ def test_reflection_near_right_converges_in_few_sweeps(m, beta):
         assert offset <= 1e-4, start
 
 
+@pytest.mark.parametrize("beta", NEAR_RIGHT_BETAS)
+@pytest.mark.parametrize("m", NEAR_RIGHT_MS)
+def test_grid_simplex_near_right_converges(m, beta):
+    t = Triangle.from_angles(math.pi / 2 - m, beta)
+    closed = min_perimeter_closed_form(t)
+    result = minimize_grid_then_simplex(t)
+    assert result.converged
+    assert abs(result.perimeter - closed) / closed <= 1e-9
+    located = result.config.points(t)
+    feet = orthic_triangle(t).feet
+    assert max(dist(p, f) for p, f in zip(located, feet)) / t.diameter() <= 1e-4
+
+
+def sliver_triangles(count, seed):
+    """Acute triangles whose smallest angle is log-uniform in [1e-4, 0.02].
+
+    The other two angles both lie within that angle of pi/2, so a sliver is
+    near-right too; its margin is 0.1 to 0.5 times the smallest angle.
+    """
+    rng = random.Random(seed)
+    shapes = []
+    for _ in range(count):
+        smallest = math.exp(rng.uniform(math.log(1e-4), math.log(0.02)))
+        shapes.append(
+            Triangle.from_angles(smallest, math.pi / 2 - smallest * rng.uniform(0.1, 0.9))
+        )
+    return shapes
+
+
+def test_grid_simplex_converges_on_slivers():
+    # The simplex start step decides these: from the medial start a step of
+    # 1/4 instead of 1/8 reports convergence up to 43% above the minimum.
+    for t in sliver_triangles(200, 20161001):
+        result = minimize_grid_then_simplex(t)
+        assert result.converged, t
+        closed = min_perimeter_closed_form(t)
+        assert abs(result.perimeter - closed) / closed <= 1e-6, t
+
+
 def test_reflection_single_step_is_locally_optimal(golden_bfc):
     # after one sweep, wiggling any single parameter cannot improve it given
     # the other two stay put (exactness of the unfolding step)
@@ -347,12 +382,11 @@ def test_near_right_warning_flag():
 # --------------------------------------------------------------- bit identity
 #
 # The solvers run float arithmetic in a fixed order, so their results are
-# pinned to the bit.  optimize_bits.py holds grid and grid + simplex values
-# recorded from the Point-based solvers that the float loops replaced, and
-# descent values re-recorded when the descent gained Anderson extrapolation.
-# Any change there is a change of numerics, not a refactor.
+# pinned to the bit.  optimize_bits.py holds simplex values re-recorded when
+# the simplex search switched to the medial start, and descent values
+# re-recorded when the descent gained Anderson extrapolation.  Any change
+# there is a change of numerics, not a refactor.
 
-BIT_GRID_NS = (4, 9, 16)
 # (m, beta) for the near-right parents from_angles(pi/2 - m, beta).
 BIT_NEAR_RIGHT = (
     (1e-2, math.pi / 4),
@@ -398,11 +432,6 @@ def result_bits(result):
     )
 
 
-def grid_best_bits(t, grid_n):
-    node, value = _grid_best(t, grid_n)
-    return tuple(v.hex() for v in node), value.hex()
-
-
 def cli_stdout_digest(argv):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -417,23 +446,10 @@ BIT_CLI_COMMANDS = {
 }
 
 
-def test_grid_best_bit_identical():
-    for index, t in enumerate(bit_shapes()):
-        for grid_n in BIT_GRID_NS:
-            assert grid_best_bits(t, grid_n) == optimize_bits.GRID_BEST[index, grid_n], (
-                index,
-                grid_n,
-            )
-
-
 def test_grid_simplex_bit_identical():
     for index, t in enumerate(bit_shapes()):
-        for grid_n in BIT_GRID_NS:
-            result = minimize_grid_then_simplex(t, grid_n=grid_n)
-            assert result_bits(result) == optimize_bits.SIMPLEX[index, grid_n], (
-                index,
-                grid_n,
-            )
+        result = minimize_grid_then_simplex(t)
+        assert result_bits(result) == optimize_bits.SIMPLEX[index], index
 
 
 # Shapes of optimize_bits.SIMPLEX_TIES: symmetric ones, where simplex vertices
@@ -447,9 +463,9 @@ TIE_SHAPES = {
 
 
 def test_grid_simplex_ties_bit_identical():
-    for (name, grid_n, max_iter), bits in optimize_bits.SIMPLEX_TIES.items():
-        result = minimize_grid_then_simplex(TIE_SHAPES[name], grid_n=grid_n, max_iter=max_iter)
-        assert result_bits(result) == bits, (name, grid_n, max_iter)
+    for (name, max_iter), bits in optimize_bits.SIMPLEX_TIES.items():
+        result = minimize_grid_then_simplex(TIE_SHAPES[name], max_iter=max_iter)
+        assert result_bits(result) == bits, (name, max_iter)
 
 
 def test_reflection_descent_bit_identical():
