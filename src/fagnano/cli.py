@@ -101,8 +101,7 @@ def _preset_triangle(name: str) -> tuple[float, ...] | None:
     if name == "equilateral":
         return (0.0, 0.0, 1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0)
     if name == "golden-bfc":
-        phi = (1.0 + math.sqrt(5.0)) / 2.0
-        return (1.0, 0.0, 0.0, 1.0, 1.0, phi)
+        return (*golden.B, *golden.F, *golden.C)
     return None
 
 

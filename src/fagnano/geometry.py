@@ -5,13 +5,20 @@ measured with the two-argument arctangent of cross and dot products, never with
 ``acos``, so values near 0 and pi keep full precision.  Degeneracy and
 right-angle classification are tolerance based; the tolerances are module
 constants shared by every consumer.
+
+Each ``Triangle`` carries a power-of-two frame: its vertices times 2^e, e
+putting the largest |coordinate| in [0.5, 1).  That scaling is exact, so every
+measure is computed in the frame, where no square, cross product or quotient
+leaves the double range, and lengths and coordinates are mapped back with
+``math.ldexp(x, -e)``.  The one range rule, checked by ``Triangle``, is a
+finite perimeter.  Outputs in the subnormal range may lose bits.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 # A triangle is degenerate when area < DEGENERACY_TOL * (longest side)^2.
@@ -82,14 +89,15 @@ def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
     return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
-def angle_between(u: Point, v: Point) -> float:
-    """Unsigned angle between two vectors, in [0, pi]."""
-    return _angle(u.x, u.y, v.x, v.y)
-
-
-def angle_at(p: Point, q: Point, r: Point) -> float:
-    """Angle at vertex q of the path p-q-r, in [0, pi]."""
-    return angle_between(p - q, r - q)
+def _vertex_angles(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> tuple[float, float, float]:
+    """Interior angles at a, b and c of the triangle with these vertices."""
+    return (
+        _angle(bx - ax, by - ay, cx - ax, cy - ay),
+        _angle(cx - bx, cy - by, ax - bx, ay - by),
+        _angle(ax - cx, ay - cy, bx - cx, by - cy),
+    )
 
 
 class TriangleKind(Enum):
@@ -145,47 +153,45 @@ class Triangle:
     """Ordered vertex triple, normalized to counterclockwise orientation.
 
     Construction swaps b and c when the input winds clockwise (the swap is
-    observable) and rejects triangles whose longest side is zero or leaves the
-    double range, or whose area falls below the degeneracy tolerance.
+    observable) and rejects triangles whose area falls below the degeneracy
+    tolerance or whose perimeter leaves the double range.  ``frame`` holds
+    (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e.
     """
 
     a: Point
     b: Point
     c: Point
+    frame: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        # Measure the sides on bare floats first: a coordinate difference that
-        # overflows must name its side, where a Point subtraction would fail
-        # as a non-finite Point.
-        longest = 0.0
-        for q, r in ((a, b), (b, c), (c, a)):
-            length = dist(q, r)
-            if not math.isfinite(length):
-                raise DegenerateTriangleError(
-                    f"side ({q.x!r}, {q.y!r})-({r.x!r}, {r.y!r}) has length "
-                    f"{length!r}, outside the double range; rescale the triangle"
-                )
-            longest = max(longest, length)
-        ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
-        tested, limit = ux * vy - uy * vx, DEGENERACY_TOL * longest * longest
-        if not (math.isfinite(tested) and sys.float_info.min <= limit <= sys.float_info.max):
-            # The cross products overflowed, or the limit left the normal
-            # range (it underflows to 0 for tiny sides, which would pass
-            # any collinear triple).  Scaling the differences by 2^-e, e the
-            # exponent of the longest side, is exact and puts the longest
-            # side in [0.5, 1), where the same test can neither overflow nor
-            # underflow; the scaled area also gives the orientation below.
-            e = -math.frexp(longest)[1]
-            ux, uy = math.ldexp(ux, e), math.ldexp(uy, e)
-            vx, vy = math.ldexp(vx, e), math.ldexp(vy, e)
-            size = math.ldexp(longest, e)
-            tested, limit = ux * vy - uy * vx, DEGENERACY_TOL * size * size
-        if longest == 0.0 or abs(tested) / 2.0 < limit:
+        # e puts the largest |coordinate| in [0.5, 1): every coordinate
+        # difference is then at most 2 in magnitude, and every side of a
+        # triangle that passes the area test is longer than about 1e-28.
+        e = -math.frexp(max(abs(a.x), abs(a.y), abs(b.x), abs(b.y), abs(c.x), abs(c.y)))[1]
+        ldexp = math.ldexp
+        ax, ay, bx, by = ldexp(a.x, e), ldexp(a.y, e), ldexp(b.x, e), ldexp(b.y, e)
+        cx, cy = ldexp(c.x, e), ldexp(c.y, e)
+        ab = math.hypot(ax - bx, ay - by)
+        bc = math.hypot(bx - cx, by - cy)
+        ca = math.hypot(cx - ax, cy - ay)
+        # The one range rule: every length, foot, center and inscribed
+        # perimeter of an acute triangle is bounded by its perimeter.
+        frame_perimeter = ab + bc + ca
+        if math.frexp(frame_perimeter)[1] - e > sys.float_info.max_exp:
+            raise DegenerateTriangleError(
+                f"perimeter {frame_perimeter!r} * 2**{-e} is outside the double "
+                "range; rescale the triangle"
+            )
+        longest = max(ab, bc, ca)
+        tested = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if longest == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * longest * longest:
             raise DegenerateTriangleError("vertices are (near-)collinear")
         if tested < 0.0:
             object.__setattr__(self, "b", c)
             object.__setattr__(self, "c", b)
+            bx, by, cx, cy = cx, cy, bx, by
+        object.__setattr__(self, "frame", (e, ax, ay, bx, by, cx, cy))
 
     @classmethod
     def from_angles(
@@ -237,13 +243,9 @@ def _largest(x: float, y: float, z: float) -> float:
     return max(x, y, z)
 
 
-def _raw_angles(a: Point, b: Point, c: Point) -> tuple[float, float, float]:
-    return (angle_at(b, a, c), angle_at(c, b, a), angle_at(a, c, b))
-
-
 def angles(t: Triangle) -> AngleTriple:
     """Interior angles of the triangle, from edge vectors at each vertex."""
-    return AngleTriple(*_raw_angles(t.a, t.b, t.c))
+    return AngleTriple(*_vertex_angles(*t.frame[1:]))
 
 
 def _classification(
@@ -269,27 +271,19 @@ def classify_points(
     """Total classification of a raw vertex triple (degenerate is a result)."""
     area2 = (b - a).cross(c - a)
     longest = max(dist(a, b), dist(b, c), dist(c, a))
-    return _classification(area2, longest, _largest(*_raw_angles(a, b, c)), tol)
+    return _classification(
+        area2, longest, _largest(*_vertex_angles(a.x, a.y, b.x, b.y, c.x, c.y)), tol
+    )
 
 
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
-    """classify_points(t.a, t.b, t.c, tol), bit for bit, on bare floats.
-
-    A Triangle has every side length finite, so none of the coordinate
-    differences that classify_points builds as Points can fail.
-    """
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
-    # Each difference is formed as classify_points forms it: x - y and
-    # -(y - x) can differ in the sign of a zero.
-    bax, bay, cax, cay = bx - ax, by - ay, cx - ax, cy - ay
+    """classify_points of the frame vertices: the same margin as
+    classify_points(t.a, t.b, t.c, tol), at any scale."""
+    _, ax, ay, bx, by, cx, cy = t.frame
     return _classification(
-        bax * cay - bay * cax,
-        max(math.hypot(ax - bx, ay - by), math.hypot(bx - cx, by - cy), math.hypot(cax, cay)),
-        _largest(
-            _angle(bax, bay, cax, cay),
-            _angle(cx - bx, cy - by, ax - bx, ay - by),
-            _angle(ax - cx, ay - cy, bx - cx, by - cy),
-        ),
+        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
+        max(math.hypot(ax - bx, ay - by), math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay)),
+        _largest(*_vertex_angles(ax, ay, bx, by, cx, cy)),
         tol,
     )
 
@@ -307,10 +301,6 @@ def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     check_tolerance("tol", tol)
     cls = classify(t, tol)
     if cls.kind is not TriangleKind.ACUTE:
-        # A side whose squared length leaves the double range turns the
-        # angles into NaN; name the side instead of a meaningless angle.
-        for q, r in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
-            projection_param(q.x, q.y, q.x, q.y, r.x, r.y)
         i, largest = angles(t).largest()
         raise NotAcuteError(
             f"triangle is {cls.kind.value}, not acute: largest angle "
@@ -324,29 +314,57 @@ def projection_param(
 ) -> float:
     """Parameter s of the orthogonal projection of p onto the line q + s*(r - q).
 
-    Raises DegenerateTriangleError when |r - q|^2 leaves the normal double
-    range: it underflows for tiny sides and overflows for huge ones, and the
-    quotient would be a division by zero or inf/inf.
+    Unchecked: the callers pass frame coordinates, where |r - q|^2 is a
+    normal double.
     """
     dx, dy = rx - qx, ry - qy
-    dd = dx * dx + dy * dy
-    if not (sys.float_info.min <= dd <= sys.float_info.max):
-        raise DegenerateTriangleError(
-            f"side ({qx!r}, {qy!r})-({rx!r}, {ry!r}) has squared length {dd!r}, "
-            "outside the normal double range; rescale the triangle"
-        )
-    return ((px - qx) * dx + (py - qy) * dy) / dd
+    return ((px - qx) * dx + (py - qy) * dy) / (dx * dx + dy * dy)
+
+
+def _foot(
+    px: float, py: float, qx: float, qy: float, rx: float, ry: float
+) -> tuple[float, float]:
+    """Orthogonal projection of p onto the line through q and r."""
+    s = projection_param(px, py, qx, qy, rx, ry)
+    return qx + s * (rx - qx), qy + s * (ry - qy)
+
+
+def _feet(t: Triangle) -> tuple[float, float, float, float, float, float]:
+    """Frame coordinates of the altitude feet from a, b and c."""
+    _, ax, ay, bx, by, cx, cy = t.frame
+    return (
+        *_foot(ax, ay, bx, by, cx, cy),
+        *_foot(bx, by, cx, cy, ax, ay),
+        *_foot(cx, cy, ax, ay, bx, by),
+    )
+
+
+def _unframed(e: int, x: float, y: float) -> Point:
+    """The frame point (x, y) at the triangle's own scale.  Only a foot or
+    the orthocenter of a non-acute triangle can overflow there."""
+    try:
+        return Point(math.ldexp(x, -e), math.ldexp(y, -e))
+    except OverflowError:
+        raise NonFiniteError(f"frame point ({x!r}, {y!r}) * 2**{-e} overflows") from None
+
+
+def _perimeter(
+    px: float, py: float, qx: float, qy: float, rx: float, ry: float
+) -> float:
+    """Perimeter of the triangle with these vertices."""
+    return (
+        math.hypot(px - qx, py - qy) + math.hypot(qx - rx, qy - ry) + math.hypot(rx - px, ry - py)
+    )
 
 
 def foot_of_altitude(t: Triangle, vertex: int) -> Point:
     """Orthogonal projection of the chosen vertex onto the opposite side line."""
     if vertex not in (0, 1, 2):
         raise GeometryError(f"vertex index must be 0, 1 or 2, got {vertex}")
-    v = t.vertices
-    p = v[vertex]
-    q = v[(vertex + 1) % 3]
-    r = v[(vertex + 2) % 3]
-    return lerp(q, r, projection_param(p.x, p.y, q.x, q.y, r.x, r.y))
+    # The frame vertices twice over: the six from 2 * vertex on are the
+    # chosen vertex and the two after it.
+    v = t.frame[1:] * 2
+    return _unframed(t.frame[0], *_foot(*v[2 * vertex : 2 * vertex + 6]))
 
 
 @dataclass(frozen=True)
@@ -366,6 +384,9 @@ class OrthicResult:
     def feet(self) -> tuple[Point, Point, Point]:
         return (self.foot_from_a, self.foot_from_b, self.foot_from_c)
 
+    def vertex(self, i: int) -> Point:
+        return self.vertices[i]
+
     def side_lengths(self) -> tuple[float, float, float]:
         """Lengths of the orthic sides opposite each foot."""
         fa, fb, fc = self.feet
@@ -379,21 +400,20 @@ def orthic_triangle(t: Triangle, tol: float = ANGLE_TOL) -> OrthicResult:
     not give the minimal inscribed triangle, so non-acute input raises.
     """
     require_acute(t, tol)
-    fa = foot_of_altitude(t, 0)
-    fb = foot_of_altitude(t, 1)
-    fc = foot_of_altitude(t, 2)
+    e = t.frame[0]
+    feet = _feet(t)
     return OrthicResult(
-        foot_from_a=fa,
-        foot_from_b=fb,
-        foot_from_c=fc,
-        angles=AngleTriple(*_raw_angles(fa, fb, fc)),
-        perimeter=perimeter(fa, fb, fc),
+        foot_from_a=_unframed(e, feet[0], feet[1]),
+        foot_from_b=_unframed(e, feet[2], feet[3]),
+        foot_from_c=_unframed(e, feet[4], feet[5]),
+        angles=AngleTriple(*_vertex_angles(*feet)),
+        perimeter=math.ldexp(_perimeter(*feet), -e),
     )
 
 
 def orthocenter(t: Triangle) -> Point:
     """Common point of the three altitudes (intersection of two of them)."""
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    e, ax, ay, bx, by, cx, cy = t.frame
     # Altitude from a: through a, perpendicular to bc; similarly from b.
     d1x, d1y = -(cy - by), cx - bx
     d2x, d2y = -(ay - cy), ax - cx
@@ -401,18 +421,16 @@ def orthocenter(t: Triangle) -> Point:
     if det == 0.0:
         raise DegenerateTriangleError("altitudes are parallel")
     s = ((bx - ax) * d2y - (by - ay) * d2x) / det
-    return Point(ax + d1x * s, ay + d1y * s)
+    return _unframed(e, ax + d1x * s, ay + d1y * s)
 
 
 def incenter(t: Triangle) -> Point:
     """Side-length-weighted vertex average; equidistant from the three sides."""
-    la, lb, lc = t.side_lengths()
+    e, ax, ay, bx, by, cx, cy = t.frame
+    la, lb, lc = math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
     w = la + lb + lc
-    return Point(
-        (la * t.a.x + lb * t.b.x + lc * t.c.x) / w,
-        (la * t.a.y + lb * t.b.y + lc * t.c.y) / w,
-    )
+    return _unframed(e, (la * ax + lb * bx + lc * cx) / w, (la * ay + lb * by + lc * cy) / w)
 
 
 def perimeter(p: Point, q: Point, r: Point) -> float:
-    return dist(p, q) + dist(q, r) + dist(r, p)
+    return _perimeter(p.x, p.y, q.x, q.y, r.x, r.y)

@@ -26,6 +26,10 @@ from .geometry import (
     orthic_triangle,
 )
 
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+# The fixed embedding above, as coordinate pairs.
+A, B, C, D, E, F = (0.0, 0.0), (1.0, 0.0), (1.0, PHI), (0.0, PHI), (1.0, 1.0), (0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class ValueCheck:
@@ -74,13 +78,7 @@ def build() -> GoldenFigure:
     b, c, f, so the feet are: from b -> h on cf, from c -> g on fb, and from
     f -> the square corner e on bc.
     """
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    a = Point(0.0, 0.0)
-    b = Point(1.0, 0.0)
-    c = Point(1.0, phi)
-    d = Point(0.0, phi)
-    e = Point(1.0, 1.0)
-    f = Point(0.0, 1.0)
+    a, b, c, d, e, f = (Point(*p) for p in (A, B, C, D, E, F))
     tri = Triangle(b, c, f)
     orth = orthic_triangle(tri)
     h = orth.foot_from_a
@@ -91,7 +89,7 @@ def build() -> GoldenFigure:
             f"altitude foot from f {e_foot} does not coincide with square corner {e}"
         )
     return GoldenFigure(
-        phi=phi,
+        phi=PHI,
         a=a,
         b=b,
         c=c,

@@ -18,9 +18,9 @@ parameter picks an affine point on one side of an acute triangle:
 Both exist to be checked against the closed-form answer, the orthic triangle's
 perimeter, so neither route is allowed to peek at altitude feet.
 
-Inputs are validated once at entry; the inner loops run on bare floats.  The
-descent checks each side's squared length once, before its first sweep, and
-its steps reuse the side vectors and squared lengths computed there.
+Inputs are validated once at entry; the inner loops run on bare floats in the
+triangle's power-of-two frame (see ``Triangle.frame``), so every decision is
+the same at any scale, and the perimeters are mapped back with ``math.ldexp``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 from .geometry import (
     ANGLE_TOL,
-    DegenerateTriangleError,
     GeometryError,
     Point,
     Triangle,
+    _feet,
     lerp,
     orthic_triangle,
-    perimeter,
     projection_param,
     require_acute,
 )
@@ -117,23 +116,22 @@ class MinimizeResult:
 
 
 def objective(t: Triangle, c: InscribedConfig, tol: float = ANGLE_TOL) -> float:
-    """Perimeter of the inscribed triangle selected by ``c``."""
+    """Perimeter of the inscribed triangle selected by ``c``: the
+    perimeter of ``c.points(t)``, computed as the searches compute it."""
     require_acute(t, tol)
-    p, q, r = c.points(t)
-    return perimeter(p, q, r)
+    return math.ldexp(_raw_objective(t)(c.as_tuple()), -t.frame[0])
 
 
 def _raw_objective(t: Triangle):
     """Unchecked objective over bare parameter triples; +inf outside (0,1)^3.
 
-    Used by the searches, which probe outside the feasible cube.
+    Used by the searches, which probe outside the feasible cube.  The
+    perimeter is that of the frame: times 2^e, see ``Triangle.frame``.
     """
-    bx, by = t.b.x, t.b.y
-    ubc_x, ubc_y = t.c.x - t.b.x, t.c.y - t.b.y
-    cx, cy = t.c.x, t.c.y
-    uca_x, uca_y = t.a.x - t.c.x, t.a.y - t.c.y
-    ax, ay = t.a.x, t.a.y
-    uab_x, uab_y = t.b.x - t.a.x, t.b.y - t.a.y
+    _, ax, ay, bx, by, cx, cy = t.frame
+    ubc_x, ubc_y = cx - bx, cy - by
+    uca_x, uca_y = ax - cx, ay - cy
+    uab_x, uab_y = bx - ax, by - ay
     hypot = math.hypot
 
     def f(params: tuple[float, float, float]) -> float:
@@ -146,21 +144,6 @@ def _raw_objective(t: Triangle):
         return hypot(px - qx, py - qy) + hypot(qx - rx, qy - ry) + hypot(rx - px, ry - py)
 
     return f
-
-
-def _checked_sides(t: Triangle) -> tuple[tuple[float, float, float, float, float], ...]:
-    """Sides bc, ca and ab as (q.x, q.y, u.x, u.y, u . u) for the points
-    q + s * u; side k carries parameter k.
-
-    Raises projection_param's DegenerateTriangleError for the first side
-    whose squared length leaves the normal double range.
-    """
-    sides = []
-    for q, r in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
-        projection_param(q.x, q.y, q.x, q.y, r.x, r.y)
-        ux, uy = r.x - q.x, r.y - q.y
-        sides.append((q.x, q.y, ux, uy, ux * ux + uy * uy))
-    return tuple(sides)
 
 
 def _near_right_warning(margin: float) -> str | None:
@@ -197,10 +180,6 @@ def minimize_grid_then_simplex(
     perimeter.
     """
     margin = require_acute(t).margin
-    # Input validation shared with the descent: a side whose squared length
-    # leaves the normal double range is named and rejected, so both methods
-    # accept the same triangles.
-    _checked_sides(t)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     f = _raw_objective(t)
@@ -213,7 +192,10 @@ def minimize_grid_then_simplex(
         (0.5, 0.5, 0.625),
     ]
     values = [f(x) for x in simplex]
-    history: list[tuple[int, float]] = [(0, values[0])]
+    # The history holds perimeters mapped back from the frame; ``recorded``
+    # is its last entry in the frame.
+    e, recorded = t.frame[0], values[0]
+    history: list[tuple[int, float]] = [(0, math.ldexp(recorded, -e))]
     # The simplex stays sorted by value, in the order a stable sort gives.
     order = sorted(range(4), key=values.__getitem__)
     simplex = [simplex[i] for i in order]
@@ -302,13 +284,14 @@ def minimize_grid_then_simplex(
             del simplex[3], values[3]
             simplex.insert(k, new)
             values.insert(k, fnew)
-        if values[0] < history[-1][1]:
-            history.append((iterations, values[0]))
+        if values[0] < recorded:
+            recorded = values[0]
+            history.append((iterations, math.ldexp(recorded, -e)))
 
-    # values[0] is f(simplex[0]), the same hypot sum as objective().
+    # values[0] is f(simplex[0]), the value objective() maps back.
     return MinimizeResult(
         config=InscribedConfig(*simplex[0]),
-        perimeter=values[0],
+        perimeter=math.ldexp(values[0], -e),
         iterations=iterations,
         converged=converged,
         history=tuple(history),
@@ -332,11 +315,6 @@ def _best_on_side(qx, qy, ux, uy, uu, px, py, fx, fy) -> float:
         # Straightened chord parallel to the side: every point ties; keep
         # the projection of the chord midpoint.
         return (((mx + fx) / 2.0 - qx) * ux + ((my + fy) / 2.0 - qy) * uy) / uu
-    if denom - denom != 0.0:
-        # The cross products overflowed: a finite numerator over an infinite
-        # denominator would give a wrong step of 0, so return NaN instead and
-        # let the caller report the overflow.
-        return math.nan
     return ((mx - qx) * wy - (my - qy) * wx) / denom
 
 
@@ -376,8 +354,14 @@ def minimize_reflection_descent(
     f = _raw_objective(t)
     params = list(start.as_tuple())
     current = f(tuple(params))
-    history: list[tuple[int, float]] = [(0, current)]
-    sides = _checked_sides(t)
+    e, ax, ay, bx, by, cx, cy = t.frame
+    history: list[tuple[int, float]] = [(0, math.ldexp(current, -e))]
+    # Sides bc, ca and ab as (q.x, q.y, u.x, u.y, u . u) for the frame
+    # points q + s * u; side k carries parameter k.
+    sides = []
+    for qx, qy, rx, ry in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
+        ux, uy = rx - qx, ry - qy
+        sides.append((qx, qy, ux, uy, ux * ux + uy * uy))
     lo, hi = CLAMP_MARGIN, 1.0 - CLAMP_MARGIN
     ever_clamped = False
     converged = False
@@ -401,10 +385,6 @@ def minimize_reflection_descent(
             fx, fy = qx + s * ux, qy + s * uy
             t_new = _best_on_side(*sides[axis], px, py, fx, fy)
             if not (lo <= t_new <= hi):
-                if not math.isfinite(t_new):
-                    raise DegenerateTriangleError(
-                        "reflection step overflowed the double range; rescale the triangle"
-                    )
                 t_new = min(max(t_new, lo), hi)
                 sweep_clamped = True
                 ever_clamped = True
@@ -444,7 +424,7 @@ def minimize_reflection_descent(
         step = current - new
         current = new
         if step >= tol * current:
-            history.append((sweep, new))
+            history.append((sweep, math.ldexp(new, -e)))
         if stationary and not decided:
             # Sub-tolerance plain sweep without clamping: stationary.
             # Clamped and stuck instead: pinned to the boundary, not a
@@ -454,10 +434,10 @@ def minimize_reflection_descent(
             if not decided:
                 converged, decided = not sweep_clamped, True
             break
-    # current is f(params), the same hypot sum as objective().
+    # current is f(params), the value objective() maps back.
     return MinimizeResult(
         config=InscribedConfig(*params),
-        perimeter=current,
+        perimeter=math.ldexp(current, -e),
         iterations=iterations,
         converged=converged,
         history=tuple(history),
@@ -473,11 +453,13 @@ def min_perimeter_closed_form(t: Triangle) -> float:
 
 
 def orthic_config(t: Triangle) -> InscribedConfig:
-    """Side parameters of the altitude feet (the closed-form optimizer seat)."""
-    fa, fb, fc = orthic_triangle(t).feet
-    a, b, c = t.a, t.b, t.c
+    """Side parameters of the altitude feet (the closed-form optimizer seat),
+    each foot projected back onto its side in the frame."""
+    require_acute(t)
+    _, ax, ay, bx, by, cx, cy = t.frame
+    dx, dy, ex, ey, fx, fy = _feet(t)
     return InscribedConfig(
-        t_on_bc=projection_param(fa.x, fa.y, b.x, b.y, c.x, c.y),
-        t_on_ca=projection_param(fb.x, fb.y, c.x, c.y, a.x, a.y),
-        t_on_ab=projection_param(fc.x, fc.y, a.x, a.y, b.x, b.y),
+        t_on_bc=projection_param(dx, dy, bx, by, cx, cy),
+        t_on_ca=projection_param(ex, ey, cx, cy, ax, ay),
+        t_on_ab=projection_param(fx, fy, ax, ay, bx, by),
     )

@@ -8,6 +8,7 @@ preserved) with the y axis flipped so figures read the usual way up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import Point, Triangle, orthic_triangle
@@ -43,8 +44,12 @@ class _Canvas:
         ys = [p.y for p in points]
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
-        span_x = max(xmax - xmin, 1e-12)
-        span_y = max(ymax - ymin, 1e-12)
+        # The points span an area, so neither span is zero.  Offsets times
+        # 2^-k put the larger span in [0.5, 1): the scale can then neither
+        # overflow nor underflow, and is the same at every power-of-two scale.
+        self.k = math.frexp(max(xmax - xmin, ymax - ymin))[1]
+        span_x = math.ldexp(xmax - xmin, -self.k)
+        span_y = math.ldexp(ymax - ymin, -self.k)
         avail_w = spec.width_px - 2 * spec.margin_px
         avail_h = spec.height_px - 2 * spec.margin_px
         self.scale = min(avail_w / span_x, avail_h / span_y)
@@ -55,8 +60,8 @@ class _Canvas:
         self.elements: list[str] = []
 
     def to_screen(self, p: Point) -> tuple[float, float]:
-        sx = self.ox + (p.x - self.xmin) * self.scale
-        sy = self.height - (self.oy + (p.y - self.ymin) * self.scale)
+        sx = self.ox + math.ldexp(p.x - self.xmin, -self.k) * self.scale
+        sy = self.height - (self.oy + math.ldexp(p.y - self.ymin, -self.k) * self.scale)
         return sx, sy
 
     def line(self, p: Point, q: Point, stroke: str, width: float, dash: str = "") -> None:

@@ -24,13 +24,13 @@ from typing import Iterator
 from .geometry import (
     ANGLE_TOL,
     AngleTriple,
+    Point,
     Triangle,
     _angle,
-    _raw_angles,
+    _feet,
     angles,
     check_tolerance,
     dist,
-    foot_of_altitude,
     incenter,
     orthic_triangle,
     orthocenter,
@@ -115,13 +115,8 @@ def verdict(t: Triangle, tol_angle: float = ANGLE_TOL) -> TheoremVerdict:
     the parent angle at x against pi/4 at ``tol_angle / 2``.  The pairing check
     is the index correspondence between those two hits.
     """
-    require_acute(t, tol_angle)
-    # The orthic angles of orthic_triangle(t, tol_angle) without its second
-    # acuteness test.  The parent angles come first: when the squared sides
-    # overflow, angles(t) raises on a NaN angle before a foot would raise.
-    parent = angles(t)
-    d, e, f = foot_of_altitude(t, 0), foot_of_altitude(t, 1), foot_of_altitude(t, 2)
-    return _verdict_core(parent, AngleTriple(*_raw_angles(d, e, f)), tol_angle)
+    orth = orthic_triangle(t, tol_angle)
+    return _verdict_core(angles(t), orth.angles, tol_angle)
 
 
 @dataclass(frozen=True)
@@ -162,17 +157,13 @@ class ProofStepReport:
 def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
     """Residuals of the proof's identities on the acute triangle ``t``.
 
-    The angles run on bare floats, as ``angle_at`` would compute them from
-    Points: every point is a vertex of the validated ``t`` or an altitude foot
-    whose side passed ``projection_param``'s range check, so no coordinate
-    difference can overflow.
+    Every angle is measured on the frame coordinates of ``t`` and its feet
+    (see ``Triangle.frame``), where no difference or product leaves the
+    double range.
     """
     require_acute(t, tol_angle)
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
-    d = foot_of_altitude(t, 0)
-    e = foot_of_altitude(t, 1)
-    f = foot_of_altitude(t, 2)
-    dx, dy, ex, ey, fx, fy = d.x, d.y, e.x, e.y, f.x, f.y
+    _, ax, ay, bx, by, cx, cy = t.frame
+    dx, dy, ex, ey, fx, fy = _feet(t)
     # Edge vectors p - q out of each apex q: "dex" is the x of e - d.
     dex, dey, dfx, dfy = ex - dx, ey - dy, fx - dx, fy - dy
     dax, day, dbx, dby = ax - dx, ay - dy, bx - dx, by - dy
@@ -215,10 +206,15 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
 
 
 def incenter_orthocenter_check(t: Triangle) -> float:
-    """Distance between incenter(orthic) and orthocenter, over the diameter."""
-    orth = orthic_triangle(t)
-    inner = Triangle(*orth.feet)
-    return dist(incenter(inner), orthocenter(t)) / t.diameter()
+    """Distance between incenter(orthic) and orthocenter, over the diameter.
+
+    Measured on the frame copy of ``t``, so the ratio is the same at every
+    scale, also where the feet of ``t`` would be subnormal.
+    """
+    _, ax, ay, bx, by, cx, cy = t.frame
+    unit = Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+    inner = Triangle(*orthic_triangle(unit).feet)
+    return dist(incenter(inner), orthocenter(unit)) / unit.diameter()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -101,11 +102,11 @@ def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
 
 
 def test_overflowing_side_of_finite_input_exits_2(capsys):
-    # Every coordinate is finite, but b - c is not: the side is named.
+    # Every coordinate is finite, but b - c is not, and neither is the
+    # perimeter: the perimeter is named.
     code, out, err = run(capsys, "orthic", "0,0,1e308,0,-1e308,1")
     assert (code, out) == (2, "")
-    assert "side (1e+308, 0.0)-(-1e+308, 1.0) has length inf" in err
-    assert "outside the double range" in err
+    assert "perimeter 2.2250738585072014 * 2**1024 is outside the double range" in err
 
 
 def test_orthic_parse_failures(capsys):
@@ -338,65 +339,142 @@ def test_render_negative_first_coordinate(capsys, tmp_path):
 
 # ----------------------------------------------------------- extreme scales
 
-# Every side's squared length underflows to 0 at 1e-170 and overflows to inf
-# at 1e200; the projection behind the altitude feet and the reflection step
-# must report that as a precondition failure, not crash or blame NaNs.  Near
-# 1e154 one overflowing side already turns the angles NaN, so the triangle
-# classifies as non-acute; that verdict must name the side, not an angle.
-EXTREME_SCALES = {
+EXTREME_COMMANDS = (["orthic"], ["minimize", "--method", "reflection"], ["minimize"])
+EXTREME_IDS = ("orthic", "reflection", "grid-simplex")
+
+
+def run_process(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "fagnano", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+# Acute triangles whose squared sides underflow to 0 (1e-170) or overflow to
+# inf (1e200) at their own scale.  Triangle's power-of-two frame computes
+# them as it does their copies near scale 1.
+EXTREME_ACUTE = {
     "tiny": "0,0,4e-170,0,1e-170,2e-170",
     "huge": "0,0,4e200,0,1e200,2e200",
+}
+
+
+@pytest.mark.parametrize("scale", sorted(EXTREME_ACUTE))
+@pytest.mark.parametrize("command", EXTREME_COMMANDS, ids=EXTREME_IDS)
+def test_extreme_scale_exits_0_without_traceback(command, scale):
+    proc = run_process(command[0], EXTREME_ACUTE[scale], *command[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert 0.0 < doc["perimeter"] < math.inf
+
+
+# Extreme-scale inputs that fail a precondition: an obtuse tiny triangle, a
+# perimeter that overflows, and an obtuse triangle near 1e154 whose squared
+# sides overflow.  Each exits 2 naming the cause, without a traceback.
+EXTREME_INVALID = {
+    "tiny": ("0,0,4e-170,0,5e-170,2e-170", "triangle is obtuse, not acute"),
+    "huge": ("1e308,0,-1e308,0,0,1e308", "perimeter"),
     "nan-angles": (
         "8.583045863408102e+153,-5.540433187773721e+153,"
         "1.0887243497345633e+154,-8.18356394540435e+153,"
-        "-2.9908082907804727e+153,1.002477878833545e+154"
+        "-2.9908082907804727e+153,1.002477878833545e+154",
+        "triangle is obtuse, not acute",
     ),
 }
 
 
-@pytest.mark.parametrize("scale", sorted(EXTREME_SCALES))
-@pytest.mark.parametrize(
-    "command",
-    (["orthic"], ["minimize", "--method", "reflection"], ["minimize"]),
-    ids=("orthic", "reflection", "grid-simplex"),
-)
+@pytest.mark.parametrize("scale", sorted(EXTREME_INVALID))
+@pytest.mark.parametrize("command", EXTREME_COMMANDS, ids=EXTREME_IDS)
 def test_extreme_scale_exits_2_without_traceback(command, scale):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = [sys.executable, "-m", "fagnano", command[0], EXTREME_SCALES[scale]]
-    proc = subprocess.run(
-        argv + command[1:], capture_output=True, text=True, env=env, timeout=60
-    )
+    text, cause = EXTREME_INVALID[scale]
+    proc = run_process(command[0], text, *command[1:])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    assert "squared length" in proc.stderr
-    assert "outside the normal double range" in proc.stderr
+    assert proc.stderr.startswith("fagnano: precondition: ")
+    assert cause in proc.stderr
     assert proc.stdout == ""
 
 
-def test_reflection_step_overflow_exits_2(capsys):
-    # Sides near 1.3e154 keep squared lengths finite, but this start drives
-    # the reflection step's cross products past the double range.
-    code, out, err = run(
-        capsys, "minimize", "0,0,1.3e154,0,6.5e153,1.1e154",
-        "--method", "reflection", "--start", "0.05,0.9,0.1",
-    )
-    assert code == 2
-    assert out == ""
-    assert "reflection step overflowed the double range" in err
+# Near 1.3e154 the reflection step's cross products, or only its
+# denominator, overflow at the triangle's own scale from this start.  In the
+# frame the descent is the one of the exact copy at scale 2^-512.
+@pytest.mark.parametrize(
+    "coords",
+    ("0,0,1.3e154,0,6.5e153,1.1e154", "0,0,1.1e154,0,5.5e153,9.5e153"),
+    ids=("cross-products", "denominator"),
+)
+def test_reflection_step_near_1e154_matches_scaled_copy(capsys, coords):
+    unit = ",".join(repr(math.ldexp(float(x), -512)) for x in coords.split(","))
+    docs = []
+    for text in (coords, unit):
+        code, out, _ = run(
+            capsys, "minimize", text, "--method", "reflection", "--start", "0.05,0.9,0.1"
+        )
+        assert code == 0
+        docs.append(json.loads(out))
+    big, small = docs
+    assert big["config"] == small["config"]
+    assert big["iterations"] == small["iterations"]
+    assert big["perimeter"] == math.ldexp(small["perimeter"], 512)
+    assert big["history"] == [[i, math.ldexp(p, 512)] for i, p in small["history"]]
 
 
-def test_reflection_step_infinite_denominator_exits_2(capsys):
-    # Here only the step's denominator overflows, so the quotient is a finite
-    # 0 rather than NaN; it must be reported, not clamped into a wrong answer.
-    code, out, err = run(
-        capsys, "minimize", "0,0,1.1e154,0,5.5e153,9.5e153",
-        "--method", "reflection", "--start", "0.05,0.9,0.1",
-    )
-    assert code == 2
-    assert out == ""
-    assert "reflection step overflowed the double range" in err
+# -------------------------------------------------------------------- fuzzing
+
+
+def fuzz_argvs(n, seed):
+    """Seeded orthic, minimize (both methods) and render requests on
+    coordinates with decimal exponents from -320 to 308 and mixed signs.
+    Each coordinate keeps its triangle's exponent with probability 0.8, so
+    some triangles are acute; those that mix exponents are mostly needles."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        k = rng.randint(-320, 308)
+        coords = []
+        for _ in range(6):
+            exponent = k if rng.random() < 0.8 else rng.randint(-320, 308)
+            coords.append(f"{rng.choice(('', '-'))}{rng.uniform(1.0, 10.0):.6f}e{exponent}")
+        text = ",".join(coords)
+        yield ["orthic", text]
+        yield ["minimize", text]
+        yield ["minimize", text, "--method", "reflection"]
+        yield ["render", text, "--json"]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite {name} in the output")
+
+
+def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path):
+    svg = str(tmp_path / "fuzz.svg")
+    codes = {}
+    for argv in fuzz_argvs(300, 20261018):
+        if argv[0] == "render":
+            argv = argv + ["--output", svg]
+        code, out, err = run(capsys, *argv)
+        assert code in range(6), argv
+        if code == 0:
+            json.loads(out, parse_constant=reject_constant)
+        else:
+            assert out == "" and err.startswith("fagnano: "), argv
+        codes[code] = codes.get(code, 0) + 1
+    # The seed reaches both success and precondition failures.
+    assert {0, 2} <= codes.keys(), codes
+
+
+def test_cli_fuzz_processes_print_no_traceback(tmp_path):
+    svg = str(tmp_path / "fuzz.svg")
+    for argv in fuzz_argvs(2, 1606):
+        if argv[0] == "render":
+            argv = argv + ["--output", svg]
+        proc = run_process(*argv)
+        assert proc.returncode in range(6), argv
+        assert "Traceback" not in proc.stderr, argv
+        assert "RuntimeWarning" not in proc.stderr, argv
 
 
 # ---------------------------------------------------------------- numpy import

@@ -73,8 +73,8 @@ def test_triangle_rejects_collinear():
         Triangle(Point(0, 0), Point(1, 0), Point(2, 0))
     with pytest.raises(DegenerateTriangleError):
         Triangle(Point(0, 0), Point(1, 0), Point(2, 1e-13))
-    # Tiny sides: the limit DEGENERACY_TOL * size^2 underflows to 0 and the
-    # test is redone in a power-of-two frame, as for overflowing areas.
+    # Tiny sides: DEGENERACY_TOL * size^2 would underflow to 0 at this
+    # scale; the area test runs in the power-of-two frame, where it cannot.
     with pytest.raises(DegenerateTriangleError, match="collinear"):
         Triangle(Point(0, 0), Point(1e-160, 0), Point(2e-160, 0))
     with pytest.raises(DegenerateTriangleError, match="collinear"):
@@ -90,8 +90,9 @@ def test_triangle_rejects_coincident_vertices():
 
 
 def test_triangle_rejects_collinear_whose_area_overflows():
-    # Both cross-product terms overflow and their difference is NaN; the
-    # area test is redone in a power-of-two frame where it cannot overflow.
+    # Both cross-product terms would overflow at this scale and their
+    # difference would be NaN; the area test runs in the power-of-two frame,
+    # where it cannot overflow.
     with pytest.raises(DegenerateTriangleError, match="collinear"):
         Triangle(Point(0, 0), Point(1e200, 1e200), Point(2e200, 2e200))
     # A triangle at the same scale that is not collinear still constructs.
@@ -99,10 +100,15 @@ def test_triangle_rejects_collinear_whose_area_overflows():
 
 
 def test_triangle_names_an_overflowing_side():
-    # Finite coordinates whose difference overflows: named as a side, not
-    # raised as a non-finite Point.
-    with pytest.raises(DegenerateTriangleError, match=r"side .* has length inf"):
+    # Finite coordinates whose difference overflows: the side, and so the
+    # perimeter, leaves the double range.  The perimeter is named, not a
+    # non-finite Point.
+    with pytest.raises(DegenerateTriangleError, match=r"perimeter .* outside the double range"):
         Triangle(Point(0, 0), Point(1e308, 0), Point(-1e308, 1))
+    # Every side is finite here, but their sum is not.
+    with pytest.raises(DegenerateTriangleError, match=r"perimeter .* outside the double range"):
+        Triangle(Point(0, 0), Point(1e308, 0), Point(0, 1e308))
+    Triangle(Point(0, 0), Point(5e307, 0), Point(0, 5e307))
 
 
 def test_triangle_normalizes_orientation():
@@ -259,35 +265,45 @@ def test_projection_param_on_axis_line():
     assert projection_param(-3.0, 1.0, 1.0, 0.0, 2.0, 0.0) == -4.0  # beyond q
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e200])
-def test_projection_param_rejects_sides_outside_double_range(scale):
-    with pytest.raises(DegenerateTriangleError, match="squared length"):
-        projection_param(0.0, 0.0, 4.0 * scale, 0.0, scale, 2.0 * scale)
+def test_points_of_an_obtuse_triangle_past_the_double_range():
+    # The perimeter is finite, but the foot from a lands on the extension of
+    # bc, and the orthocenter outside the triangle, past 1.8e308: each is
+    # reported as a non-finite point, not as an OverflowError.
+    t = Triangle(Point(1.7e308, 3.5e307), Point(1.6e308, 0.0), Point(1.61e308, 1e306))
+    with pytest.raises(NonFiniteError, match=r"\* 2\*\*1024 overflows"):
+        foot_of_altitude(t, 0)
+    with pytest.raises(NonFiniteError, match=r"\* 2\*\*1024 overflows"):
+        orthocenter(t)
+    assert foot_of_altitude(t, 1).x < 1.7e308
 
 
-def test_require_acute_names_an_overflowing_side_not_an_angle():
-    # From about 1.3e154 up a side's squared length overflows and the angles
-    # come out NaN; a non-acute verdict must then name the side (exit 2 in
-    # the CLI), never fail with a GeometryError about angles.
+def test_require_acute_classifies_huge_triangles_as_their_scaled_copies():
+    # From about 1.3e154 up a side's squared length overflows at the
+    # triangle's own scale.  On the power-of-two frame each triangle
+    # classifies as its exact copy at scale 2^-512 does, and a non-acute one
+    # names its largest angle.
     rng = random.Random(20160622)
-    named = 0
+    kinds = set()
     for _ in range(200):
         xs = [rng.uniform(-1.6e154, 1.6e154) for _ in range(6)]
         t = Triangle(Point(xs[0], xs[1]), Point(xs[2], xs[3]), Point(xs[4], xs[5]))
+        unit = Triangle(*(Point(math.ldexp(p.x, -512), math.ldexp(p.y, -512)) for p in t.vertices))
+        assert classify(t) == classify(unit)
+        assert angles(t) == angles(unit)
         try:
             require_acute(t)
-        except NotAcuteError:
-            pass
-        except DegenerateTriangleError as exc:
-            assert "squared length" in str(exc)
-            named += 1
-    assert named > 0
-    # Here only the angle at c is NaN; max would skip it and return the
-    # angle at a, pi/4, and call the triangle acute.
+            kinds.add("acute")
+        except NotAcuteError as exc:
+            assert "largest angle" in str(exc)
+            kinds.add("not acute")
+    assert kinds == {"acute", "not acute"}
+    # Squared sides overflow here at scale 1, where max() would skip a NaN
+    # angle at c; on the frame it is acute, with the margin of its copy at
+    # scale 2^-997.
     t = Triangle(Point(0, 0), Point(1e300, 0), Point(5e299, 1e300))
-    assert classify(t).kind is not TriangleKind.ACUTE
-    with pytest.raises(DegenerateTriangleError, match=r"side \(1e\+300, 0.0\)-.* squared length inf"):
-        require_acute(t)
+    unit = Triangle(*(Point(math.ldexp(p.x, -997), math.ldexp(p.y, -997)) for p in t.vertices))
+    assert require_acute(t) == require_acute(unit)
+    assert classify(t).kind is TriangleKind.ACUTE
 
 
 # ------------------------------------------------------------ orthic triangle

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fagnano import cli
 from fagnano.geometry import TriangleKind, angles, classify, dist
 from fagnano.golden import build, law_of_cosines, report_document, reproduce_paper_values
 from fagnano.optimize import minimize_grid_then_simplex
@@ -17,6 +18,11 @@ def test_phi_value(fig):
     assert fig.phi == (1.0 + math.sqrt(5.0)) / 2.0
     assert fig.phi == 1.6180339887498949  # same double, written to 17 digits
     assert abs(fig.phi**2 - (fig.phi + 1.0)) <= 1e-15
+
+
+def test_cli_preset_is_the_figure_triangle(fig):
+    # The golden-bfc preset reads its coordinates from the golden module.
+    assert cli.parse_triangle("golden-bfc") == fig.triangle_bfc
 
 
 def test_rectangle_and_square_measures(fig):

@@ -153,6 +153,17 @@ def test_result_perimeter_equals_objective(golden_bfc):
         )
 
 
+def test_objective_is_the_reported_perimeter_bit_for_bit():
+    # objective() and both searches evaluate one perimeter formula, so the
+    # perimeter a search reports is objective() of its config, to the bit.
+    rng = random.Random(1608)
+    for _ in range(20):
+        t = random_acute_triangle(rng)
+        start = InscribedConfig(*(rng.uniform(0.05, 0.95) for _ in range(3)))
+        for result in (minimize_grid_then_simplex(t), minimize_reflection_descent(t, start)):
+            assert objective(t, result.config).hex() == result.perimeter.hex()
+
+
 # ---------------------------------------------------------- reflection descent
 
 

@@ -76,3 +76,23 @@ def test_y_axis_is_flipped(equilateral):
     apex_screen_y = min(ys)
     base_screen_y = max(ys)
     assert apex_screen_y < base_screen_y
+
+
+@pytest.mark.parametrize("k", (-1000, -44, 30, 1000))
+def test_power_of_two_scale_gives_the_same_svg(equilateral, k):
+    # The canvas fits the figure to the viewport, so a triangle scaled by
+    # 2^k, which is exact, draws the same picture byte for byte.
+    scalene = Triangle(Point(-1.0, 0.3), Point(2.5, -0.7), Point(0.4, 3.0))
+    for t in (equilateral, scalene):
+        scaled = Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in t.vertices))
+        assert render_triangle(scaled, RenderSpec()) == render_triangle(t, RenderSpec())
+
+
+def test_subnormal_triangle_renders_finite_coordinates(equilateral):
+    # Spans near 1e-319 would make the viewport scale overflow to inf and
+    # every coordinate NaN; the canvas measures offsets in units of a power
+    # of two near the span.  The feet lose bits here, so only finiteness is
+    # required.
+    tiny = Triangle(*(Point(math.ldexp(p.x, -1060), math.ldexp(p.y, -1060)) for p in equilateral.vertices))
+    numbers = re.findall(r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', render_triangle(tiny, RenderSpec()))
+    assert numbers and all(math.isfinite(float(v)) for v in numbers)
