@@ -1,9 +1,9 @@
 """Command-line front end: constructions, minimizations, scans, figures.
 
 Exit codes are exhaustive and disjoint:
-  0 success, 1 parse/config failure, 2 precondition violation (non-acute or
-  degenerate input), 3 non-convergence, 4 counterexample or residual breach,
-  5 I/O failure.
+  0 success, 1 parse/config failure, 2 precondition violation (non-acute,
+  degenerate or out-of-range input), 3 non-convergence, 4 counterexample or
+  residual breach, 5 I/O failure.
 
 A triangle whose first coordinate is negative may be given as is
 (``fagnano orthic -1,0,1,0,0,1.5``) or after ``--``.
@@ -128,7 +128,7 @@ def parse_triangle(text: str) -> Triangle:
             Point(coords[4], coords[5]),
         )
     except DegenerateTriangleError as exc:
-        raise DegenerateTriangleError(f"degenerate triangle {text!r}: {exc}") from exc
+        raise DegenerateTriangleError(f"triangle {text!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> InscribedConfig:
@@ -203,13 +203,17 @@ def _minimize_doc(method: str, t: Triangle, result: MinimizeResult) -> dict:
 
 
 def _cmd_minimize(args) -> int:
+    if args.method == "grid-simplex" and args.start is not None:
+        raise ParseFailure("--start applies only to --method reflection")
     t = parse_triangle(args.triangle)
     if args.method == "grid-simplex":
         tol = args.tol if args.tol is not None else DEFAULT_SIMPLEX_TOL
         result = minimize_grid_then_simplex(t, max_iter=args.max_iter, tol=tol)
     else:
         tol = args.tol if args.tol is not None else DEFAULT_DESCENT_TOL
-        start = parse_config(args.start)
+        start = (
+            InscribedConfig(0.5, 0.5, 0.5) if args.start is None else parse_config(args.start)
+        )
         result = minimize_reflection_descent(
             t, start, max_iter=args.max_iter, tol=tol
         )
@@ -269,12 +273,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fagnano", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # --output and --json of the JSON-emitting commands; render has its own.
+    # --output of the JSON-emitting commands; render has its own.
     json_out = argparse.ArgumentParser(add_help=False)
     json_out.add_argument("--output", help="write JSON here instead of stdout")
-    json_out.add_argument(
-        "--json", action="store_true", help="(JSON is already the output format)"
-    )
 
     p = sub.add_parser(
         "orthic", parents=[json_out], help="altitude feet, orthic angles and perimeter"
@@ -292,7 +293,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--max-iter", type=_iterations, default=DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=_tolerance, default=None, help="per-method default when omitted")
-    p.add_argument("--start", default="0.5,0.5,0.5", help="reflection start parameters")
+    p.add_argument("--start", help="reflection start parameters (default 0.5,0.5,0.5)")
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser(

@@ -218,18 +218,12 @@ class Triangle:
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.a, self.b, self.c)
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i]
-
     def side_lengths(self) -> tuple[float, float, float]:
         """Lengths (|bc|, |ca|, |ab|), i.e. the side opposite each vertex."""
         return (dist(self.b, self.c), dist(self.c, self.a), dist(self.a, self.b))
 
     def signed_area(self) -> float:
         return (self.b - self.a).cross(self.c - self.a) / 2.0
-
-    def area(self) -> float:
-        return abs(self.signed_area())
 
     def diameter(self) -> float:
         return max(self.side_lengths())
@@ -383,9 +377,6 @@ class OrthicResult:
     @property
     def feet(self) -> tuple[Point, Point, Point]:
         return (self.foot_from_a, self.foot_from_b, self.foot_from_c)
-
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i]
 
     def side_lengths(self) -> tuple[float, float, float]:
         """Lengths of the orthic sides opposite each foot."""

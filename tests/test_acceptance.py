@@ -87,7 +87,8 @@ def test_criterion_4_optimizer_oracle_equivalence(capsys):
     start = time.perf_counter()
     worst_rel = 0.0
     worst_feet = 0.0
-    descents = 0
+    sweeps = []
+    nonconverged = clamped = 0
     for _ in range(1000):
         t = random_acute_triangle(rng)
         closed = min_perimeter_closed_form(t)
@@ -95,6 +96,8 @@ def test_criterion_4_optimizer_oracle_equivalence(capsys):
         scale = t.diameter()
 
         result = minimize_grid_then_simplex(t)
+        nonconverged += not result.converged
+        clamped += result.clamped
         assert result.converged
         worst_rel = max(worst_rel, abs(result.perimeter - closed) / closed)
         located = result.config.points(t)
@@ -108,7 +111,9 @@ def test_criterion_4_optimizer_oracle_equivalence(capsys):
                 rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
             )
             descent = minimize_reflection_descent(t, seed)
-            descents += 1
+            sweeps.append(descent.iterations)
+            nonconverged += not descent.converged
+            clamped += descent.clamped
             assert descent.converged
             values = [p for _, p in descent.history]
             assert all(b < a for a, b in zip(values, values[1:]))
@@ -125,9 +130,12 @@ def test_criterion_4_optimizer_oracle_equivalence(capsys):
             4,
             "optimizer agrees with closed form",
             ok,
-            f"1000 triangles + {descents} descents: worst relative perimeter "
+            f"1000 triangles + {len(sweeps)} descents: worst relative perimeter "
             f"{worst_rel:.3e} (limit 1e-6), worst foot distance {worst_feet:.3e}"
-            f" of diameter (limit 1e-4), runtime {elapsed:.1f}s (limit 60s)",
+            f" of diameter (limit 1e-4), descent sweeps mean "
+            f"{sum(sweeps) / len(sweeps):.1f} max {max(sweeps)}, runs not "
+            f"converged {nonconverged}, runs clamped {clamped}, "
+            f"runtime {elapsed:.1f}s (limit 60s)",
         )
 
 

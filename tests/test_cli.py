@@ -48,7 +48,7 @@ def test_orthic_right_triangle_exits_2(capsys):
 def test_orthic_degenerate_exits_2(capsys):
     code, _, err = run(capsys, "orthic", "0,0,1,0,2,0")
     assert code == 2
-    assert "degenerate" in err
+    assert "collinear" in err
 
 
 @pytest.mark.parametrize(
@@ -70,8 +70,7 @@ def test_degenerate_input_message(capsys, text):
     code, out, err = run(capsys, "orthic", text)
     assert (code, out) == (2, "")
     assert err == (
-        f"fagnano: precondition: degenerate triangle {text!r}: "
-        "vertices are (near-)collinear\n"
+        f"fagnano: precondition: triangle {text!r}: vertices are (near-)collinear\n"
     )
 
 
@@ -107,6 +106,7 @@ def test_overflowing_side_of_finite_input_exits_2(capsys):
     code, out, err = run(capsys, "orthic", "0,0,1e308,0,-1e308,1")
     assert (code, out) == (2, "")
     assert "perimeter 2.2250738585072014 * 2**1024 is outside the double range" in err
+    assert "degenerate" not in err
 
 
 def test_orthic_parse_failures(capsys):
@@ -184,6 +184,13 @@ def test_minimize_bad_start_exit_1(capsys):
         capsys, "minimize", "equilateral", "--method", "reflection", "--start", "0,0.5,0.5"
     )
     assert code == 1
+
+
+def test_reflection_default_start_is_the_medial_configuration(capsys):
+    argv = ("minimize", "golden-bfc", "--method", "reflection")
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert default == run(capsys, *argv, "--start", "0.5,0.5,0.5")
 
 
 # ----------------------------------------------------------------------- scan
@@ -270,7 +277,9 @@ def test_render_triangle(capsys, tmp_path):
     code, out, _ = run(capsys, "render", "equilateral", "--output", str(path), "--json")
     assert code == 0
     summary = json.loads(out)
-    assert summary["line_elements"] == 9
+    assert summary == {
+        "output": str(path), "line_elements": 9, "polygon_elements": 0, "text_elements": 6
+    }
     text = path.read_text()
     assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
 
@@ -556,15 +565,25 @@ def test_file_determinism(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     (
-        ["orthic", "golden-bfc"],
-        ["minimize", "equilateral"],
-        ["scan", "--resolution", "8"],
-        ["golden"],
+        ["orthic", "golden-bfc", "--json"],
+        ["minimize", "equilateral", "--json"],
+        ["scan", "--resolution", "8", "--json"],
+        ["golden", "--json"],
+        ["minimize", "golden-bfc", "--start", "0.1,0.1,0.1"],
+        ["minimize", "golden-bfc", "--start", "garbage"],
     ),
-    ids=lambda argv: argv[0],
+    ids=(
+        "orthic-json", "minimize-json", "scan-json", "golden-json", "grid-simplex-start",
+        "grid-simplex-start-garbage",
+    ),
 )
-def test_json_flag_changes_nothing(capsys, argv):
-    assert run(capsys, *argv, "--json") == run(capsys, *argv)
+def test_option_that_would_do_nothing_exits_1(capsys, argv):
+    # JSON is already the output of these commands, and the grid-simplex
+    # search has no start: the option is rejected, not ignored.
+    option = next(arg for arg in argv if arg in ("--json", "--start"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("fagnano: error: ") and option in err
 
 
 # ------------------------------------------------------------- parser reuse
