@@ -222,12 +222,9 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    try:
-        report = scan_angle_space(
-            args.resolution, tol_angle=args.tol_angle, boundary_band=args.boundary_band
-        )
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    report = scan_angle_space(
+        args.resolution, tol_angle=args.tol_angle, boundary_band=args.boundary_band
+    )
     _deliver(jsonio.dumps(report.to_document()), args.output)
     return EXIT_OK if not report.counterexamples else EXIT_COUNTEREXAMPLE
 

@@ -79,11 +79,6 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def lerp(p: Point, q: Point, t: float) -> Point:
-    """Affine point p + t*(q - p)."""
-    return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
-
-
 def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
     """Unsigned angle between the vectors (ux, uy) and (vx, vy), in [0, pi]."""
     return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
@@ -222,9 +217,6 @@ class Triangle:
         """Lengths (|bc|, |ca|, |ab|), i.e. the side opposite each vertex."""
         return (dist(self.b, self.c), dist(self.c, self.a), dist(self.a, self.b))
 
-    def signed_area(self) -> float:
-        return (self.b - self.a).cross(self.c - self.a) / 2.0
-
     def diameter(self) -> float:
         return max(self.side_lengths())
 
@@ -315,21 +307,17 @@ def projection_param(
     return ((px - qx) * dx + (py - qy) * dy) / (dx * dx + dy * dy)
 
 
-def _foot(
-    px: float, py: float, qx: float, qy: float, rx: float, ry: float
-) -> tuple[float, float]:
-    """Orthogonal projection of p onto the line through q and r."""
-    s = projection_param(px, py, qx, qy, rx, ry)
-    return qx + s * (rx - qx), qy + s * (ry - qy)
-
-
 def _feet(t: Triangle) -> tuple[float, float, float, float, float, float]:
-    """Frame coordinates of the altitude feet from a, b and c."""
+    """Frame coordinates of the altitude feet from a, b and c: each vertex
+    projected orthogonally onto the line through the other two."""
     _, ax, ay, bx, by, cx, cy = t.frame
+    sa = projection_param(ax, ay, bx, by, cx, cy)
+    sb = projection_param(bx, by, cx, cy, ax, ay)
+    sc = projection_param(cx, cy, ax, ay, bx, by)
     return (
-        *_foot(ax, ay, bx, by, cx, cy),
-        *_foot(bx, by, cx, cy, ax, ay),
-        *_foot(cx, cy, ax, ay, bx, by),
+        bx + sa * (cx - bx), by + sa * (cy - by),
+        cx + sb * (ax - cx), cy + sb * (ay - cy),
+        ax + sc * (bx - ax), ay + sc * (by - ay),
     )
 
 
@@ -355,10 +343,7 @@ def foot_of_altitude(t: Triangle, vertex: int) -> Point:
     """Orthogonal projection of the chosen vertex onto the opposite side line."""
     if vertex not in (0, 1, 2):
         raise GeometryError(f"vertex index must be 0, 1 or 2, got {vertex}")
-    # The frame vertices twice over: the six from 2 * vertex on are the
-    # chosen vertex and the two after it.
-    v = t.frame[1:] * 2
-    return _unframed(t.frame[0], *_foot(*v[2 * vertex : 2 * vertex + 6]))
+    return _unframed(t.frame[0], *_feet(t)[2 * vertex : 2 * vertex + 2])
 
 
 @dataclass(frozen=True)
@@ -402,9 +387,8 @@ def orthic_triangle(t: Triangle, tol: float = ANGLE_TOL) -> OrthicResult:
     )
 
 
-def orthocenter(t: Triangle) -> Point:
+def _orthocenter(ax, ay, bx, by, cx, cy) -> tuple[float, float]:
     """Common point of the three altitudes (intersection of two of them)."""
-    e, ax, ay, bx, by, cx, cy = t.frame
     # Altitude from a: through a, perpendicular to bc; similarly from b.
     d1x, d1y = -(cy - by), cx - bx
     d2x, d2y = -(ay - cy), ax - cx
@@ -412,15 +396,24 @@ def orthocenter(t: Triangle) -> Point:
     if det == 0.0:
         raise DegenerateTriangleError("altitudes are parallel")
     s = ((bx - ax) * d2y - (by - ay) * d2x) / det
-    return _unframed(e, ax + d1x * s, ay + d1y * s)
+    return ax + d1x * s, ay + d1y * s
+
+
+def orthocenter(t: Triangle) -> Point:
+    """Common point of the three altitudes of t."""
+    return _unframed(t.frame[0], *_orthocenter(*t.frame[1:]))
+
+
+def _incenter(ax, ay, bx, by, cx, cy) -> tuple[float, float]:
+    """Side-length-weighted vertex average; equidistant from the three sides."""
+    la, lb, lc = math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
+    w = la + lb + lc
+    return (la * ax + lb * bx + lc * cx) / w, (la * ay + lb * by + lc * cy) / w
 
 
 def incenter(t: Triangle) -> Point:
-    """Side-length-weighted vertex average; equidistant from the three sides."""
-    e, ax, ay, bx, by, cx, cy = t.frame
-    la, lb, lc = math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
-    w = la + lb + lc
-    return _unframed(e, (la * ax + lb * bx + lc * cx) / w, (la * ay + lb * by + lc * cy) / w)
+    """Center of the inscribed circle of t."""
+    return _unframed(t.frame[0], *_incenter(*t.frame[1:]))
 
 
 def perimeter(p: Point, q: Point, r: Point) -> float:

@@ -34,8 +34,7 @@ from .geometry import (
     GeometryError,
     Point,
     Triangle,
-    _feet,
-    lerp,
+    _unframed,
     orthic_triangle,
     projection_param,
     require_acute,
@@ -85,11 +84,13 @@ class InscribedConfig:
         return (self.t_on_bc, self.t_on_ca, self.t_on_ab)
 
     def points(self, t: Triangle) -> tuple[Point, Point, Point]:
-        """The selected points (on bc, on ca, on ab)."""
+        """The selected points (on bc, on ca, on ab), computed in the frame."""
+        e, ax, ay, bx, by, cx, cy = t.frame
+        s1, s2, s3 = self.as_tuple()
         return (
-            lerp(t.b, t.c, self.t_on_bc),
-            lerp(t.c, t.a, self.t_on_ca),
-            lerp(t.a, t.b, self.t_on_ab),
+            _unframed(e, bx + s1 * (cx - bx), by + s1 * (cy - by)),
+            _unframed(e, cx + s2 * (ax - cx), cy + s2 * (ay - cy)),
+            _unframed(e, ax + s3 * (bx - ax), ay + s3 * (by - ay)),
         )
 
 
@@ -453,13 +454,12 @@ def min_perimeter_closed_form(t: Triangle) -> float:
 
 
 def orthic_config(t: Triangle) -> InscribedConfig:
-    """Side parameters of the altitude feet (the closed-form optimizer seat),
-    each foot projected back onto its side in the frame."""
+    """Side parameters of the altitude feet (the closed-form optimizer seat):
+    each vertex's projection parameter on the opposite side, in the frame."""
     require_acute(t)
     _, ax, ay, bx, by, cx, cy = t.frame
-    dx, dy, ex, ey, fx, fy = _feet(t)
     return InscribedConfig(
-        t_on_bc=projection_param(dx, dy, bx, by, cx, cy),
-        t_on_ca=projection_param(ex, ey, cx, cy, ax, ay),
-        t_on_ab=projection_param(fx, fy, ax, ay, bx, by),
+        t_on_bc=projection_param(ax, ay, bx, by, cx, cy),
+        t_on_ca=projection_param(bx, by, cx, cy, ax, ay),
+        t_on_ab=projection_param(cx, cy, ax, ay, bx, by),
     )

@@ -18,22 +18,21 @@ floating-point iff cannot be decided on its knife edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .geometry import (
     ANGLE_TOL,
     AngleTriple,
-    Point,
     Triangle,
     _angle,
     _feet,
+    _incenter,
+    _orthocenter,
+    _vertex_angles,
     angles,
     check_tolerance,
-    dist,
-    incenter,
     orthic_triangle,
-    orthocenter,
     require_acute,
 )
 
@@ -60,15 +59,7 @@ class TheoremVerdict:
     biconditional_holds: bool
 
     def to_document(self) -> dict:
-        return {
-            "orthic_is_right": self.orthic_is_right,
-            "right_vertex": self.right_vertex,
-            "has_quarter_pi": self.has_quarter_pi,
-            "quarter_pi_vertex": self.quarter_pi_vertex,
-            "quarter_pi_unique": self.quarter_pi_unique,
-            "pairing_holds": self.pairing_holds,
-            "biconditional_holds": self.biconditional_holds,
-        }
+        return asdict(self)
 
 
 def _verdict_core(
@@ -171,9 +162,7 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
     fdx, fdy, fex, fey = dx - fx, dy - fy, ex - fx, ey - fy
     fcx, fcy, fbx, fby = cx - fx, cy - fy, bx - fx, by - fy
 
-    angle_d = _angle(dex, dey, dfx, dfy)
-    angle_e = _angle(edx, edy, efx, efy)
-    angle_f = _angle(fdx, fdy, fex, fey)
+    angle_d, angle_e, angle_f = _vertex_angles(dx, dy, ex, ey, fx, fy)
     angle_sum_residual = abs(angle_d + angle_e + angle_f - math.pi)
 
     dfc = _angle(fdx, fdy, fcx, fcy)
@@ -208,13 +197,17 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
 def incenter_orthocenter_check(t: Triangle) -> float:
     """Distance between incenter(orthic) and orthocenter, over the diameter.
 
-    Measured on the frame copy of ``t``, so the ratio is the same at every
-    scale, also where the feet of ``t`` would be subnormal.
+    Measured on the frame of ``t``, so the ratio is the same at every scale,
+    also where the feet of ``t`` would be subnormal.
     """
+    require_acute(t)
     _, ax, ay, bx, by, cx, cy = t.frame
-    unit = Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
-    inner = Triangle(*orthic_triangle(unit).feet)
-    return dist(incenter(inner), orthocenter(unit)) / unit.diameter()
+    ix, iy = _incenter(*_feet(t))
+    hx, hy = _orthocenter(ax, ay, bx, by, cx, cy)
+    diameter = max(
+        math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
+    )
+    return math.hypot(ix - hx, iy - hy) / diameter
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,8 @@ def scan_angle_space(
     and requires the biconditional and, where applicable, the pairing on the
     rest.  Phase two walks the beta = pi/4 locus with no exclusion band, where
     a right orthic angle paired with vertex b is mandatory.  Both phases count
-    toward ``samples_tested``.
+    toward ``samples_tested``.  ``tol_angle`` sets only the verdict tests:
+    every node is acute by construction and is classified at ``ANGLE_TOL``.
     """
     if grid_resolution < 8:
         raise ValueError(f"grid_resolution must be >= 8, got {grid_resolution}")
@@ -292,7 +286,7 @@ def scan_angle_space(
     for alpha, beta in acute_grid_nodes(grid_resolution):
         tri = Triangle.from_angles(alpha, beta)
         parent = angles(tri)
-        orth = orthic_triangle(tri, tol_angle)
+        orth = orthic_triangle(tri)
         near_quarter = min(abs(x - QUARTER_PI) for x in parent.as_tuple())
         near_right = min(abs(x - HALF_PI) for x in orth.angles.as_tuple())
         if near_quarter < boundary_band or near_right < boundary_band:
@@ -306,7 +300,7 @@ def scan_angle_space(
     for alpha, beta in quarter_pi_locus_nodes(grid_resolution):
         tri = Triangle.from_angles(alpha, beta)
         parent = angles(tri)
-        orth = orthic_triangle(tri, tol_angle)
+        orth = orthic_triangle(tri)
         tested += 1
         v = _verdict_core(parent, orth.angles, tol_angle)
         # Forward direction: a pi/4 parent must produce a right orthic angle

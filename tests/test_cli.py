@@ -224,6 +224,23 @@ def test_scan_invalid_resolution_exit_1(capsys):
     assert run(capsys, "scan", "--resolution", "4")[0] == 1
 
 
+def test_scan_loose_tolerance_gives_a_verdict_not_a_bad_triangle(capsys):
+    # Grid nodes are acute by construction and classified at ANGLE_TOL; a
+    # tol_angle near the grid step only loosens the verdict tests.  At 0.1
+    # both pi/4 tests on the locus nodes with alpha or gamma within 0.05 of
+    # pi/4 hit twice, so the forward direction reports them.
+    from fagnano.theorem import scan_angle_space
+
+    report = scan_angle_space(16, tol_angle=0.1, boundary_band=0.2)
+    assert (report.samples_tested, report.samples_skipped) == (45, 75)
+    assert [v.quarter_pi_unique for _, v in report.counterexamples] == [False, False]
+    code, out, err = run(
+        capsys, "scan", "--resolution", "16", "--tol-angle", "0.1", "--boundary-band", "0.2"
+    )
+    assert (code, err) == (4, "")
+    assert json.loads(out) == json.loads(json.dumps(report.to_document()))
+
+
 def test_scan_counterexample_exit_4(capsys, monkeypatch):
     # the characterization holds, so exit 4 is only reachable through the
     # dispatcher; feed it a doctored report

@@ -114,7 +114,8 @@ def test_triangle_names_an_overflowing_side():
 def test_triangle_normalizes_orientation():
     t = Triangle(Point(0, 0), Point(0, 1), Point(1, 0))  # clockwise input
     assert t.b == Point(1, 0) and t.c == Point(0, 1)
-    assert t.signed_area() > 0
+    _, ax, ay, bx, by, cx, cy = t.frame
+    assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
     ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))  # kept as given
     assert ccw.b == Point(1, 0) and ccw.c == Point(0, 1)
     # Both cross products of the area overflow here; the swap must still

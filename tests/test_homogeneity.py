@@ -65,6 +65,7 @@ def lengths(t, start):
     for result in (simplex, descent):
         values.append(result.perimeter)
         values.extend(p for _, p in result.history)
+        values.extend(c for p in result.config.points(t) for c in p.as_tuple())
     return values
 
 
