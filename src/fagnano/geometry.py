@@ -12,6 +12,10 @@ measure is computed in the frame, where no square, cross product or quotient
 leaves the double range, and lengths and coordinates are mapped back with
 ``math.ldexp(x, -e)``.  The one range rule, checked by ``Triangle``, is a
 finite perimeter.  Outputs in the subnormal range may lose bits.
+
+A ``Triangle`` also classifies itself once: construction stores its frame
+vertex angles and its classification at ``ANGLE_TOL``, which ``angles``,
+``classify`` and ``require_acute`` read instead of measuring again.
 """
 
 from __future__ import annotations
@@ -150,13 +154,17 @@ class Triangle:
     Construction swaps b and c when the input winds clockwise (the swap is
     observable) and rejects triangles whose area falls below the degeneracy
     tolerance or whose perimeter leaves the double range.  ``frame`` holds
-    (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e.
+    (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e;
+    ``vertex_angles`` the interior angles at a, b and c of those vertices;
+    ``classification`` their ``TriangleClass`` at ``ANGLE_TOL``.
     """
 
     a: Point
     b: Point
     c: Point
     frame: tuple = field(init=False, compare=False, repr=False)
+    vertex_angles: tuple = field(init=False, compare=False, repr=False)
+    classification: TriangleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
@@ -178,15 +186,20 @@ class Triangle:
                 f"perimeter {frame_perimeter!r} * 2**{-e} is outside the double "
                 "range; rescale the triangle"
             )
-        longest = max(ab, bc, ca)
         tested = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if longest == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * longest * longest:
+        if _degenerate(tested, max(ab, bc, ca)):
             raise DegenerateTriangleError("vertices are (near-)collinear")
         if tested < 0.0:
             object.__setattr__(self, "b", c)
             object.__setattr__(self, "c", b)
             bx, by, cx, cy = cx, cy, bx, by
         object.__setattr__(self, "frame", (e, ax, ay, bx, by, cx, cy))
+        # The swap negates the doubled area exactly and keeps the longest side,
+        # so the frame is never degenerate and its margin alone classifies it.
+        vertex_angles = _vertex_angles(ax, ay, bx, by, cx, cy)
+        object.__setattr__(self, "vertex_angles", vertex_angles)
+        margin = math.pi / 2.0 - max(vertex_angles)
+        object.__setattr__(self, "classification", _by_margin(margin, ANGLE_TOL))
 
     @classmethod
     def from_angles(
@@ -230,18 +243,17 @@ def _largest(x: float, y: float, z: float) -> float:
 
 
 def angles(t: Triangle) -> AngleTriple:
-    """Interior angles of the triangle, from edge vectors at each vertex."""
-    return AngleTriple(*_vertex_angles(*t.frame[1:]))
+    """Interior angles of the triangle, as measured on its frame at construction."""
+    return AngleTriple(*t.vertex_angles)
 
 
-def _classification(
-    area2: float, longest: float, largest: float, tol: float
-) -> TriangleClass:
-    """Classify from the doubled signed area, the longest side and the
-    largest interior angle."""
-    margin = math.pi / 2.0 - largest
-    if longest == 0.0 or abs(area2) / 2.0 < DEGENERACY_TOL * longest * longest:
-        return TriangleClass(TriangleKind.DEGENERATE, margin)
+def _degenerate(area2: float, longest: float) -> bool:
+    """area < DEGENERACY_TOL * longest^2, from the doubled area and the longest side."""
+    return longest == 0.0 or abs(area2) / 2.0 < DEGENERACY_TOL * longest * longest
+
+
+def _by_margin(margin: float, tol: float) -> TriangleClass:
+    """Classify a non-degenerate triangle from pi/2 minus its largest angle."""
     if margin > tol:
         kind = TriangleKind.ACUTE
     elif margin < -tol:
@@ -255,23 +267,19 @@ def classify_points(
     a: Point, b: Point, c: Point, tol: float = ANGLE_TOL
 ) -> TriangleClass:
     """Total classification of a raw vertex triple (degenerate is a result)."""
-    area2 = (b - a).cross(c - a)
-    longest = max(dist(a, b), dist(b, c), dist(c, a))
-    return _classification(
-        area2, longest, _largest(*_vertex_angles(a.x, a.y, b.x, b.y, c.x, c.y)), tol
-    )
+    margin = math.pi / 2.0 - _largest(*_vertex_angles(a.x, a.y, b.x, b.y, c.x, c.y))
+    if _degenerate((b - a).cross(c - a), max(dist(a, b), dist(b, c), dist(c, a))):
+        return TriangleClass(TriangleKind.DEGENERATE, margin)
+    return _by_margin(margin, tol)
 
 
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     """classify_points of the frame vertices: the same margin as
-    classify_points(t.a, t.b, t.c, tol), at any scale."""
-    _, ax, ay, bx, by, cx, cy = t.frame
-    return _classification(
-        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
-        max(math.hypot(ax - bx, ay - by), math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay)),
-        _largest(*_vertex_angles(ax, ay, bx, by, cx, cy)),
-        tol,
-    )
+    classify_points(t.a, t.b, t.c, tol), at any scale, read from the
+    classification ``Triangle`` stores."""
+    if tol == ANGLE_TOL:
+        return t.classification
+    return _by_margin(t.classification.margin, tol)
 
 
 def check_tolerance(name: str, value: float) -> None:

@@ -104,10 +104,11 @@ def verdict(t: Triangle, tol_angle: float = ANGLE_TOL) -> TheoremVerdict:
 
     The orthic angle at foot_from_x is compared against pi/2 at ``tol_angle``;
     the parent angle at x against pi/4 at ``tol_angle / 2``.  The pairing check
-    is the index correspondence between those two hits.
+    is the index correspondence between those two hits.  ``tol_angle`` sets
+    only those tests: ``t`` must be acute at ``ANGLE_TOL``.
     """
-    orth = orthic_triangle(t, tol_angle)
-    return _verdict_core(angles(t), orth.angles, tol_angle)
+    check_tolerance("tol_angle", tol_angle)
+    return _verdict_core(angles(t), orthic_triangle(t).angles, tol_angle)
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,11 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
 
     Every angle is measured on the frame coordinates of ``t`` and its feet
     (see ``Triangle.frame``), where no difference or product leaves the
-    double range.
+    double range.  ``tol_angle`` sets only ``quarter_relation_active``:
+    ``t`` must be acute at ``ANGLE_TOL``.
     """
-    require_acute(t, tol_angle)
+    check_tolerance("tol_angle", tol_angle)
+    require_acute(t)
     _, ax, ay, bx, by, cx, cy = t.frame
     dx, dy, ex, ey, fx, fy = _feet(t)
     # Edge vectors p - q out of each apex q: "dex" is the x of e - d.
@@ -270,6 +273,7 @@ def scan_angle_space(
     a right orthic angle paired with vertex b is mandatory.  Both phases count
     toward ``samples_tested``.  ``tol_angle`` sets only the verdict tests:
     every node is acute by construction and is classified at ``ANGLE_TOL``.
+    A ``boundary_band`` that skips every grid node raises ValueError.
     """
     if grid_resolution < 8:
         raise ValueError(f"grid_resolution must be >= 8, got {grid_resolution}")
@@ -296,6 +300,8 @@ def scan_angle_space(
         v = _verdict_core(parent, orth.angles, tol_angle)
         if not v.biconditional_holds or v.pairing_holds is False:
             counterexamples.append((parent, v))
+    if not tested:
+        raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")
 
     for alpha, beta in quarter_pi_locus_nodes(grid_resolution):
         tri = Triangle.from_angles(alpha, beta)

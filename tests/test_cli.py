@@ -220,6 +220,14 @@ def test_scan_invalid_band_exit_1(capsys):
     assert "boundary_band" in err
 
 
+def test_scan_band_that_skips_every_grid_node_exit_1(capsys):
+    # Every acute angle lies within pi/4 of pi/4, so a band of 1 leaves
+    # only the pi/4 locus to test.
+    code, out, err = run(capsys, "scan", "--resolution", "16", "--boundary-band", "1")
+    assert (code, out) == (1, "")
+    assert "boundary_band (1.0) skips all 105 grid nodes" in err
+
+
 def test_scan_invalid_resolution_exit_1(capsys):
     assert run(capsys, "scan", "--resolution", "4")[0] == 1
 

@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import acute_triangles, random_acute_triangle, similarity
+from conftest import acute_angle_pairs, acute_triangles, random_acute_triangle, similarity
 from fagnano.geometry import (
+    ANGLE_TOL,
+    DEGENERACY_TOL,
     AngleTriple,
     DegenerateTriangleError,
     GeometryError,
@@ -214,6 +216,113 @@ def test_classify_matches_classify_points_bit_for_bit():
             for tol in (0.0, 1e-9, 1e-3):
                 got, want = classify(t, tol), classify_points(t.a, t.b, t.c, tol)
                 assert (got.kind, got.margin.hex()) == (want.kind, want.margin.hex()), (t, tol)
+
+
+def frame_formula(t: Triangle, tol: float):
+    """Oracle: the classification as it was computed from ``t.frame`` on
+    every call, before a Triangle stored its own.  Returns the kind, the
+    margin and the three frame vertex angles."""
+    _, ax, ay, bx, by, cx, cy = t.frame
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    longest = max(
+        math.hypot(ax - bx, ay - by), math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay)
+    )
+    vertex_angles = []
+    for (px, py), (qx, qy), (rx, ry) in (
+        ((ax, ay), (bx, by), (cx, cy)),
+        ((bx, by), (cx, cy), (ax, ay)),
+        ((cx, cy), (ax, ay), (bx, by)),
+    ):
+        ux, uy, vx, vy = qx - px, qy - py, rx - px, ry - py
+        vertex_angles.append(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
+    largest = math.nan if any(x != x for x in vertex_angles) else max(vertex_angles)
+    margin = math.pi / 2 - largest
+    if longest == 0.0 or abs(area2) / 2 < DEGENERACY_TOL * longest * longest:
+        kind = TriangleKind.DEGENERATE
+    elif margin > tol:
+        kind = TriangleKind.ACUTE
+    elif margin < -tol:
+        kind = TriangleKind.OBTUSE
+    else:
+        kind = TriangleKind.RIGHT
+    return kind, margin, tuple(vertex_angles)
+
+
+@st.composite
+def classified_shapes(draw):
+    """Acute, right, near-right, obtuse and sliver triangles at scale 2^k,
+    |k| <= 1000, in either orientation."""
+    family = draw(st.sampled_from(["acute", "right", "near-right", "obtuse", "sliver"]))
+    if family == "acute":
+        alpha, beta = draw(acute_angle_pairs(margin=1e-3))
+        vertices = Triangle.from_angles(alpha, beta).vertices
+    elif family == "right":
+        p, q = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+        vertices = (Point(0.0, 0.0), Point(p, 0.0), Point(0.0, q))
+    elif family == "near-right":
+        m = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-13.0, -2.0))
+        vertices = Triangle.from_angles(math.pi / 2 - m, draw(st.floats(0.01, 1.5))).vertices
+    elif family == "obtuse":
+        alpha = draw(st.floats(math.pi / 2 + 1e-3, math.pi - 0.02))
+        vertices = Triangle.from_angles(alpha, draw(st.floats(0.005, math.pi - alpha - 0.005))).vertices
+    else:
+        x, h = draw(st.floats(-1.0, 2.0)), 10.0 ** draw(st.floats(-10.0, -2.0))
+        vertices = (Point(0.0, 0.0), Point(1.0, 0.0), Point(x, h))
+    if draw(st.booleans()):
+        vertices = vertices[::-1]
+    k = draw(st.integers(-1000, 1000))
+    try:
+        return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in vertices))
+    except DegenerateTriangleError:
+        # A sliver scaled into the subnormal range can lose its height.
+        assume(False)
+
+
+def outcome(func, *args):
+    try:
+        return func(*args)
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400)
+@given(classified_shapes(), st.sampled_from([0.0, 1e-12, ANGLE_TOL, 1e-6, 1e-3, 0.2]))
+def test_stored_classification_matches_the_frame_formula(t, tol):
+    kind, margin, vertex_angles = frame_formula(t, tol)
+    got = classify(t, tol)
+    assert (got.kind, got.margin.hex()) == (kind, margin.hex())
+    assert outcome(angles, t) == outcome(AngleTriple, *vertex_angles)
+    kind, margin, _ = frame_formula(t, ANGLE_TOL)
+    if kind is TriangleKind.ACUTE:
+        got = require_acute(t)
+        assert (got.kind, got.margin.hex()) == (kind, margin.hex())
+    else:
+        with pytest.raises(NotAcuteError, match=f"triangle is {kind.value}, not acute"):
+            require_acute(t)
+
+
+def test_right_and_obtuse_triangles_construct_at_every_scale():
+    right = (Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 0.5))
+    obtuse = (Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1))
+    for k in (-1000, -40, 0, 40, 1000):
+        for vertices, kind in ((right, TriangleKind.RIGHT), (obtuse, TriangleKind.OBTUSE)):
+            t = Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in vertices))
+            assert classify(t).kind is kind
+            with pytest.raises(NotAcuteError):
+                require_acute(t)
+
+
+def test_stored_classification_is_read_without_trigonometry(monkeypatch):
+    t = Triangle.from_angles(1.0, 1.1)
+    want = (classify(t), classify(t, 0.2), angles(t))
+
+    def forbidden(*args):
+        raise AssertionError("measured again")
+
+    monkeypatch.setattr(math, "atan2", forbidden)
+    monkeypatch.setattr(math, "hypot", forbidden)
+    assert require_acute(t) == want[0]
+    assert (classify(t), classify(t, 0.2), angles(t)) == want
 
 
 def test_classify_points_degenerate_is_total():

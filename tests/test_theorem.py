@@ -96,6 +96,18 @@ def test_two_quarter_pi_angles_is_right_and_gated():
             verdict(t)
 
 
+def test_tol_angle_is_not_the_acuteness_tolerance():
+    # (0.8, 0.8, pi - 1.6) is acute with margin 1.6 - pi/2 = 0.029; a
+    # tol_angle of 0.2 loosens only the verdict's tests, where it once
+    # classified the triangle as right.  Both base angles lie within 0.1 of
+    # pi/4, and the orthic angles at their feet within 0.2 of pi/2.
+    t = Triangle.from_angles(0.8, 0.8)
+    assert classify(t).margin == pytest.approx(1.6 - HALF_PI, abs=1e-12)
+    v = verdict(t, 0.2)
+    assert v.orthic_is_right and v.has_quarter_pi and not v.quarter_pi_unique
+    assert proof_steps(t, 0.2).quarter_relation_active
+
+
 @settings(max_examples=60)
 @given(acute_triangles(margin=0.05), st.integers(min_value=0, max_value=2**32 - 1))
 def test_verdict_stable_under_vertex_noise(t, seed):
@@ -231,6 +243,11 @@ def test_scan_validation():
             scan_angle_space(16, tol_angle=bad)
         with pytest.raises(ValueError, match="boundary_band must be finite"):
             scan_angle_space(16, boundary_band=bad)
+    # Every grid node has a parent angle within 0.785 of pi/4: only the
+    # locus would be tested.
+    assert expected_scan_counts(40, ANGLE_TOL, 0.785) == (39, 741)
+    with pytest.raises(ValueError, match=r"boundary_band \(0.785\) skips all 741 grid nodes"):
+        scan_angle_space(40, boundary_band=0.785)
 
 
 def test_locus_nodes_all_produce_right_orthic():
