@@ -55,10 +55,6 @@ EXIT_IO = 5
 GOLDEN_RESIDUAL_LIMIT = 1e-12
 
 
-class ParseFailure(Exception):
-    """Bad command line or bad triangle text; maps to exit 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -70,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
-        raise ParseFailure(message)
+        raise ValueError(message)
 
 
 def _tolerance(text: str) -> float:
@@ -111,16 +107,16 @@ def parse_triangle(text: str) -> Triangle:
     if coords is None:
         parts = text.split(",")
         if len(parts) != 6:
-            raise ParseFailure(
+            raise ValueError(
                 f"expected six comma-separated coordinates or a preset "
                 f"(equilateral, golden-bfc), got {text!r}"
             )
         try:
             coords = tuple(float(p) for p in parts)
         except ValueError as exc:
-            raise ParseFailure(f"bad coordinate in {text!r}: {exc}") from exc
+            raise ValueError(f"bad coordinate in {text!r}: {exc}") from exc
         if not all(math.isfinite(v) for v in coords):
-            raise ParseFailure(f"coordinates must be finite, got {text!r}")
+            raise ValueError(f"coordinates must be finite, got {text!r}")
     try:
         return Triangle(
             Point(coords[0], coords[1]),
@@ -134,15 +130,12 @@ def parse_triangle(text: str) -> Triangle:
 def parse_config(text: str) -> InscribedConfig:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ParseFailure(f"expected three comma-separated parameters, got {text!r}")
+        raise ValueError(f"expected three comma-separated parameters, got {text!r}")
     try:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise ParseFailure(f"bad parameter in {text!r}: {exc}") from exc
-    try:
-        return InscribedConfig(*values)
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+        raise ValueError(f"bad parameter in {text!r}: {exc}") from exc
+    return InscribedConfig(*values)
 
 
 def _point_doc(p: Point) -> list[float]:
@@ -204,7 +197,7 @@ def _minimize_doc(method: str, t: Triangle, result: MinimizeResult) -> dict:
 
 def _cmd_minimize(args) -> int:
     if args.method == "grid-simplex" and args.start is not None:
-        raise ParseFailure("--start applies only to --method reflection")
+        raise ValueError("--start applies only to --method reflection")
     t = parse_triangle(args.triangle)
     if args.method == "grid-simplex":
         tol = args.tol if args.tol is not None else DEFAULT_SIMPLEX_TOL
@@ -326,9 +319,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseFailure as exc:
-        print(f"fagnano: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (NotAcuteError, DegenerateTriangleError) as exc:
         print(f"fagnano: precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

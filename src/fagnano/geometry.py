@@ -13,9 +13,10 @@ leaves the double range, and lengths and coordinates are mapped back with
 ``math.ldexp(x, -e)``.  The one range rule, checked by ``Triangle``, is a
 finite perimeter.  Outputs in the subnormal range may lose bits.
 
-A ``Triangle`` also classifies itself once: construction stores its frame
-vertex angles and its classification at ``ANGLE_TOL``, which ``angles``,
-``classify`` and ``require_acute`` read instead of measuring again.
+A ``Triangle`` also measures itself once: construction stores its frame side
+lengths, its frame vertex angles and its classification at ``ANGLE_TOL``,
+which ``side_lengths``, ``diameter``, ``angles``, ``classify`` and
+``require_acute`` read instead of measuring again.
 """
 
 from __future__ import annotations
@@ -140,12 +141,6 @@ class AngleTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
 
-    def largest(self) -> tuple[int, float]:
-        """(vertex index, value) of the largest angle."""
-        values = self.as_tuple()
-        i = max(range(3), key=lambda k: values[k])
-        return i, values[i]
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -155,7 +150,8 @@ class Triangle:
     observable) and rejects triangles whose area falls below the degeneracy
     tolerance or whose perimeter leaves the double range.  ``frame`` holds
     (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e;
-    ``vertex_angles`` the interior angles at a, b and c of those vertices;
+    ``frame_sides`` the lengths (|bc|, |ca|, |ab|) of the sides they span;
+    ``vertex_angles`` their interior angles at a, b and c;
     ``classification`` their ``TriangleClass`` at ``ANGLE_TOL``.
     """
 
@@ -163,6 +159,7 @@ class Triangle:
     b: Point
     c: Point
     frame: tuple = field(init=False, compare=False, repr=False)
+    frame_sides: tuple = field(init=False, compare=False, repr=False)
     vertex_angles: tuple = field(init=False, compare=False, repr=False)
     classification: TriangleClass = field(init=False, compare=False, repr=False)
 
@@ -193,7 +190,9 @@ class Triangle:
             object.__setattr__(self, "b", c)
             object.__setattr__(self, "c", b)
             bx, by, cx, cy = cx, cy, bx, by
+            ab, ca = ca, ab
         object.__setattr__(self, "frame", (e, ax, ay, bx, by, cx, cy))
+        object.__setattr__(self, "frame_sides", (bc, ca, ab))
         # The swap negates the doubled area exactly and keeps the longest side,
         # so the frame is never degenerate and its margin alone classifies it.
         vertex_angles = _vertex_angles(ax, ay, bx, by, cx, cy)
@@ -228,10 +227,11 @@ class Triangle:
 
     def side_lengths(self) -> tuple[float, float, float]:
         """Lengths (|bc|, |ca|, |ab|), i.e. the side opposite each vertex."""
-        return (dist(self.b, self.c), dist(self.c, self.a), dist(self.a, self.b))
+        e, (bc, ca, ab) = self.frame[0], self.frame_sides
+        return (math.ldexp(bc, -e), math.ldexp(ca, -e), math.ldexp(ab, -e))
 
     def diameter(self) -> float:
-        return max(self.side_lengths())
+        return math.ldexp(max(self.frame_sides), -self.frame[0])
 
 
 def _largest(x: float, y: float, z: float) -> float:
@@ -295,10 +295,10 @@ def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     check_tolerance("tol", tol)
     cls = classify(t, tol)
     if cls.kind is not TriangleKind.ACUTE:
-        i, largest = angles(t).largest()
+        largest = max(t.vertex_angles)
         raise NotAcuteError(
             f"triangle is {cls.kind.value}, not acute: largest angle "
-            f"{largest!r} rad at vertex {'abc'[i]}"
+            f"{largest!r} rad at vertex {'abc'[t.vertex_angles.index(largest)]}"
         )
     return cls
 

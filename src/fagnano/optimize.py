@@ -30,7 +30,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .geometry import (
-    ANGLE_TOL,
     GeometryError,
     Point,
     Triangle,
@@ -116,10 +115,10 @@ class MinimizeResult:
     extrapolations: int = 0
 
 
-def objective(t: Triangle, c: InscribedConfig, tol: float = ANGLE_TOL) -> float:
+def objective(t: Triangle, c: InscribedConfig) -> float:
     """Perimeter of the inscribed triangle selected by ``c``: the
     perimeter of ``c.points(t)``, computed as the searches compute it."""
-    require_acute(t, tol)
+    require_acute(t)
     return math.ldexp(_raw_objective(t)(c.as_tuple()), -t.frame[0])
 
 

@@ -179,7 +179,7 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
     quarter_relation_residual = abs(cfe + ade - QUARTER_PI)
     quarter_relation_active = abs(angle_e - HALF_PI) <= tol_angle
 
-    angle_b = _angle(ax - bx, ay - by, cx - bx, cy - by)
+    angle_b = t.vertex_angles[1]
     bfe = _angle(fbx, fby, fex, fey)
     bde = _angle(dbx, dby, dex, dey)
     quad_sum_residual = abs(angle_b + angle_e + bfe + bde - 2.0 * math.pi)
@@ -200,17 +200,14 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
 def incenter_orthocenter_check(t: Triangle) -> float:
     """Distance between incenter(orthic) and orthocenter, over the diameter.
 
-    Measured on the frame of ``t``, so the ratio is the same at every scale,
+    Measured on the frame of ``t`` and divided by the frame diameter that
+    ``t`` stored at construction, so the ratio is the same at every scale,
     also where the feet of ``t`` would be subnormal.
     """
     require_acute(t)
-    _, ax, ay, bx, by, cx, cy = t.frame
     ix, iy = _incenter(*_feet(t))
-    hx, hy = _orthocenter(ax, ay, bx, by, cx, cy)
-    diameter = max(
-        math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
-    )
-    return math.hypot(ix - hx, iy - hy) / diameter
+    hx, hy = _orthocenter(*t.frame[1:])
+    return math.hypot(ix - hx, iy - hy) / max(t.frame_sides)
 
 
 @dataclass(frozen=True)

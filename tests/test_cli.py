@@ -180,10 +180,11 @@ def test_minimize_bad_method_exit_1(capsys):
 
 
 def test_minimize_bad_start_exit_1(capsys):
-    code, _, _ = run(
+    code, _, err = run(
         capsys, "minimize", "equilateral", "--method", "reflection", "--start", "0,0.5,0.5"
     )
     assert code == 1
+    assert err == "fagnano: error: t_on_bc=0.0 outside the open interval (0, 1)\n"
 
 
 def test_reflection_default_start_is_the_medial_configuration(capsys):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import acute_angle_pairs, acute_triangles, random_acute_triangle, similarity
@@ -285,9 +285,32 @@ def outcome(func, *args):
         return type(exc).__name__, str(exc)
 
 
+def dist_formula(t: Triangle) -> tuple[float, float, float]:
+    """Oracle: the side lengths as they were measured with ``dist`` on the
+    vertices, before a Triangle stored its frame sides."""
+    return (dist(t.b, t.c), dist(t.c, t.a), dist(t.a, t.b))
+
+
 @settings(max_examples=400)
 @given(classified_shapes(), st.sampled_from([0.0, 1e-12, ANGLE_TOL, 1e-6, 1e-3, 0.2]))
+# Subnormal sides, where the frame and the dist formula round |bc| apart.
+@example(
+    Triangle(
+        Point(5.680491164615e-311, -7.4755144881954e-311),
+        Point(3.171545050129e-311, -1.4724737611636e-311),
+        Point(-8.573091199067e-311, -2.840811436727e-311),
+    ),
+    ANGLE_TOL,
+)
 def test_stored_classification_matches_the_frame_formula(t, tol):
+    # Normal lengths match bit for bit; a subnormal one may lose one bit
+    # (2^-1074) in either formula when mapped back from the frame.
+    want = dist_formula(t)
+    for got, old in zip((*t.side_lengths(), t.diameter()), (*want, max(want))):
+        if old >= 2.0 ** -1022:
+            assert got.hex() == old.hex()
+        else:
+            assert abs(got - old) <= 2.0 ** -1074
     kind, margin, vertex_angles = frame_formula(t, tol)
     got = classify(t, tol)
     assert (got.kind, got.margin.hex()) == (kind, margin.hex())
@@ -314,7 +337,8 @@ def test_right_and_obtuse_triangles_construct_at_every_scale():
 
 def test_stored_classification_is_read_without_trigonometry(monkeypatch):
     t = Triangle.from_angles(1.0, 1.1)
-    want = (classify(t), classify(t, 0.2), angles(t))
+    obtuse = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1))
+    want = (classify(t), classify(t, 0.2), angles(t), t.side_lengths(), t.diameter())
 
     def forbidden(*args):
         raise AssertionError("measured again")
@@ -322,7 +346,12 @@ def test_stored_classification_is_read_without_trigonometry(monkeypatch):
     monkeypatch.setattr(math, "atan2", forbidden)
     monkeypatch.setattr(math, "hypot", forbidden)
     assert require_acute(t) == want[0]
-    assert (classify(t), classify(t, 0.2), angles(t)) == want
+    assert (classify(t), classify(t, 0.2), angles(t), t.side_lengths(), t.diameter()) == want
+    with pytest.raises(NotAcuteError) as raised:
+        require_acute(obtuse)
+    assert str(raised.value) == (
+        "triangle is obtuse, not acute: largest angle 3.0419240010986313 rad at vertex b"
+    )
 
 
 def test_classify_points_degenerate_is_total():
