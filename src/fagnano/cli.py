@@ -228,8 +228,7 @@ def _cmd_golden(args) -> int:
     doc = {"phi": fig.phi}
     doc.update(golden.report_document(checks))
     _deliver(jsonio.dumps(doc), args.output)
-    limit = args.tol if args.tol is not None else GOLDEN_RESIDUAL_LIMIT
-    return EXIT_OK if doc["max_residual"] <= limit else EXIT_COUNTEREXAMPLE
+    return EXIT_OK if doc["max_residual"] <= args.tol else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_render(args) -> int:
@@ -297,7 +296,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "golden", parents=[json_out], help="reproduce the golden-rectangle values"
     )
-    p.add_argument("--tol", type=_tolerance, default=None, help="residual limit (default 1e-12)")
+    p.add_argument(
+        "--tol", type=_tolerance, default=GOLDEN_RESIDUAL_LIMIT, help="residual limit (default 1e-12)"
+    )
     p.set_defaults(func=_cmd_golden)
 
     p = sub.add_parser("render", help="emit an SVG figure")

@@ -10,8 +10,8 @@ Each ``Triangle`` carries a power-of-two frame: its vertices times 2^e, e
 putting the largest |coordinate| in [0.5, 1).  That scaling is exact, so every
 measure is computed in the frame, where no square, cross product or quotient
 leaves the double range, and lengths and coordinates are mapped back with
-``math.ldexp(x, -e)``.  The one range rule, checked by ``Triangle``, is a
-finite perimeter.  Outputs in the subnormal range may lose bits.
+``math.ldexp(x, -e)``.  ``Triangle`` checks, once, that its vertices and its
+perimeter are finite.  Outputs in the subnormal range may lose bits.
 
 A ``Triangle`` also measures itself once: construction stores its frame side
 lengths, its frame vertex angles and its classification at ``ANGLE_TOL``,
@@ -52,17 +52,11 @@ class NotAcuteError(GeometryError):
 
 @dataclass(frozen=True)
 class Point:
-    """A position in the Euclidean plane.  Coordinates must be finite."""
+    """A position in the Euclidean plane: a plain value, neither checked nor
+    converted.  ``Triangle`` rejects a vertex that is not finite."""
 
     x: float
     y: float
-
-    def __post_init__(self):
-        x, y = float(self.x), float(self.y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise NonFiniteError(f"non-finite coordinates ({self.x}, {self.y})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     def __sub__(self, other: Point) -> Point:
         return Point(self.x - other.x, self.y - other.y)
@@ -112,8 +106,7 @@ class TriangleClass:
     """Shape classification plus the signed margin of the largest angle.
 
     ``margin = pi/2 - largest_angle``: positive for acute, negative for obtuse,
-    |margin| <= tol for right.  For degenerate input the margin is still the
-    (meaningless) value computed from the collapsed angles.
+    |margin| <= tol for right.  For degenerate input the margin is NaN.
     """
 
     kind: TriangleKind
@@ -146,9 +139,10 @@ class AngleTriple:
 class Triangle:
     """Ordered vertex triple, normalized to counterclockwise orientation.
 
-    Construction swaps b and c when the input winds clockwise (the swap is
-    observable) and rejects triangles whose area falls below the degeneracy
-    tolerance or whose perimeter leaves the double range.  ``frame`` holds
+    Construction checks and measures the vertices, once: it rejects a
+    non-finite vertex, an area below the degeneracy tolerance and a perimeter
+    outside the double range, and swaps b and c when the input winds
+    clockwise (the swap is observable).  ``frame`` holds
     (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e;
     ``frame_sides`` the lengths (|bc|, |ca|, |ab|) of the sides they span;
     ``vertex_angles`` their interior angles at a, b and c;
@@ -175,16 +169,21 @@ class Triangle:
         ab = math.hypot(ax - bx, ay - by)
         bc = math.hypot(bx - cx, by - cy)
         ca = math.hypot(cx - ax, cy - ay)
+        # Finite vertices give frame sides of at most 2*sqrt(2) each.
+        frame_perimeter = ab + bc + ca
+        if not math.isfinite(frame_perimeter):
+            p = next(p for p in (a, b, c) if not (math.isfinite(p.x) and math.isfinite(p.y)))
+            raise NonFiniteError(f"non-finite coordinates ({p.x}, {p.y})")
         # The one range rule: every length, foot, center and inscribed
         # perimeter of an acute triangle is bounded by its perimeter.
-        frame_perimeter = ab + bc + ca
         if math.frexp(frame_perimeter)[1] - e > sys.float_info.max_exp:
             raise DegenerateTriangleError(
                 f"perimeter {frame_perimeter!r} * 2**{-e} is outside the double "
                 "range; rescale the triangle"
             )
         tested = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if _degenerate(tested, max(ab, bc, ca)):
+        longest = max(ab, bc, ca)
+        if longest == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * longest * longest:
             raise DegenerateTriangleError("vertices are (near-)collinear")
         if tested < 0.0:
             object.__setattr__(self, "b", c)
@@ -234,22 +233,9 @@ class Triangle:
         return math.ldexp(max(self.frame_sides), -self.frame[0])
 
 
-def _largest(x: float, y: float, z: float) -> float:
-    """max(x, y, z), but NaN when any of them is NaN: max skips a NaN that
-    is not its first argument, and a NaN angle must not pass for acute."""
-    if x != x or y != y or z != z:
-        return math.nan
-    return max(x, y, z)
-
-
 def angles(t: Triangle) -> AngleTriple:
     """Interior angles of the triangle, as measured on its frame at construction."""
     return AngleTriple(*t.vertex_angles)
-
-
-def _degenerate(area2: float, longest: float) -> bool:
-    """area < DEGENERACY_TOL * longest^2, from the doubled area and the longest side."""
-    return longest == 0.0 or abs(area2) / 2.0 < DEGENERACY_TOL * longest * longest
 
 
 def _by_margin(margin: float, tol: float) -> TriangleClass:
@@ -266,17 +252,18 @@ def _by_margin(margin: float, tol: float) -> TriangleClass:
 def classify_points(
     a: Point, b: Point, c: Point, tol: float = ANGLE_TOL
 ) -> TriangleClass:
-    """Total classification of a raw vertex triple (degenerate is a result)."""
-    margin = math.pi / 2.0 - _largest(*_vertex_angles(a.x, a.y, b.x, b.y, c.x, c.y))
-    if _degenerate((b - a).cross(c - a), max(dist(a, b), dist(b, c), dist(c, a))):
-        return TriangleClass(TriangleKind.DEGENERATE, margin)
-    return _by_margin(margin, tol)
+    """Total classification of a raw vertex triple: ``classify`` of their
+    ``Triangle``, or DEGENERATE with a NaN margin where it is degenerate."""
+    try:
+        t = Triangle(a, b, c)
+    except DegenerateTriangleError:
+        return TriangleClass(TriangleKind.DEGENERATE, math.nan)
+    return classify(t, tol)
 
 
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
-    """classify_points of the frame vertices: the same margin as
-    classify_points(t.a, t.b, t.c, tol), at any scale, read from the
-    classification ``Triangle`` stores."""
+    """Kind and margin of t at ``tol``, read from the classification that
+    ``Triangle`` measured on its frame, so the same at every scale."""
     if tol == ANGLE_TOL:
         return t.classification
     return _by_margin(t.classification.margin, tol)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from typing import Iterator
 
 from .geometry import (
@@ -262,14 +263,15 @@ def scan_angle_space(
 ) -> ScanReport:
     """Sweep acute shape space for violations of either direction.
 
-    Phase one walks the open-simplex grid, instantiates each admissible node
-    on the unit circumradius, skips knife-edge samples (any parent angle
-    within ``boundary_band`` of pi/4, or any orthic angle within it of pi/2)
-    and requires the biconditional and, where applicable, the pairing on the
-    rest.  Phase two walks the beta = pi/4 locus with no exclusion band, where
-    a right orthic angle paired with vertex b is mandatory.  Both phases count
-    toward ``samples_tested``.  ``tol_angle`` sets only the verdict tests:
-    every node is acute by construction and is classified at ``ANGLE_TOL``.
+    One loop walks the open-simplex grid nodes, then the beta = pi/4 locus
+    nodes, and instantiates each on the unit circumradius.  It requires the
+    biconditional and, where applicable, the pairing on every sample.  Grid
+    nodes alone may be skipped as knife-edge samples (any parent angle within
+    ``boundary_band`` of pi/4, or any orthic angle within it of pi/2); on the
+    locus a right orthic angle paired with vertex b is mandatory.  Both kinds
+    of node count toward ``samples_tested``.  ``tol_angle`` sets only the
+    verdict tests: every node is acute by construction and is classified at
+    ``ANGLE_TOL``.
     A ``boundary_band`` that skips every grid node raises ValueError.
     """
     if grid_resolution < 8:
@@ -284,38 +286,32 @@ def scan_angle_space(
     skipped = 0
     counterexamples: list[tuple[AngleTriple, TheoremVerdict]] = []
 
-    for alpha, beta in acute_grid_nodes(grid_resolution):
+    nodes = chain(
+        zip(acute_grid_nodes(grid_resolution), repeat(False)),
+        zip(quarter_pi_locus_nodes(grid_resolution), repeat(True)),
+    )
+    for (alpha, beta), on_locus in nodes:
         tri = Triangle.from_angles(alpha, beta)
         parent = angles(tri)
         orth = orthic_triangle(tri)
-        near_quarter = min(abs(x - QUARTER_PI) for x in parent.as_tuple())
-        near_right = min(abs(x - HALF_PI) for x in orth.angles.as_tuple())
-        if near_quarter < boundary_band or near_right < boundary_band:
+        if not on_locus and (
+            min(abs(x - QUARTER_PI) for x in parent.as_tuple()) < boundary_band
+            or min(abs(x - HALF_PI) for x in orth.angles.as_tuple()) < boundary_band
+        ):
             skipped += 1
             continue
         tested += 1
         v = _verdict_core(parent, orth.angles, tol_angle)
-        if not v.biconditional_holds or v.pairing_holds is False:
-            counterexamples.append((parent, v))
-    if not tested:
-        raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")
-
-    for alpha, beta in quarter_pi_locus_nodes(grid_resolution):
-        tri = Triangle.from_angles(alpha, beta)
-        parent = angles(tri)
-        orth = orthic_triangle(tri)
-        tested += 1
-        v = _verdict_core(parent, orth.angles, tol_angle)
-        # Forward direction: a pi/4 parent must produce a right orthic angle
-        # at the matching foot.
-        ok = (
-            v.orthic_is_right
-            and v.right_vertex == 1
-            and v.biconditional_holds
-            and v.pairing_holds is True
-        )
+        ok = v.biconditional_holds and v.pairing_holds is not False
+        if on_locus:
+            # Forward direction: a pi/4 parent must produce a right orthic
+            # angle at the matching foot (ok already makes the pairing hold).
+            ok = ok and v.orthic_is_right and v.right_vertex == 1
         if not ok:
             counterexamples.append((parent, v))
+    # The locus alone contributes grid_resolution - 1 tested samples.
+    if tested == grid_resolution - 1:
+        raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")
 
     return ScanReport(
         grid_resolution=grid_resolution,

@@ -63,11 +63,20 @@ def angle_oracle(p: Point, q: Point, r: Point) -> float:
 # ---------------------------------------------------------------- construction
 
 
-def test_point_rejects_non_finite():
+def test_triangle_rejects_non_finite_vertex():
+    # Point is a plain value; Triangle is where a vertex is checked.
+    assert Point(math.nan, 0.0).y == 0.0
+    for bad in (Point(math.nan, 0.0), Point(0.0, math.inf), Point(-math.inf, math.nan)):
+        for others in ((Point(0, 0), Point(1, 0)), (Point(1e300, 0.0), Point(0.0, 1e300))):
+            with pytest.raises(NonFiniteError) as raised:
+                Triangle(*others, bad)
+            assert str(raised.value) == f"non-finite coordinates ({bad.x}, {bad.y})"
+            with pytest.raises(NonFiniteError):
+                Triangle(bad, *others)
+            with pytest.raises(NonFiniteError):
+                classify_points(others[0], bad, others[1])
     with pytest.raises(NonFiniteError):
-        Point(float("nan"), 0.0)
-    with pytest.raises(NonFiniteError):
-        Point(0.0, float("inf"))
+        Triangle.from_angles(1.0, 1.0, math.inf)
 
 
 def test_triangle_rejects_collinear():
@@ -206,16 +215,42 @@ def classify_shapes():
     return shapes
 
 
-def test_classify_matches_classify_points_bit_for_bit():
-    # classify works on bare floats; classify_points builds Point differences.
+def test_classify_points_is_scale_invariant():
+    # classify_points measures its triple on Triangle's power-of-two frame,
+    # so at any exact scale 2^k it gives the kind and margin of scale 1.
     rng = random.Random(5)
-    for shape in classify_shapes():
-        for k in [-500, 500] + [rng.randint(-500, 500) for _ in range(30)]:
+    scales = [-1000, -600, 600, 1000] + [rng.randint(-1000, 1000) for _ in range(30)]
+    shapes = classify_shapes()
+    exact = 0
+    for shape in shapes:
+        coords = [v for p in shape.vertices for v in p.as_tuple()]
+        want = {tol: classify_points(*shape.vertices, tol) for tol in (0.0, 1e-9, 1e-3)}
+        for k in scales:
+            if any(math.ldexp(math.ldexp(v, k), -k) != v for v in coords):
+                continue  # a subnormal coordinate: not an exact scaling
+            exact += 1
             a, b, c = (Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in shape.vertices)
-            t = Triangle(a, b, c)
-            for tol in (0.0, 1e-9, 1e-3):
-                got, want = classify(t, tol), classify_points(t.a, t.b, t.c, tol)
-                assert (got.kind, got.margin.hex()) == (want.kind, want.margin.hex()), (t, tol)
+            for tol, w in want.items():
+                got = classify_points(a, b, c, tol)
+                assert (got.kind, got.margin.hex()) == (w.kind, w.margin.hex()), (k, tol)
+    assert exact > len(shapes) * len(scales) // 2
+    # Decimal scales at which the squared sides underflow or overflow.
+    decimal_shapes = {
+        "obtuse": ((0, 0), (1, 0), (2, 0.1)),
+        "right": ((0, 0), (1, 0), (0, 1)),
+        "acute": ((0, 0), (1, 0), (0.4, 0.9)),
+    }
+    for name, pts in decimal_shapes.items():
+        want = classify_points(*(Point(x, y) for x, y in pts))
+        for s in (1e-170, 1e160):
+            got = classify_points(*(Point(x * s, y * s) for x, y in pts))
+            assert got.kind is want.kind, (name, s)
+            assert got.margin == pytest.approx(want.margin, abs=1e-15), (name, s)
+    # Collinear and coincident triples are degenerate at every scale.
+    for pts in (((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 1), (3, 3)), ((0.5, 0.25),) * 3):
+        for s in [1.0, 1e-170, 1e160] + [math.ldexp(1.0, k) for k in scales]:
+            got = classify_points(*(Point(x * s, y * s) for x, y in pts))
+            assert got.kind is TriangleKind.DEGENERATE and math.isnan(got.margin), (pts, s)
 
 
 def frame_formula(t: Triangle, tol: float):
@@ -358,7 +393,7 @@ def test_classify_points_degenerate_is_total():
     cls = classify_points(Point(0, 0), Point(1, 0), Point(2, 0))
     assert cls.kind is TriangleKind.DEGENERATE
     cls = classify_points(Point(0, 0), Point(0, 0), Point(0, 0))
-    assert cls.kind is TriangleKind.DEGENERATE
+    assert cls.kind is TriangleKind.DEGENERATE and math.isnan(cls.margin)
 
 
 # ------------------------------------------------------------- altitude feet
