@@ -19,6 +19,7 @@ from fagnano.geometry import (
 )
 from fagnano.optimize import (
     InscribedConfig,
+    _best_on_side,
     InvalidConfigError,
     min_perimeter_closed_form,
     minimize_grid_then_simplex,
@@ -199,18 +200,27 @@ def test_reflection_fixed_point_any_acute():
         assert len(result.history) == 1
 
 
+# Frozen from a randomized search: a start hugging the corner forces a
+# clamped step, after which the descent still reaches the optimum.
+CLAMP_RECOVERY_SHAPE = (0.770835391360292, 0.8103794669074901)
+CLAMP_RECOVERY_START = (1.1651413508404745e-08,) * 3
+
+
 def test_reflection_clamp_recovery():
-    # frozen from a randomized search: a start hugging the corner forces a
-    # clamped step, after which the descent still reaches the optimum
-    t = Triangle.from_angles(0.770835391360292, 0.8103794669074901)
-    start = InscribedConfig(
-        1.1651413508404745e-08, 1.1651413508404745e-08, 1.1651413508404745e-08
-    )
+    t = Triangle.from_angles(*CLAMP_RECOVERY_SHAPE)
+    start = InscribedConfig(*CLAMP_RECOVERY_START)
     result = minimize_reflection_descent(t, start)
     assert result.clamped
     assert result.converged
     closed = min_perimeter_closed_form(t)
     assert abs(result.perimeter - closed) / closed <= 1e-9
+
+
+def test_best_on_side_parallel_chord():
+    # Side q = (0, 0), u = (1, 0): p = (0, 1) reflects to (0, -1), level
+    # with f = (2, -1), so the straightened chord runs parallel to the side
+    # and every point ties; the chord midpoint (1, -1) projects to 1.0.
+    assert _best_on_side(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0, -1.0) == 1.0
 
 
 def test_reflection_validation(equilateral):
@@ -484,6 +494,68 @@ def test_reflection_descent_bit_identical():
     for index, (t, start) in enumerate(zip(shapes, bit_starts(len(shapes)))):
         result = minimize_reflection_descent(t, start)
         assert result_bits(result) == optimize_bits.DESCENT[index], index
+        assert result.extrapolations == optimize_bits.DESCENT_EXTRAPOLATIONS[index], index
+
+
+def descent_bits(result):
+    """result_bits plus the count of accepted extrapolated steps."""
+    return result_bits(result) + (result.extrapolations,)
+
+
+def test_reflection_descent_cut_off_bit_identical():
+    # Runs stopped by max_iter before any convergence test decides them.
+    shapes = bit_shapes()
+    for index, (t, start) in enumerate(zip(shapes, bit_starts(len(shapes)))):
+        for max_iter in (1, 2, 5):
+            result = minimize_reflection_descent(t, start, max_iter=max_iter)
+            assert descent_bits(result) == optimize_bits.DESCENT_CUT[index, max_iter], (
+                index,
+                max_iter,
+            )
+
+
+def test_grid_simplex_limits_bit_identical():
+    # A loose tolerance ends on the diameter test, max_iter=7 inside the
+    # first steps; both leave the run at a different simplex than the default.
+    for index, t in enumerate(bit_shapes()):
+        for option, value in (("tol", 1e-6), ("max_iter", 7)):
+            result = minimize_grid_then_simplex(t, **{option: value})
+            assert result_bits(result) == optimize_bits.SIMPLEX_LIMITS[index, option, value], (
+                index,
+                option,
+            )
+
+
+def test_reflection_clamp_recovery_bit_identical():
+    t = Triangle.from_angles(*CLAMP_RECOVERY_SHAPE)
+    start = InscribedConfig(*CLAMP_RECOVERY_START)
+    for max_iter, bits in optimize_bits.CLAMP_RECOVERY.items():
+        result = minimize_reflection_descent(t, start, max_iter=max_iter)
+        assert descent_bits(result) == bits, max_iter
+
+
+def near_face_cases(count):
+    """Acute shapes, each with a start whose parameters lie 1e-10 to 1e-6
+    from 0 or from 1, close enough to a face that some descents clamp."""
+    rng = random.Random(20161018)
+    cases = []
+    for _ in range(count):
+        t = Triangle.from_angles(*sample_acute_angles(rng))
+        start = []
+        for _ in range(3):
+            gap = 10.0 ** -rng.uniform(6.0, 10.0)
+            start.append(gap if rng.random() < 0.5 else 1.0 - gap)
+        cases.append((t, InscribedConfig(*start)))
+    return cases
+
+
+def test_reflection_near_face_bit_identical():
+    pins = optimize_bits.NEAR_FACE
+    # The pins cover the clamped path: 10 of the 40 descents clamp.
+    assert sum(bits[4] for bits in pins.values()) == 10
+    for index, (t, start) in enumerate(near_face_cases(len(pins))):
+        result = minimize_reflection_descent(t, start)
+        assert descent_bits(result) == pins[index], index
 
 
 def test_cli_minimize_stdout_bit_identical():
