@@ -21,13 +21,16 @@ perimeter, so neither route is allowed to peek at altitude feet.
 Inputs are validated once at entry; the inner loops run on bare floats in the
 triangle's power-of-two frame (see ``Triangle.frame``), so every decision is
 the same at any scale, and the perimeters are mapped back with ``math.ldexp``.
+Those floats live in locals, not in lists: the simplex keeps its four sorted
+vertices and their values in eight names, and the descent unrolls its
+three-axis sweep over three parameters and the three sides.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .geometry import (
     GeometryError,
@@ -119,11 +122,11 @@ def objective(t: Triangle, c: InscribedConfig) -> float:
     """Perimeter of the inscribed triangle selected by ``c``: the
     perimeter of ``c.points(t)``, computed as the searches compute it."""
     require_acute(t)
-    return math.ldexp(_raw_objective(t)(c.as_tuple()), -t.frame[0])
+    return math.ldexp(_raw_objective(t)(*c.as_tuple()), -t.frame[0])
 
 
 def _raw_objective(t: Triangle):
-    """Unchecked objective over bare parameter triples; +inf outside (0,1)^3.
+    """Unchecked objective over three bare parameters; +inf outside (0,1)^3.
 
     Used by the searches, which probe outside the feasible cube.  The
     perimeter is that of the frame: times 2^e, see ``Triangle.frame``.
@@ -134,8 +137,7 @@ def _raw_objective(t: Triangle):
     uab_x, uab_y = bx - ax, by - ay
     hypot = math.hypot
 
-    def f(params: tuple[float, float, float]) -> float:
-        t1, t2, t3 = params
+    def f(t1: float, t2: float, t3: float) -> float:
         if not (0.0 < t1 < 1.0 and 0.0 < t2 < 1.0 and 0.0 < t3 < 1.0):
             return math.inf
         px, py = bx + t1 * ubc_x, by + t1 * ubc_y
@@ -144,6 +146,15 @@ def _raw_objective(t: Triangle):
         return hypot(px - qx, py - qy) + hypot(qx - rx, qy - ry) + hypot(rx - px, ry - py)
 
     return f
+
+
+def _check_limits(max_iter: int, tol: float) -> None:
+    """Both searches' stopping limits: an int ``max_iter`` >= 1 and a
+    finite ``tol`` > 0."""
+    if not (isinstance(max_iter, int) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def _near_right_warning(margin: float) -> str | None:
@@ -180,118 +191,113 @@ def minimize_grid_then_simplex(
     perimeter.
     """
     margin = require_acute(t).margin
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _check_limits(max_iter, tol)
     f = _raw_objective(t)
     dist = math.dist
-
-    simplex = [
-        (0.5, 0.5, 0.5),
-        (0.625, 0.5, 0.5),
-        (0.5, 0.625, 0.5),
-        (0.5, 0.5, 0.625),
-    ]
-    values = [f(x) for x in simplex]
+    e = t.frame[0]
     # The history holds perimeters mapped back from the frame; ``recorded``
     # is its last entry in the frame.
-    e, recorded = t.frame[0], values[0]
+    recorded = f(0.5, 0.5, 0.5)
     history: list[tuple[int, float]] = [(0, math.ldexp(recorded, -e))]
-    # The simplex stays sorted by value, in the order a stable sort gives.
-    order = sorted(range(4), key=values.__getitem__)
-    simplex = [simplex[i] for i in order]
-    values = [values[i] for i in order]
+    # The vertices P0..P3 and their values v0..v3 stay sorted by value, in
+    # the order a stable sort gives: P0 is the best vertex, P3 the worst.
+    (v0, P0), (v1, P1), (v2, P2), (v3, P3) = sorted(
+        (
+            (recorded, (0.5, 0.5, 0.5)),
+            (f(0.625, 0.5, 0.5), (0.625, 0.5, 0.5)),
+            (f(0.5, 0.625, 0.5), (0.5, 0.625, 0.5)),
+            (f(0.5, 0.5, 0.625), (0.5, 0.5, 0.625)),
+        ),
+        key=itemgetter(0),
+    )
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     iterations = 0
     converged = False
     while iterations < max_iter:
-        best, second, third, worst = simplex
         # The same decision as max(six edge lengths) < tol: best-worst, the
         # edge likeliest to be long, is tested first.
         if (
-            dist(best, worst) < tol
-            and dist(best, second) < tol
-            and dist(best, third) < tol
-            and dist(second, third) < tol
-            and dist(second, worst) < tol
-            and dist(third, worst) < tol
+            dist(P0, P3) < tol
+            and dist(P0, P1) < tol
+            and dist(P0, P2) < tol
+            and dist(P1, P2) < tol
+            and dist(P1, P3) < tol
+            and dist(P2, P3) < tol
         ):
             converged = True
             break
         iterations += 1
 
-        v0, _, v2, v3 = values
-        b0, b1, b2 = best
-        s0, s1, s2 = second
-        h0, h1, h2 = third
-        w0, w1, w2 = worst
+        b0, b1, b2 = P0
+        s0, s1, s2 = P1
+        h0, h1, h2 = P2
+        w0, w1, w2 = P3
         c0 = (b0 + s0 + h0) / 3.0
         c1 = (b1 + s1 + h1) / 3.0
         c2 = (b2 + s2 + h2) / 3.0
-        reflected = (
-            c0 + alpha * (c0 - w0),
-            c1 + alpha * (c1 - w1),
-            c2 + alpha * (c2 - w2),
-        )
-        fr = f(reflected)
+        # Reflect the worst vertex through the centroid c of the other three
+        # (coefficient 1), expand by 2, contract and shrink by 1/2.
+        r0 = c0 + (c0 - w0)
+        r1 = c1 + (c1 - w1)
+        r2 = c2 + (c2 - w2)
+        fr = f(r0, r1, r2)
         if v0 <= fr < v2:
-            new, fnew = reflected, fr
+            new, fnew = (r0, r1, r2), fr
         elif fr < v0:
-            expanded = (
-                c0 + gamma * (c0 - w0),
-                c1 + gamma * (c1 - w1),
-                c2 + gamma * (c2 - w2),
-            )
-            fe = f(expanded)
+            x0 = c0 + 2.0 * (c0 - w0)
+            x1 = c1 + 2.0 * (c1 - w1)
+            x2 = c2 + 2.0 * (c2 - w2)
+            fe = f(x0, x1, x2)
             if fe < fr:
-                new, fnew = expanded, fe
+                new, fnew = (x0, x1, x2), fe
             else:
-                new, fnew = reflected, fr
+                new, fnew = (r0, r1, r2), fr
         else:
             if fr < v3:
-                r0, r1, r2 = reflected
-                contracted = (
-                    c0 + rho * (r0 - c0),
-                    c1 + rho * (r1 - c1),
-                    c2 + rho * (r2 - c2),
-                )
+                x0 = c0 + 0.5 * (r0 - c0)
+                x1 = c1 + 0.5 * (r1 - c1)
+                x2 = c2 + 0.5 * (r2 - c2)
             else:
-                contracted = (
-                    c0 + rho * (w0 - c0),
-                    c1 + rho * (w1 - c1),
-                    c2 + rho * (w2 - c2),
-                )
-            fc = f(contracted)
-            if fc < min(fr, v3):
-                new, fnew = contracted, fc
+                x0 = c0 + 0.5 * (w0 - c0)
+                x1 = c1 + 0.5 * (w1 - c1)
+                x2 = c2 + 0.5 * (w2 - c2)
+            fc = f(x0, x1, x2)
+            if fc < fr and fc < v3:
+                new, fnew = (x0, x1, x2), fc
             else:
+                # Shrink toward the best vertex: the only step that replaces
+                # more than one vertex, and the only one that re-sorts.
                 new = None
-                simplex = [
-                    best,
-                    (b0 + sigma * (s0 - b0), b1 + sigma * (s1 - b1), b2 + sigma * (s2 - b2)),
-                    (b0 + sigma * (h0 - b0), b1 + sigma * (h1 - b1), b2 + sigma * (h2 - b2)),
-                    (b0 + sigma * (w0 - b0), b1 + sigma * (w1 - b1), b2 + sigma * (w2 - b2)),
-                ]
-                values = [v0, f(simplex[1]), f(simplex[2]), f(simplex[3])]
-                # Only a shrink replaces more than one vertex and re-sorts.
-                order = sorted(range(4), key=values.__getitem__)
-                simplex = [simplex[i] for i in order]
-                values = [values[i] for i in order]
+                Q1 = (b0 + 0.5 * (s0 - b0), b1 + 0.5 * (s1 - b1), b2 + 0.5 * (s2 - b2))
+                Q2 = (b0 + 0.5 * (h0 - b0), b1 + 0.5 * (h1 - b1), b2 + 0.5 * (h2 - b2))
+                Q3 = (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1), b2 + 0.5 * (w2 - b2))
+                (v0, P0), (v1, P1), (v2, P2), (v3, P3) = sorted(
+                    ((v0, P0), (f(*Q1), Q1), (f(*Q2), Q2), (f(*Q3), Q3)),
+                    key=itemgetter(0),
+                )
         if new is not None:
             # The worst vertex goes; its replacement lands after the kept
             # vertices of equal value, where a stable sort would put it.
-            k = bisect_right(values, fnew, 0, 3)
-            del simplex[3], values[3]
-            simplex.insert(k, new)
-            values.insert(k, fnew)
-        if values[0] < recorded:
-            recorded = values[0]
+            if fnew < v1:
+                if fnew < v0:
+                    P0, P1, P2, P3 = new, P0, P1, P2
+                    v0, v1, v2, v3 = fnew, v0, v1, v2
+                else:
+                    P1, P2, P3 = new, P1, P2
+                    v1, v2, v3 = fnew, v1, v2
+            elif fnew < v2:
+                P2, P3 = new, P2
+                v2, v3 = fnew, v2
+            else:
+                P3, v3 = new, fnew
+        if v0 < recorded:
+            recorded = v0
             history.append((iterations, math.ldexp(recorded, -e)))
 
-    # values[0] is f(simplex[0]), the value objective() maps back.
+    # v0 is f(*P0), the value objective() maps back.
     return MinimizeResult(
-        config=InscribedConfig(*simplex[0]),
-        perimeter=math.ldexp(values[0], -e),
+        config=InscribedConfig(*P0),
+        perimeter=math.ldexp(v0, -e),
         iterations=iterations,
         converged=converged,
         history=tuple(history),
@@ -349,19 +355,20 @@ def minimize_reflection_descent(
     in the history, which is therefore strictly decreasing.
     """
     margin = require_acute(t).margin
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _check_limits(max_iter, tol)
     f = _raw_objective(t)
-    params = list(start.as_tuple())
-    current = f(tuple(params))
+    p0, p1, p2 = start.as_tuple()
+    current = f(p0, p1, p2)
     e, ax, ay, bx, by, cx, cy = t.frame
     history: list[tuple[int, float]] = [(0, math.ldexp(current, -e))]
-    # Sides bc, ca and ab as (q.x, q.y, u.x, u.y, u . u) for the frame
-    # points q + s * u; side k carries parameter k.
-    sides = []
-    for qx, qy, rx, ry in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
-        ux, uy = rx - qx, ry - qy
-        sides.append((qx, qy, ux, uy, ux * ux + uy * uy))
+    # Parameter pk picks the frame point q + pk * u on side k: bc from b,
+    # ca from c and ab from a; uuk is u . u.
+    u0x, u0y = cx - bx, cy - by
+    u1x, u1y = ax - cx, ay - cy
+    u2x, u2y = bx - ax, by - ay
+    uu0 = u0x * u0x + u0y * u0y
+    uu1 = u1x * u1x + u1y * u1y
+    uu2 = u2x * u2x + u2y * u2y
     lo, hi = CLAMP_MARGIN, 1.0 - CLAMP_MARGIN
     ever_clamped = False
     converged = False
@@ -369,57 +376,66 @@ def minimize_reflection_descent(
     iterations = 0
     extrapolations = 0
     # The previous sweep's plain result g' and residual g' - x'.
-    prev_g = None
+    prev_g0 = prev_g1 = prev_g2 = 0.0
     prev_r0 = prev_r1 = prev_r2 = 0.0
     for sweep in range(1, max_iter + 1):
         iterations = sweep
-        old_params = list(params)
+        x0, x1, x2 = p0, p1, p2
         sweep_clamped = False
-        for axis in range(3):
-            k1, k2 = (axis + 1) % 3, (axis + 2) % 3
-            qx, qy, ux, uy, _ = sides[k1]
-            s = params[k1]
-            px, py = qx + s * ux, qy + s * uy
-            qx, qy, ux, uy, _ = sides[k2]
-            s = params[k2]
-            fx, fy = qx + s * ux, qy + s * uy
-            t_new = _best_on_side(*sides[axis], px, py, fx, fy)
-            if not (lo <= t_new <= hi):
-                t_new = min(max(t_new, lo), hi)
-                sweep_clamped = True
-                ever_clamped = True
-            params[axis] = t_new
-        new = f(tuple(params))
+        # Each side's best point between the points on the other two sides,
+        # the later sides seeing the earlier sides' new points.
+        p0 = _best_on_side(
+            bx, by, u0x, u0y, uu0, cx + p1 * u1x, cy + p1 * u1y, ax + p2 * u2x, ay + p2 * u2y
+        )
+        if not (lo <= p0 <= hi):
+            p0 = min(max(p0, lo), hi)
+            sweep_clamped = True
+        p1 = _best_on_side(
+            cx, cy, u1x, u1y, uu1, ax + p2 * u2x, ay + p2 * u2y, bx + p0 * u0x, by + p0 * u0y
+        )
+        if not (lo <= p1 <= hi):
+            p1 = min(max(p1, lo), hi)
+            sweep_clamped = True
+        p2 = _best_on_side(
+            ax, ay, u2x, u2y, uu2, bx + p0 * u0x, by + p0 * u0y, cx + p1 * u1x, cy + p1 * u1y
+        )
+        if not (lo <= p2 <= hi):
+            p2 = min(max(p2, lo), hi)
+            sweep_clamped = True
+        if sweep_clamped:
+            ever_clamped = True
+        new = f(p0, p1, p2)
         if new > current:
             # Rounding noise at the attractor; drop the sweep so the history
             # and the reported config stay monotone.
-            params = old_params
+            p0, p1, p2 = x0, x1, x2
             if not decided:
                 converged, decided = not sweep_clamped, True
             break
         improved = current - new
-        g0, g1, g2 = params
-        r0, r1, r2 = g0 - old_params[0], g1 - old_params[1], g2 - old_params[2]
+        g0, g1, g2 = p0, p1, p2
+        r0, r1, r2 = g0 - x0, g1 - x1, g2 - x2
         moved = max(abs(r0), abs(r1), abs(r2))
         stationary = improved < tol * new
-        if prev_g is not None:
+        if sweep > 1:
+            # Every earlier sweep ran to its end and left its pair (g', r').
             d0, d1, d2 = r0 - prev_r0, r1 - prev_r1, r2 - prev_r2
             dd = d0 * d0 + d1 * d1 + d2 * d2
             if dd > 0.0:
                 gamma = (r0 * d0 + r1 * d1 + r2 * d2) / dd
-                e0 = g0 - gamma * (g0 - prev_g[0])
-                e1 = g1 - gamma * (g1 - prev_g[1])
-                e2 = g2 - gamma * (g2 - prev_g[2])
+                e0 = g0 - gamma * (g0 - prev_g0)
+                e1 = g1 - gamma * (g1 - prev_g1)
+                e2 = g2 - gamma * (g2 - prev_g2)
                 if lo <= e0 <= hi and lo <= e1 <= hi and lo <= e2 <= hi:
-                    fe = f((e0, e1, e2))
+                    fe = f(e0, e1, e2)
                     # A tie is accepted: at the rounding floor the perimeter
                     # cannot order the two points, and the extrapolated one
                     # is the better estimate of the fixed point.
-                    if fe <= new and (e0, e1, e2) != (g0, g1, g2):
-                        params = [e0, e1, e2]
+                    if fe <= new and (e0 != g0 or e1 != g1 or e2 != g2):
+                        p0, p1, p2 = e0, e1, e2
                         new = fe
                         extrapolations += 1
-        prev_g = (g0, g1, g2)
+        prev_g0, prev_g1, prev_g2 = g0, g1, g2
         prev_r0, prev_r1, prev_r2 = r0, r1, r2
         step = current - new
         current = new
@@ -434,9 +450,9 @@ def minimize_reflection_descent(
             if not decided:
                 converged, decided = not sweep_clamped, True
             break
-    # current is f(params), the value objective() maps back.
+    # current is f(p0, p1, p2), the value objective() maps back.
     return MinimizeResult(
-        config=InscribedConfig(*params),
+        config=InscribedConfig(p0, p1, p2),
         perimeter=math.ldexp(current, -e),
         iterations=iterations,
         converged=converged,

@@ -234,6 +234,16 @@ def test_reflection_validation(equilateral):
         )
 
 
+@pytest.mark.parametrize("bad", (0, -5, 2.5))
+def test_max_iter_must_be_an_int_of_at_least_one(equilateral, bad):
+    # One rule for both searches, the CLI's --max-iter rule: 0 and -5 would
+    # return the start unconverged, and 2.5 would run 3 simplex iterations.
+    with pytest.raises(ValueError, match=r"max_iter must be an int >= 1, got"):
+        minimize_grid_then_simplex(equilateral, max_iter=bad)
+    with pytest.raises(ValueError, match=r"max_iter must be an int >= 1, got"):
+        minimize_reflection_descent(equilateral, InscribedConfig(0.5, 0.5, 0.5), max_iter=bad)
+
+
 def test_reflection_max_iter_exhaustion(golden_bfc):
     result = minimize_reflection_descent(golden_bfc, InscribedConfig(0.5, 0.5, 0.5), max_iter=1)
     assert not result.converged
