@@ -19,8 +19,8 @@ from fagnano.geometry import (
 )
 from fagnano.optimize import (
     InscribedConfig,
-    _best_on_side,
     InvalidConfigError,
+    _best_on_side,
     min_perimeter_closed_form,
     minimize_grid_then_simplex,
     minimize_reflection_descent,
@@ -236,8 +236,8 @@ def test_reflection_validation(equilateral):
 
 @pytest.mark.parametrize("bad", (0, -5, 2.5))
 def test_max_iter_must_be_an_int_of_at_least_one(equilateral, bad):
-    # One rule for both searches, the CLI's --max-iter rule: 0 and -5 would
-    # return the start unconverged, and 2.5 would run 3 simplex iterations.
+    # One rule for both searches, the CLI's --max-iter rule, so no limit
+    # below 1 reads as a non-convergence and no fraction is rounded up.
     with pytest.raises(ValueError, match=r"max_iter must be an int >= 1, got"):
         minimize_grid_then_simplex(equilateral, max_iter=bad)
     with pytest.raises(ValueError, match=r"max_iter must be an int >= 1, got"):
