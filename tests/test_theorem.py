@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -280,6 +281,25 @@ def test_scan_report_serialization_is_deterministic():
         "boundary_band",
         "tol_angle",
     ]
+
+
+# sha256 of jsonio.dumps(scan_angle_space(*args).to_document()), recorded
+# before the scan stopped building an OrthicResult per node.  The (16, 0.1,
+# 0.2) report lists counterexamples, so its angles are pinned to the digit.
+# The resolution-16 hash is also the CI check of `fagnano scan --resolution 16`.
+SCAN_SHA256 = {
+    (8,): "bfd4b74b918c9c04484e721322078bf58c375c9d6326c5d287db852e13291768",
+    (16,): "05dfde3a207c60078efc8c5649bc866516d982ca736b4329426d12b1a344e1e0",
+    (40,): "8972ddf81b922f6ee0fd450f1b80e9539223f6c76bc0931ce60a03b174173739",
+    (200,): "1abe380cc57b868eb94a3146b0ccaa65f357e9524dc74625872df1540cc18259",
+    (16, 0.1, 0.2): "c8f3d607d1d9358bc2d5b45a84214bf02df7ac6c8d0a15f8e5a0683915acc4db",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SCAN_SHA256), ids=lambda a: "-".join(map(str, a)))
+def test_scan_report_bytes_pinned(args):
+    text = jsonio.dumps(scan_angle_space(*args).to_document())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SCAN_SHA256[args]
 
 
 # ----------------------------------------------------- biconditional directions
