@@ -98,7 +98,6 @@ class TriangleKind(Enum):
     ACUTE = "acute"
     RIGHT = "right"
     OBTUSE = "obtuse"
-    DEGENERATE = "degenerate"
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class TriangleClass:
     """Shape classification plus the signed margin of the largest angle.
 
     ``margin = pi/2 - largest_angle``: positive for acute, negative for obtuse,
-    |margin| <= tol for right.  For degenerate input the margin is NaN.
+    |margin| <= tol for right.
     """
 
     kind: TriangleKind
@@ -249,18 +248,6 @@ def _by_margin(margin: float, tol: float) -> TriangleClass:
     return TriangleClass(kind, margin)
 
 
-def classify_points(
-    a: Point, b: Point, c: Point, tol: float = ANGLE_TOL
-) -> TriangleClass:
-    """Total classification of a raw vertex triple: ``classify`` of their
-    ``Triangle``, or DEGENERATE with a NaN margin where it is degenerate."""
-    try:
-        t = Triangle(a, b, c)
-    except DegenerateTriangleError:
-        return TriangleClass(TriangleKind.DEGENERATE, math.nan)
-    return classify(t, tol)
-
-
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     """Kind and margin of t at ``tol``, read from the classification that
     ``Triangle`` measured on its frame, so the same at every scale."""
@@ -317,8 +304,8 @@ def _feet(t: Triangle) -> tuple[float, float, float, float, float, float]:
 
 
 def _unframed(e: int, x: float, y: float) -> Point:
-    """The frame point (x, y) at the triangle's own scale.  Only a foot or
-    the orthocenter of a non-acute triangle can overflow there."""
+    """The frame point (x, y) at the triangle's own scale.  Only the
+    orthocenter of a non-acute triangle can overflow there."""
     try:
         return Point(math.ldexp(x, -e), math.ldexp(y, -e))
     except OverflowError:
@@ -332,13 +319,6 @@ def _perimeter(
     return (
         math.hypot(px - qx, py - qy) + math.hypot(qx - rx, qy - ry) + math.hypot(rx - px, ry - py)
     )
-
-
-def foot_of_altitude(t: Triangle, vertex: int) -> Point:
-    """Orthogonal projection of the chosen vertex onto the opposite side line."""
-    if vertex not in (0, 1, 2):
-        raise GeometryError(f"vertex index must be 0, 1 or 2, got {vertex}")
-    return _unframed(t.frame[0], *_feet(t)[2 * vertex : 2 * vertex + 2])
 
 
 @dataclass(frozen=True)
@@ -380,6 +360,13 @@ def orthic_triangle(t: Triangle, tol: float = ANGLE_TOL) -> OrthicResult:
         angles=AngleTriple(*_vertex_angles(*feet)),
         perimeter=math.ldexp(_perimeter(*feet), -e),
     )
+
+
+def _orthic_angles(t: Triangle) -> AngleTriple:
+    """``orthic_triangle(t).angles``, bit for bit, with no feet mapped back
+    and no ``OrthicResult``: the angles measured on the frame feet."""
+    require_acute(t)
+    return AngleTriple(*_vertex_angles(*_feet(t)))
 
 
 def _orthocenter(ax, ay, bx, by, cx, cy) -> tuple[float, float]:

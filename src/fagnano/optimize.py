@@ -36,8 +36,9 @@ from .geometry import (
     GeometryError,
     Point,
     Triangle,
+    _feet,
+    _perimeter,
     _unframed,
-    orthic_triangle,
     projection_param,
     require_acute,
 )
@@ -464,8 +465,10 @@ def minimize_reflection_descent(
 
 
 def min_perimeter_closed_form(t: Triangle) -> float:
-    """The known answer: the orthic triangle's perimeter, via coordinates."""
-    return orthic_triangle(t).perimeter
+    """The known answer: the orthic triangle's perimeter, measured on the
+    frame feet (``orthic_triangle(t).perimeter``, bit for bit)."""
+    require_acute(t)
+    return math.ldexp(_perimeter(*_feet(t)), -t.frame[0])
 
 
 def orthic_config(t: Triangle) -> InscribedConfig:

@@ -29,11 +29,11 @@ from .geometry import (
     _angle,
     _feet,
     _incenter,
+    _orthic_angles,
     _orthocenter,
     _vertex_angles,
     angles,
     check_tolerance,
-    orthic_triangle,
     require_acute,
 )
 
@@ -106,10 +106,11 @@ def verdict(t: Triangle, tol_angle: float = ANGLE_TOL) -> TheoremVerdict:
     The orthic angle at foot_from_x is compared against pi/2 at ``tol_angle``;
     the parent angle at x against pi/4 at ``tol_angle / 2``.  The pairing check
     is the index correspondence between those two hits.  ``tol_angle`` sets
-    only those tests: ``t`` must be acute at ``ANGLE_TOL``.
+    only those tests: ``t`` must be acute at ``ANGLE_TOL``.  The orthic
+    angles are measured on the frame feet; no ``OrthicResult`` is built.
     """
     check_tolerance("tol_angle", tol_angle)
-    return _verdict_core(angles(t), orthic_triangle(t).angles, tol_angle)
+    return _verdict_core(angles(t), _orthic_angles(t), tol_angle)
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,8 @@ def scan_angle_space(
     locus a right orthic angle paired with vertex b is mandatory.  Both kinds
     of node count toward ``samples_tested``.  ``tol_angle`` sets only the
     verdict tests: every node is acute by construction and is classified at
-    ``ANGLE_TOL``.
+    ``ANGLE_TOL``.  Each node's orthic angles are measured on its frame feet;
+    no ``OrthicResult`` is built.
     A ``boundary_band`` that skips every grid node raises ValueError.
     """
     if grid_resolution < 8:
@@ -293,15 +295,15 @@ def scan_angle_space(
     for (alpha, beta), on_locus in nodes:
         tri = Triangle.from_angles(alpha, beta)
         parent = angles(tri)
-        orth = orthic_triangle(tri)
+        orth = _orthic_angles(tri)
         if not on_locus and (
             min(abs(x - QUARTER_PI) for x in parent.as_tuple()) < boundary_band
-            or min(abs(x - HALF_PI) for x in orth.angles.as_tuple()) < boundary_band
+            or min(abs(x - HALF_PI) for x in orth.as_tuple()) < boundary_band
         ):
             skipped += 1
             continue
         tested += 1
-        v = _verdict_core(parent, orth.angles, tol_angle)
+        v = _verdict_core(parent, orth, tol_angle)
         ok = v.biconditional_holds and v.pairing_holds is not False
         if on_locus:
             # Forward direction: a pi/4 parent must produce a right orthic

@@ -19,9 +19,7 @@ from fagnano.geometry import (
     TriangleKind,
     angles,
     classify,
-    classify_points,
     dist,
-    foot_of_altitude,
     incenter,
     orthic_triangle,
     orthocenter,
@@ -74,7 +72,7 @@ def test_triangle_rejects_non_finite_vertex():
             with pytest.raises(NonFiniteError):
                 Triangle(bad, *others)
             with pytest.raises(NonFiniteError):
-                classify_points(others[0], bad, others[1])
+                classify(Triangle(others[0], bad, others[1]))
     with pytest.raises(NonFiniteError):
         Triangle.from_angles(1.0, 1.0, math.inf)
 
@@ -215,23 +213,23 @@ def classify_shapes():
     return shapes
 
 
-def test_classify_points_is_scale_invariant():
-    # classify_points measures its triple on Triangle's power-of-two frame,
-    # so at any exact scale 2^k it gives the kind and margin of scale 1.
+def test_classify_is_scale_invariant():
+    # classify reads what Triangle measured on its power-of-two frame, so at
+    # any exact scale 2^k it gives the kind and margin of scale 1.
     rng = random.Random(5)
     scales = [-1000, -600, 600, 1000] + [rng.randint(-1000, 1000) for _ in range(30)]
     shapes = classify_shapes()
     exact = 0
     for shape in shapes:
         coords = [v for p in shape.vertices for v in p.as_tuple()]
-        want = {tol: classify_points(*shape.vertices, tol) for tol in (0.0, 1e-9, 1e-3)}
+        want = {tol: classify(Triangle(*shape.vertices), tol) for tol in (0.0, 1e-9, 1e-3)}
         for k in scales:
             if any(math.ldexp(math.ldexp(v, k), -k) != v for v in coords):
                 continue  # a subnormal coordinate: not an exact scaling
             exact += 1
             a, b, c = (Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in shape.vertices)
             for tol, w in want.items():
-                got = classify_points(a, b, c, tol)
+                got = classify(Triangle(a, b, c), tol)
                 assert (got.kind, got.margin.hex()) == (w.kind, w.margin.hex()), (k, tol)
     assert exact > len(shapes) * len(scales) // 2
     # Decimal scales at which the squared sides underflow or overflow.
@@ -241,16 +239,16 @@ def test_classify_points_is_scale_invariant():
         "acute": ((0, 0), (1, 0), (0.4, 0.9)),
     }
     for name, pts in decimal_shapes.items():
-        want = classify_points(*(Point(x, y) for x, y in pts))
+        want = classify(Triangle(*(Point(x, y) for x, y in pts)))
         for s in (1e-170, 1e160):
-            got = classify_points(*(Point(x * s, y * s) for x, y in pts))
+            got = classify(Triangle(*(Point(x * s, y * s) for x, y in pts)))
             assert got.kind is want.kind, (name, s)
             assert got.margin == pytest.approx(want.margin, abs=1e-15), (name, s)
     # Collinear and coincident triples are degenerate at every scale.
     for pts in (((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 1), (3, 3)), ((0.5, 0.25),) * 3):
         for s in [1.0, 1e-170, 1e160] + [math.ldexp(1.0, k) for k in scales]:
-            got = classify_points(*(Point(x * s, y * s) for x, y in pts))
-            assert got.kind is TriangleKind.DEGENERATE and math.isnan(got.margin), (pts, s)
+            with pytest.raises(DegenerateTriangleError):
+                classify(Triangle(*(Point(x * s, y * s) for x, y in pts)))
 
 
 def frame_formula(t: Triangle, tol: float):
@@ -272,9 +270,9 @@ def frame_formula(t: Triangle, tol: float):
         vertex_angles.append(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
     largest = math.nan if any(x != x for x in vertex_angles) else max(vertex_angles)
     margin = math.pi / 2 - largest
-    if longest == 0.0 or abs(area2) / 2 < DEGENERACY_TOL * longest * longest:
-        kind = TriangleKind.DEGENERATE
-    elif margin > tol:
+    # Every t here was constructed, so it passed the degeneracy test.
+    assert longest > 0.0 and abs(area2) / 2 >= DEGENERACY_TOL * longest * longest
+    if margin > tol:
         kind = TriangleKind.ACUTE
     elif margin < -tol:
         kind = TriangleKind.OBTUSE
@@ -389,30 +387,23 @@ def test_stored_classification_is_read_without_trigonometry(monkeypatch):
     )
 
 
-def test_classify_points_degenerate_is_total():
-    cls = classify_points(Point(0, 0), Point(1, 0), Point(2, 0))
-    assert cls.kind is TriangleKind.DEGENERATE
-    cls = classify_points(Point(0, 0), Point(0, 0), Point(0, 0))
-    assert cls.kind is TriangleKind.DEGENERATE and math.isnan(cls.margin)
-
-
 # ------------------------------------------------------------- altitude feet
 
 
 def test_foot_equilateral_apex(equilateral):
-    foot = foot_of_altitude(equilateral, 2)
+    foot = orthic_triangle(equilateral).feet[2]
     assert foot.x == pytest.approx(0.5, abs=1e-15)
     assert foot.y == pytest.approx(0.0, abs=1e-15)
 
 
 def test_foot_golden_from_f_is_square_corner(golden_bfc):
     # vertices after normalization: a=B, b=C, c=F; BC is the line x=1
-    foot = foot_of_altitude(golden_bfc, 2)
+    foot = orthic_triangle(golden_bfc).feet[2]
     assert dist(foot, Point(1.0, 1.0)) <= 1e-12
 
 
 def test_foot_golden_from_c_matches_oracle(golden_bfc):
-    foot = foot_of_altitude(golden_bfc, 1)  # vertex b is C=(1, phi), side is FB
+    foot = orthic_triangle(golden_bfc).feet[1]  # vertex b is C=(1, phi), side is FB
     oracle = project_oracle(golden_bfc.b, golden_bfc.c, golden_bfc.a)
     assert dist(foot, oracle) <= 1e-9
     assert foot.x == pytest.approx(1.0 - PHI / 2.0, abs=1e-12)
@@ -423,11 +414,12 @@ def test_foot_golden_from_c_matches_oracle(golden_bfc):
 
 @given(acute_triangles(margin=0.01))
 def test_foot_projection_residual(t):
+    feet = orthic_triangle(t).feet
     for v in range(3):
         p = t.vertices[v]
         q = t.vertices[(v + 1) % 3]
         r = t.vertices[(v + 2) % 3]
-        foot = foot_of_altitude(t, v)
+        foot = feet[v]
         drop = p - foot
         side = r - q
         residual = abs(drop.dot(side)) / (drop.norm() * side.norm())
@@ -440,15 +432,15 @@ def test_projection_param_on_axis_line():
 
 
 def test_points_of_an_obtuse_triangle_past_the_double_range():
-    # The perimeter is finite, but the foot from a lands on the extension of
-    # bc, and the orthocenter outside the triangle, past 1.8e308: each is
-    # reported as a non-finite point, not as an OverflowError.
+    # The perimeter is finite, but the orthocenter lies outside the triangle,
+    # past 1.8e308: it is reported as a non-finite point, not as an
+    # OverflowError.
     t = Triangle(Point(1.7e308, 3.5e307), Point(1.6e308, 0.0), Point(1.61e308, 1e306))
     with pytest.raises(NonFiniteError, match=r"\* 2\*\*1024 overflows"):
-        foot_of_altitude(t, 0)
-    with pytest.raises(NonFiniteError, match=r"\* 2\*\*1024 overflows"):
         orthocenter(t)
-    assert foot_of_altitude(t, 1).x < 1.7e308
+    # Its feet are never mapped back: the acute gate comes first.
+    with pytest.raises(NotAcuteError):
+        orthic_triangle(t)
 
 
 def test_require_acute_classifies_huge_triangles_as_their_scaled_copies():

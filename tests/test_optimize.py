@@ -402,6 +402,30 @@ def test_closed_form_rejects_non_acute():
         min_perimeter_closed_form(Triangle(Point(0, 0), Point(1, 0), Point(0, 1)))
 
 
+def test_closed_form_is_the_orthic_perimeter_bit_for_bit():
+    # The closed form measures the frame feet and maps only their perimeter
+    # back: the float orthic_triangle(t).perimeter gives, at every scale, and
+    # the same NotAcuteError where t is right or obtuse.
+    rng = random.Random(20161016)
+    right = (Point(0, 0), Point(1, 0), Point(0, 1))
+    obtuse = (Point(0, 0), Point(1, 0), Point(2, 0.1))
+    for k in (-500, 0, 500):
+
+        def scaled(vertices):
+            return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in vertices))
+
+        for _ in range(300):
+            t = scaled(random_acute_triangle(rng, rng.choice((1e-2, 1e-6))).vertices)
+            assert min_perimeter_closed_form(t).hex() == orthic_triangle(t).perimeter.hex()
+        for vertices in (right, obtuse):
+            t = scaled(vertices)
+            with pytest.raises(NotAcuteError) as closed:
+                min_perimeter_closed_form(t)
+            with pytest.raises(NotAcuteError) as orthic:
+                orthic_triangle(t)
+            assert str(closed.value) == str(orthic.value)
+
+
 def test_near_right_warning_flag():
     t = Triangle.from_angles(math.pi / 2 - 5e-4, math.pi / 4)
     result = minimize_grid_then_simplex(t)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import theorem_bits
 from conftest import acute_triangles, random_acute_triangle, sample_acute_angles
-from fagnano import cli, jsonio
+from fagnano import cli, geometry, jsonio
 from fagnano.geometry import (
     ANGLE_TOL,
     GeometryError,
@@ -17,9 +17,11 @@ from fagnano.geometry import (
     Triangle,
     angles,
     classify,
+    orthic_triangle,
     orthocenter,
     TriangleKind,
 )
+from fagnano.optimize import min_perimeter_closed_form
 from fagnano.theorem import (
     acute_grid_nodes,
     incenter_orthocenter_check,
@@ -294,6 +296,27 @@ SCAN_SHA256 = {
     (200,): "1abe380cc57b868eb94a3146b0ccaa65f357e9524dc74625872df1540cc18259",
     (16, 0.1, 0.2): "c8f3d607d1d9358bc2d5b45a84214bf02df7ac6c8d0a15f8e5a0683915acc4db",
 }
+
+
+def test_orthic_measures_map_no_foot_back(monkeypatch):
+    # The scan, verdict and the closed form measure the frame feet: none of
+    # them builds an OrthicResult, whose feet _unframed maps back.
+    t = Triangle.from_angles(1.0, 1.1)
+    calls = {
+        "scan": lambda: jsonio.dumps(scan_angle_space(16).to_document()),
+        "verdict": lambda: (verdict(t), verdict(t, 0.2)),
+        "closed form": lambda: min_perimeter_closed_form(t),
+    }
+    want = {name: call() for name, call in calls.items()}
+
+    def forbidden(*args):
+        raise AssertionError("a foot was mapped back")
+
+    monkeypatch.setattr(geometry, "_unframed", forbidden)
+    with pytest.raises(AssertionError, match="mapped back"):
+        orthic_triangle(t)
+    for name, call in calls.items():
+        assert call() == want[name], name
 
 
 @pytest.mark.parametrize("args", sorted(SCAN_SHA256), ids=lambda a: "-".join(map(str, a)))
