@@ -409,16 +409,16 @@ def test_closed_form_is_the_orthic_perimeter_bit_for_bit():
     rng = random.Random(20161016)
     right = (Point(0, 0), Point(1, 0), Point(0, 1))
     obtuse = (Point(0, 0), Point(1, 0), Point(2, 0.1))
+
+    def scaled(vertices, k):
+        return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in vertices))
+
     for k in (-500, 0, 500):
-
-        def scaled(vertices):
-            return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in vertices))
-
         for _ in range(300):
-            t = scaled(random_acute_triangle(rng, rng.choice((1e-2, 1e-6))).vertices)
+            t = scaled(random_acute_triangle(rng, rng.choice((1e-2, 1e-6))).vertices, k)
             assert min_perimeter_closed_form(t).hex() == orthic_triangle(t).perimeter.hex()
         for vertices in (right, obtuse):
-            t = scaled(vertices)
+            t = scaled(vertices, k)
             with pytest.raises(NotAcuteError) as closed:
                 min_perimeter_closed_form(t)
             with pytest.raises(NotAcuteError) as orthic:

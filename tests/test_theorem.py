@@ -298,6 +298,12 @@ SCAN_SHA256 = {
 }
 
 
+@pytest.mark.parametrize("args", sorted(SCAN_SHA256), ids=lambda a: "-".join(map(str, a)))
+def test_scan_report_bytes_pinned(args):
+    text = jsonio.dumps(scan_angle_space(*args).to_document())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SCAN_SHA256[args]
+
+
 def test_orthic_measures_map_no_foot_back(monkeypatch):
     # The scan, verdict and the closed form measure the frame feet: none of
     # them builds an OrthicResult, whose feet _unframed maps back.
@@ -317,12 +323,6 @@ def test_orthic_measures_map_no_foot_back(monkeypatch):
         orthic_triangle(t)
     for name, call in calls.items():
         assert call() == want[name], name
-
-
-@pytest.mark.parametrize("args", sorted(SCAN_SHA256), ids=lambda a: "-".join(map(str, a)))
-def test_scan_report_bytes_pinned(args):
-    text = jsonio.dumps(scan_angle_space(*args).to_document())
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SCAN_SHA256[args]
 
 
 # ----------------------------------------------------- biconditional directions
