@@ -1,85 +1,2 @@
 """Orthic-triangle toolkit: minimal inscribed triangles, the right-orthic
 characterization, and the golden-rectangle construction."""
-
-from .geometry import (
-    ANGLE_TOL,
-    DEGENERACY_TOL,
-    AngleTriple,
-    DegenerateTriangleError,
-    GeometryError,
-    NonFiniteError,
-    NotAcuteError,
-    OrthicResult,
-    Point,
-    Triangle,
-    TriangleClass,
-    TriangleKind,
-    angles,
-    classify,
-    incenter,
-    orthic_triangle,
-    orthocenter,
-    perimeter,
-)
-from .golden import GoldenFigure, build, law_of_cosines, reproduce_paper_values
-from .optimize import (
-    InscribedConfig,
-    InvalidConfigError,
-    MinimizeResult,
-    min_perimeter_closed_form,
-    minimize_grid_then_simplex,
-    minimize_reflection_descent,
-    objective,
-    orthic_config,
-)
-from .theorem import (
-    ProofStepReport,
-    ScanReport,
-    TheoremVerdict,
-    incenter_orthocenter_check,
-    proof_steps,
-    scan_angle_space,
-    verdict,
-)
-
-__all__ = [
-    "ANGLE_TOL",
-    "DEGENERACY_TOL",
-    "AngleTriple",
-    "DegenerateTriangleError",
-    "GeometryError",
-    "GoldenFigure",
-    "InscribedConfig",
-    "InvalidConfigError",
-    "MinimizeResult",
-    "NonFiniteError",
-    "NotAcuteError",
-    "OrthicResult",
-    "Point",
-    "ProofStepReport",
-    "ScanReport",
-    "TheoremVerdict",
-    "Triangle",
-    "TriangleClass",
-    "TriangleKind",
-    "angles",
-    "build",
-    "classify",
-    "incenter",
-    "incenter_orthocenter_check",
-    "law_of_cosines",
-    "min_perimeter_closed_form",
-    "minimize_grid_then_simplex",
-    "minimize_reflection_descent",
-    "objective",
-    "orthic_config",
-    "orthic_triangle",
-    "orthocenter",
-    "perimeter",
-    "proof_steps",
-    "reproduce_paper_values",
-    "scan_angle_space",
-    "verdict",
-]
-
-__version__ = "0.1.0"

@@ -206,7 +206,7 @@ class Triangle:
         on a circle of the given radius centered at the origin.
         """
         gamma = math.pi - alpha - beta
-        if min(alpha, beta, gamma) <= 0.0:
+        if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
             raise GeometryError(f"angles ({alpha}, {beta}, {gamma}) do not form a triangle")
         # Central angle over each side is twice the opposite interior angle.
         ta = 0.0
@@ -250,9 +250,11 @@ def _by_margin(margin: float, tol: float) -> TriangleClass:
 
 def classify(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     """Kind and margin of t at ``tol``, read from the classification that
-    ``Triangle`` measured on its frame, so the same at every scale."""
+    ``Triangle`` measured on its frame, so the same at every scale.  A tol
+    that is negative, NaN or infinite raises ValueError."""
     if tol == ANGLE_TOL:
         return t.classification
+    check_tolerance("tol", tol)
     return _by_margin(t.classification.margin, tol)
 
 
@@ -265,8 +267,7 @@ def check_tolerance(name: str, value: float) -> None:
 def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     """Raise NotAcuteError naming the offending angle unless t is acute;
     return the classification otherwise.  A tol that is negative, NaN or
-    infinite raises ValueError."""
-    check_tolerance("tol", tol)
+    infinite raises ValueError (from ``classify``)."""
     cls = classify(t, tol)
     if cls.kind is not TriangleKind.ACUTE:
         largest = max(t.vertex_angles)

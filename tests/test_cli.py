@@ -551,6 +551,40 @@ def test_no_command_loads_numpy(tmp_path):
     ]
 
 
+# Each module imports on its own, in a fresh interpreter, and loads only the
+# fagnano modules it uses: the package root re-exports nothing.
+IMPORT_GRAPH = {
+    "geometry": [],
+    "jsonio": [],
+    "golden": ["geometry"],
+    "optimize": ["geometry"],
+    "theorem": ["geometry"],
+    "render": ["geometry", "golden"],
+    "cli": ["geometry", "golden", "jsonio", "optimize", "render", "theorem"],
+}
+IMPORT_PROBE = """
+import importlib, json, sys
+name = sys.argv[1]
+importlib.import_module("fagnano." + name)
+print(json.dumps(sorted(
+    m[len("fagnano."):] for m in sys.modules
+    if m.startswith("fagnano.") and m != "fagnano." + name
+)))
+"""
+
+
+def test_each_module_imports_alone():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for name, uses in IMPORT_GRAPH.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, name],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == uses, name
+
+
 # ------------------------------------------------------------------- general
 
 

@@ -77,6 +77,15 @@ def test_triangle_rejects_non_finite_vertex():
         Triangle.from_angles(1.0, 1.0, math.inf)
 
 
+def test_from_angles_rejects_nan_angle():
+    # A NaN angle is named as the bad input, not as a computed vertex.
+    for alpha, beta in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(GeometryError) as raised:
+            Triangle.from_angles(alpha, beta)
+        assert type(raised.value) is GeometryError
+        assert str(raised.value) == f"angles ({alpha}, {beta}, nan) do not form a triangle"
+
+
 def test_triangle_rejects_collinear():
     with pytest.raises(DegenerateTriangleError):
         Triangle(Point(0, 0), Point(1, 0), Point(2, 0))
@@ -516,10 +525,14 @@ def test_orthic_rejects_non_acute():
         orthic_triangle(Triangle(Point(0, 0), Point(1, 0), Point(0, 1)))
     with pytest.raises(NotAcuteError, match="obtuse"):
         orthic_triangle(Triangle(Point(0, 0), Point(1, 0), Point(2, 0.1)))
-    # A negative tolerance used to pass this obtuse parent as acute.
+    # A negative tolerance used to pass this obtuse parent as acute, and
+    # classify read it ACUTE at -1 and RIGHT at NaN or infinity.
+    obtuse = Triangle(Point(0, 0), Point(1, 0), Point(2, 0.1))
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             orthic_triangle(Triangle(Point(0, 0), Point(1, 0), Point(-0.1, 1)), bad)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            classify(obtuse, bad)
 
 
 def test_orthic_angle_law_sweep():
