@@ -28,6 +28,7 @@ from . import golden, jsonio, render
 from .geometry import (
     ANGLE_TOL,
     DegenerateTriangleError,
+    GeometryError,
     NotAcuteError,
     Point,
     Triangle,
@@ -115,16 +116,14 @@ def parse_triangle(text: str) -> Triangle:
             coords = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"bad coordinate in {text!r}: {exc}") from exc
-        if not all(math.isfinite(v) for v in coords):
-            raise ValueError(f"coordinates must be finite, got {text!r}")
     try:
         return Triangle(
             Point(coords[0], coords[1]),
             Point(coords[2], coords[3]),
             Point(coords[4], coords[5]),
         )
-    except DegenerateTriangleError as exc:
-        raise DegenerateTriangleError(f"triangle {text!r}: {exc}") from exc
+    except GeometryError as exc:
+        raise type(exc)(f"triangle {text!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> InscribedConfig:

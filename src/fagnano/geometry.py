@@ -199,24 +199,20 @@ class Triangle:
         object.__setattr__(self, "classification", _by_margin(margin, ANGLE_TOL))
 
     @classmethod
-    def from_angles(
-        cls, alpha: float, beta: float, circumradius: float = 1.0
-    ) -> Triangle:
+    def from_angles(cls, alpha: float, beta: float) -> Triangle:
         """Instantiate the shape with interior angles (alpha, beta, pi-alpha-beta)
-        on a circle of the given radius centered at the origin.
+        on the unit circle centered at the origin, with a at (1, 0).
         """
         gamma = math.pi - alpha - beta
         if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
             raise GeometryError(f"angles ({alpha}, {beta}, {gamma}) do not form a triangle")
         # Central angle over each side is twice the opposite interior angle.
-        ta = 0.0
         tb = 2.0 * gamma
         tc = 2.0 * gamma + 2.0 * alpha
-        r = circumradius
         return cls(
-            Point(r * math.cos(ta), r * math.sin(ta)),
-            Point(r * math.cos(tb), r * math.sin(tb)),
-            Point(r * math.cos(tc), r * math.sin(tc)),
+            Point(1.0, 0.0),
+            Point(math.cos(tb), math.sin(tb)),
+            Point(math.cos(tc), math.sin(tc)),
         )
 
     @property
@@ -371,13 +367,13 @@ def _orthic_angles(t: Triangle) -> AngleTriple:
 
 
 def _orthocenter(ax, ay, bx, by, cx, cy) -> tuple[float, float]:
-    """Common point of the three altitudes (intersection of two of them)."""
+    """Common point of the three altitudes (intersection of two of them).
+    Unchecked: det is the frame's doubled area, which ``Triangle`` keeps at
+    >= 2 * DEGENERACY_TOL * longest^2, far above its rounding error."""
     # Altitude from a: through a, perpendicular to bc; similarly from b.
     d1x, d1y = -(cy - by), cx - bx
     d2x, d2y = -(ay - cy), ax - cx
     det = d1x * d2y - d1y * d2x
-    if det == 0.0:
-        raise DegenerateTriangleError("altitudes are parallel")
     s = ((bx - ax) * d2y - (by - ay) * d2x) / det
     return ax + d1x * s, ay + d1y * s
 

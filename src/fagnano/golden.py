@@ -109,8 +109,8 @@ def build() -> GoldenFigure:
 
 def law_of_cosines(p: float, q: float, included_angle: float) -> float:
     """Third side of a triangle with sides p, q enclosing the given angle."""
-    if p <= 0.0 or q <= 0.0:
-        raise ValueError(f"sides must be positive, got ({p}, {q})")
+    if not (0.0 < p < math.inf and 0.0 < q < math.inf):
+        raise ValueError(f"sides must be positive and finite, got ({p}, {q})")
     if not (0.0 < included_angle < math.pi):
         raise ValueError(f"included angle {included_angle} outside (0, pi)")
     return math.sqrt(p * p + q * q - 2.0 * p * q * math.cos(included_angle))

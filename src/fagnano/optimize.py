@@ -416,8 +416,7 @@ def minimize_reflection_descent(
         improved = current - new
         g0, g1, g2 = p0, p1, p2
         r0, r1, r2 = g0 - x0, g1 - x1, g2 - x2
-        moved = max(abs(r0), abs(r1), abs(r2))
-        stationary = improved < tol * new
+        stationary = improved < tol * new or improved == 0.0
         if sweep > 1:
             # Every earlier sweep ran to its end and left its pair (g', r').
             d0, d1, d2 = r0 - prev_r0, r1 - prev_r1, r2 - prev_r2
@@ -443,13 +442,12 @@ def minimize_reflection_descent(
         if step >= tol * current:
             history.append((sweep, math.ldexp(new, -e)))
         if stationary and not decided:
-            # Sub-tolerance plain sweep without clamping: stationary.
+            # Sub-tolerance plain sweep without clamping: stationary (a
+            # zero gain counts even where tol * new underflows to 0).
             # Clamped and stuck instead: pinned to the boundary, not a
             # minimum.
             converged, decided = not sweep_clamped, True
-        if improved == 0.0 or moved == 0.0:
-            if not decided:
-                converged, decided = not sweep_clamped, True
+        if improved == 0.0:
             break
     # current is f(p0, p1, p2), the value objective() maps back.
     return MinimizeResult(

@@ -276,8 +276,8 @@ def scan_angle_space(
     no ``OrthicResult`` is built.
     A ``boundary_band`` that skips every grid node raises ValueError.
     """
-    if grid_resolution < 8:
-        raise ValueError(f"grid_resolution must be >= 8, got {grid_resolution}")
+    if not (isinstance(grid_resolution, int) and grid_resolution >= 8):
+        raise ValueError(f"grid_resolution must be an int >= 8, got {grid_resolution!r}")
     check_tolerance("tol_angle", tol_angle)
     check_tolerance("boundary_band", boundary_band)
     if boundary_band <= tol_angle:

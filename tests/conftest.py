@@ -25,11 +25,9 @@ def sample_acute_angles(rng: random.Random, margin: float = ACUTE_MARGIN):
             return alpha, beta
 
 
-def random_acute_triangle(
-    rng: random.Random, margin: float = ACUTE_MARGIN, circumradius: float = 1.0
-) -> Triangle:
+def random_acute_triangle(rng: random.Random, margin: float = ACUTE_MARGIN) -> Triangle:
     alpha, beta = sample_acute_angles(rng, margin)
-    return Triangle.from_angles(alpha, beta, circumradius)
+    return Triangle.from_angles(alpha, beta)
 
 
 @st.composite

@@ -87,6 +87,7 @@ def test_degenerate_input_message(capsys, text):
         ["scan", "--resolution", "8", "--tol-angle", "nan"],
         ["minimize", "golden-bfc", "--max-iter", "0"],
         ["minimize", "golden-bfc", "--method", "reflection", "--max-iter", "-1"],
+        ["orthic", "equilateral", "--tol", "abc"],
     ),
     ids=lambda argv: " ".join(argv),
 )
@@ -95,6 +96,8 @@ def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
     assert (code, out) == (1, "")
     if argv[-2] == "--max-iter":
         reason = f"iteration limit must be >= 1, got {int(argv[-1])!r}"
+    elif argv[-1] == "abc":
+        reason = "invalid float value: 'abc'"
     else:
         reason = f"tolerance must be finite and >= 0, got {float(argv[-1])!r}"
     assert err == f"fagnano: error: argument {argv[-2]}: {reason}\n"
@@ -112,8 +115,13 @@ def test_overflowing_side_of_finite_input_exits_2(capsys):
 def test_orthic_parse_failures(capsys):
     assert run(capsys, "orthic", "0,0,1,0")[0] == 1          # wrong arity
     assert run(capsys, "orthic", "0,0,1,0,x,1")[0] == 1      # not a number
-    assert run(capsys, "orthic", "0,0,1,0,nan,1")[0] == 1    # non-finite
     assert run(capsys, "orthic", "no-such-preset")[0] == 1
+    # A non-finite coordinate is rejected by Triangle; the message names
+    # both the argument and the vertex.
+    for text, vertex in (("0,0,1,0,nan,1", "(nan, 1.0)"), ("0,0,1e400,0,0,1", "(inf, 0.0)")):
+        assert run(capsys, "orthic", text) == (
+            1, "", f"fagnano: error: triangle {text!r}: non-finite coordinates {vertex}\n"
+        )
 
 
 def test_orthic_output_file(capsys, tmp_path):
@@ -180,11 +188,16 @@ def test_minimize_bad_method_exit_1(capsys):
 
 
 def test_minimize_bad_start_exit_1(capsys):
-    code, _, err = run(
-        capsys, "minimize", "equilateral", "--method", "reflection", "--start", "0,0.5,0.5"
-    )
-    assert code == 1
-    assert err == "fagnano: error: t_on_bc=0.0 outside the open interval (0, 1)\n"
+    for start, reason in (
+        ("0,0.5,0.5", "t_on_bc=0.0 outside the open interval (0, 1)"),
+        ("0.5,0.5", "expected three comma-separated parameters, got '0.5,0.5'"),
+        ("a,b,c", "bad parameter in 'a,b,c': could not convert string to float: 'a'"),
+    ):
+        code, _, err = run(
+            capsys, "minimize", "equilateral", "--method", "reflection", "--start", start
+        )
+        assert code == 1
+        assert err == f"fagnano: error: {reason}\n"
 
 
 def test_reflection_default_start_is_the_medial_configuration(capsys):

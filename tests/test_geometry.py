@@ -73,8 +73,9 @@ def test_triangle_rejects_non_finite_vertex():
                 Triangle(bad, *others)
             with pytest.raises(NonFiniteError):
                 classify(Triangle(others[0], bad, others[1]))
-    with pytest.raises(NonFiniteError):
-        Triangle.from_angles(1.0, 1.0, math.inf)
+    # from_angles always builds on the unit circle: it takes no radius.
+    with pytest.raises(TypeError):
+        Triangle.from_angles(1.0, 1.0, 2.0)
 
 
 def test_from_angles_rejects_nan_angle():

@@ -97,8 +97,9 @@ def test_side_proportions(fig):
 def test_law_of_cosines_basics():
     assert law_of_cosines(1.0, 1.0, math.pi / 3.0) == pytest.approx(1.0, abs=1e-15)
     assert law_of_cosines(3.0, 4.0, math.pi / 2.0) == pytest.approx(5.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        law_of_cosines(0.0, 1.0, 1.0)
+    for p, q in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="sides must be positive and finite"):
+            law_of_cosines(p, q, 1.0)
     with pytest.raises(ValueError):
         law_of_cosines(1.0, 1.0, math.pi)
 

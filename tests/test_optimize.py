@@ -204,16 +204,21 @@ def test_reflection_fixed_point_any_acute():
 # clamped step, after which the descent still reaches the optimum.
 CLAMP_RECOVERY_SHAPE = (0.770835391360292, 0.8103794669074901)
 CLAMP_RECOVERY_START = (1.1651413508404745e-08,) * 3
+# A near-right shape whose start clamps side ca, the middle step of a sweep.
+CLAMP_CA_SHAPE = (1.4699710063348028, 1.4998947074550086)
+CLAMP_CA_START = (0.99999999, 0.9996199307711273, 1e-08)
 
 
 def test_reflection_clamp_recovery():
-    t = Triangle.from_angles(*CLAMP_RECOVERY_SHAPE)
-    start = InscribedConfig(*CLAMP_RECOVERY_START)
-    result = minimize_reflection_descent(t, start)
-    assert result.clamped
-    assert result.converged
-    closed = min_perimeter_closed_form(t)
-    assert abs(result.perimeter - closed) / closed <= 1e-9
+    for shape, start in (
+        (CLAMP_RECOVERY_SHAPE, CLAMP_RECOVERY_START), (CLAMP_CA_SHAPE, CLAMP_CA_START)
+    ):
+        t = Triangle.from_angles(*shape)
+        result = minimize_reflection_descent(t, InscribedConfig(*start))
+        assert result.clamped
+        assert result.converged
+        closed = min_perimeter_closed_form(t)
+        assert abs(result.perimeter - closed) / closed <= 1e-9
 
 
 def test_best_on_side_parallel_chord():

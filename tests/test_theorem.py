@@ -187,6 +187,27 @@ def test_incenter_orthocenter_golden(golden_bfc):
     assert incenter_orthocenter_check(golden_bfc) <= 1e-12
 
 
+def test_centers_finite_on_the_flattest_triangles_at_extreme_scales():
+    # Triangle keeps |cross| >= 2 * DEGENERACY_TOL * longest^2, so the
+    # orthocenter's determinant cannot vanish.  Slivers of height 2.000001e-12
+    # over a unit base pass that test by a hair; an isosceles needle whose
+    # base angles are 2e-9 short of right is the acute check's own extreme.
+    acute = Triangle(Point(1.0, 0.0), Point(0.0, -2e-9), Point(0.0, 2e-9))
+    h = 2.000001e-12
+    for k in (-500, 0, 500):
+        for x in (1e-3, 0.5, 0.999):
+            sliver = Triangle(
+                Point(0.0, 0.0), Point(math.ldexp(1.0, k), 0.0),
+                Point(math.ldexp(x, k), math.ldexp(h, k)),
+            )
+            center = orthocenter(sliver)
+            assert center.x == pytest.approx(math.ldexp(x, k), rel=1e-9)
+            assert center.y == pytest.approx(math.ldexp(x * (1.0 - x) / h, k), rel=1e-3)
+        scaled = Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in acute.vertices))
+        assert all(math.isfinite(v) for v in orthocenter(scaled).as_tuple())
+        assert incenter_orthocenter_check(scaled) <= 1e-12
+
+
 def test_incenter_orthocenter_sweep():
     rng = random.Random(31337)
     worst = max(
@@ -237,8 +258,9 @@ def test_scan_resolution_64_clean():
 
 
 def test_scan_validation():
-    with pytest.raises(ValueError):
-        scan_angle_space(7)
+    for bad in (7, 8.5, math.nan, 1e9, "16"):
+        with pytest.raises(ValueError, match="grid_resolution must be an int >= 8"):
+            scan_angle_space(bad)
     with pytest.raises(ValueError):
         scan_angle_space(16, tol_angle=1e-6, boundary_band=1e-6)
     for bad in (math.nan, math.inf, -1e-9):
