@@ -6,14 +6,7 @@ Exit codes are exhaustive and disjoint:
   residual breach, 5 I/O failure.
 
 A triangle whose first coordinate is negative may be given as is
-(``fagnano orthic -1,0,1,0,0,1.5``) or after ``--``.
-
-``main`` builds the argument parser on its first call and reuses it for
-later calls in the same process; each parse returns a fresh namespace, so no
-request's options reach the next.  Only a caller that runs many requests in
-one process gains from this, such as the benchmark's ``cli`` workload or the
-tests.  A one-shot ``fagnano`` process builds the parser once and its time
-is mostly interpreter start-up and imports.
+("fagnano orthic -1,0,1,0,0,1.5") or after "--".
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
         # Read an argument that starts with "-" and a digit, or "-." and a
         # digit, as a value, so a triangle such as -1,0,1,0,0,1.5 needs no
         # "--" (argparse's own pattern takes only plain negative numbers).
-        # The attribute is private but present in 3.10 through 3.13; no
+        # The attribute is private but present in 3.10 through 3.14; no
         # option of any subcommand looks like a number, so none is shadowed.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
@@ -147,7 +140,7 @@ def _triangle_doc(t: Triangle) -> dict:
 
 def _deliver(text: str, output: str | None) -> None:
     """Write to the output path when given, else to stdout."""
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -257,8 +250,18 @@ def _cmd_render(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The command-line parser, built on the first call and shared after it."""
-    parser = _Parser(prog="fagnano", description=__doc__)
+    """The command-line parser, built on the first call and shared after it.
+
+    ``main`` calls this for every request; each parse returns a fresh
+    namespace, so no request's options reach the next.  Only a caller that
+    runs many requests in one process gains from the sharing, such as the
+    benchmark's ``cli`` workload or the tests.  A one-shot ``fagnano``
+    process builds the parser once and its time is mostly interpreter
+    start-up and imports.
+    """
+    parser = _Parser(
+        prog="fagnano", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     # --output of the JSON-emitting commands; render has its own.

@@ -286,9 +286,11 @@ def projection_param(
     return ((px - qx) * dx + (py - qy) * dy) / (dx * dx + dy * dy)
 
 
-def _feet(t: Triangle) -> tuple[float, float, float, float, float, float]:
+def _feet(t: Triangle, tol: float = ANGLE_TOL) -> tuple[float, float, float, float, float, float]:
     """Frame coordinates of the altitude feet from a, b and c: each vertex
-    projected orthogonally onto the line through the other two."""
+    projected orthogonally onto the line through the other two.  Only an
+    acute triangle has them: ``require_acute(t, tol)`` is called first."""
+    require_acute(t, tol)
     _, ax, ay, bx, by, cx, cy = t.frame
     sa = projection_param(ax, ay, bx, by, cx, cy)
     sb = projection_param(bx, by, cx, cy, ax, ay)
@@ -347,9 +349,8 @@ def orthic_triangle(t: Triangle, tol: float = ANGLE_TOL) -> OrthicResult:
     Only defined for acute parents: the feet of a right or obtuse triangle do
     not give the minimal inscribed triangle, so non-acute input raises.
     """
-    require_acute(t, tol)
     e = t.frame[0]
-    feet = _feet(t)
+    feet = _feet(t, tol)
     return OrthicResult(
         foot_from_a=_unframed(e, feet[0], feet[1]),
         foot_from_b=_unframed(e, feet[2], feet[3]),
@@ -357,13 +358,6 @@ def orthic_triangle(t: Triangle, tol: float = ANGLE_TOL) -> OrthicResult:
         angles=AngleTriple(*_vertex_angles(*feet)),
         perimeter=math.ldexp(_perimeter(*feet), -e),
     )
-
-
-def _orthic_angles(t: Triangle) -> AngleTriple:
-    """``orthic_triangle(t).angles``, bit for bit, with no feet mapped back
-    and no ``OrthicResult``: the angles measured on the frame feet."""
-    require_acute(t)
-    return AngleTriple(*_vertex_angles(*_feet(t)))
 
 
 def _orthocenter(ax, ay, bx, by, cx, cy) -> tuple[float, float]:

@@ -465,7 +465,6 @@ def minimize_reflection_descent(
 def min_perimeter_closed_form(t: Triangle) -> float:
     """The known answer: the orthic triangle's perimeter, measured on the
     frame feet (``orthic_triangle(t).perimeter``, bit for bit)."""
-    require_acute(t)
     return math.ldexp(_perimeter(*_feet(t)), -t.frame[0])
 
 

@@ -29,12 +29,9 @@ from .geometry import (
     _angle,
     _feet,
     _incenter,
-    _orthic_angles,
     _orthocenter,
     _vertex_angles,
-    angles,
     check_tolerance,
-    require_acute,
 )
 
 QUARTER_PI = math.pi / 4.0
@@ -64,11 +61,9 @@ class TheoremVerdict:
 
 
 def _verdict_core(
-    parent: AngleTriple, orthic_angles: AngleTriple, tol_angle: float
+    p: tuple[float, float, float], o: tuple[float, float, float], tol_angle: float
 ) -> TheoremVerdict:
-    o = orthic_angles.as_tuple()
-    p = parent.as_tuple()
-
+    """The verdict on parent and orthic angle tuples, both indexed by vertex."""
     right_candidates = [i for i in range(3) if abs(o[i] - HALF_PI) <= tol_angle]
     orthic_is_right = bool(right_candidates)
     right_vertex = (
@@ -110,7 +105,7 @@ def verdict(t: Triangle, tol_angle: float = ANGLE_TOL) -> TheoremVerdict:
     angles are measured on the frame feet; no ``OrthicResult`` is built.
     """
     check_tolerance("tol_angle", tol_angle)
-    return _verdict_core(angles(t), _orthic_angles(t), tol_angle)
+    return _verdict_core(t.vertex_angles, _vertex_angles(*_feet(t)), tol_angle)
 
 
 @dataclass(frozen=True)
@@ -157,7 +152,6 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
     ``t`` must be acute at ``ANGLE_TOL``.
     """
     check_tolerance("tol_angle", tol_angle)
-    require_acute(t)
     _, ax, ay, bx, by, cx, cy = t.frame
     dx, dy, ex, ey, fx, fy = _feet(t)
     # Edge vectors p - q out of each apex q: "dex" is the x of e - d.
@@ -206,7 +200,6 @@ def incenter_orthocenter_check(t: Triangle) -> float:
     ``t`` stored at construction, so the ratio is the same at every scale,
     also where the feet of ``t`` would be subnormal.
     """
-    require_acute(t)
     ix, iy = _incenter(*_feet(t))
     hx, hy = _orthocenter(*t.frame[1:])
     return math.hypot(ix - hx, iy - hy) / max(t.frame_sides)
@@ -294,11 +287,11 @@ def scan_angle_space(
     )
     for (alpha, beta), on_locus in nodes:
         tri = Triangle.from_angles(alpha, beta)
-        parent = angles(tri)
-        orth = _orthic_angles(tri)
+        parent = tri.vertex_angles
+        orth = _vertex_angles(*_feet(tri))
         if not on_locus and (
-            min(abs(x - QUARTER_PI) for x in parent.as_tuple()) < boundary_band
-            or min(abs(x - HALF_PI) for x in orth.as_tuple()) < boundary_band
+            min(abs(x - QUARTER_PI) for x in parent) < boundary_band
+            or min(abs(x - HALF_PI) for x in orth) < boundary_band
         ):
             skipped += 1
             continue
@@ -310,7 +303,7 @@ def scan_angle_space(
             # angle at the matching foot (ok already makes the pairing hold).
             ok = ok and v.orthic_is_right and v.right_vertex == 1
         if not ok:
-            counterexamples.append((parent, v))
+            counterexamples.append((AngleTriple(*parent), v))
     # The locus alone contributes grid_resolution - 1 tested samples.
     if tested == grid_resolution - 1:
         raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")

@@ -58,6 +58,11 @@ def similarity(t: Triangle, scale: float, angle: float, dx: float, dy: float) ->
     return Triangle(move(t.a), move(t.b), move(t.c))
 
 
+def scaled(t: Triangle, k: int) -> Triangle:
+    """t with every coordinate times 2^k, which is exact."""
+    return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in t.vertices))
+
+
 @pytest.fixture
 def equilateral() -> Triangle:
     return Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, math.sqrt(3.0) / 2.0))

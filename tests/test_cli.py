@@ -124,6 +124,26 @@ def test_orthic_parse_failures(capsys):
         )
 
 
+def test_orthic_tol_reaches_the_acute_gate(capsys):
+    # Largest angle 2.0e-10 short of right: a precondition failure at the
+    # default --tol, feet at --tol 0.
+    text = "0,0,1,0,0.5,0.5000000001"
+    assert run(capsys, "orthic", text)[0] == 2
+    code, out, err = run(capsys, "orthic", text, "--tol", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["feet"]["from_c"] == [0.5, 0.0]
+
+
+@pytest.mark.parametrize(
+    "argv", (["orthic", "equilateral"], ["render", "equilateral", "--json"]), ids=("orthic", "render")
+)
+def test_empty_output_path_is_an_io_error(capsys, argv):
+    # An empty --output names no file: it is not a request for stdout.
+    assert run(capsys, *argv, "--output", "") == (
+        5, "", "fagnano: i/o error: [Errno 2] No such file or directory: ''\n"
+    )
+
+
 def test_orthic_output_file(capsys, tmp_path):
     path = tmp_path / "orthic.json"
     code, out, _ = run(capsys, "orthic", "equilateral", "--output", str(path))
@@ -599,6 +619,17 @@ def test_each_module_imports_alone():
 
 
 # ------------------------------------------------------------------- general
+
+
+def test_help_names_the_exit_codes_only():
+    # --help shows the module docstring: the exit codes and the note on
+    # negative coordinates, in plain text, no implementation notes.
+    proc = run_process("--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    for code in ("0 success", "1 parse/config failure", "2 precondition violation",
+                 "3 non-convergence", "4 counterexample", "5 I/O failure"):
+        assert code in proc.stdout
+    assert "benchmark" not in proc.stdout and "``" not in proc.stdout
 
 
 def test_unknown_command_exit_1(capsys):

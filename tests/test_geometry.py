@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import acute_angle_pairs, acute_triangles, random_acute_triangle, similarity
+from conftest import acute_angle_pairs, acute_triangles, random_acute_triangle, scaled, similarity
 from fagnano.geometry import (
     ANGLE_TOL,
     DEGENERACY_TOL,
@@ -237,9 +237,9 @@ def test_classify_is_scale_invariant():
             if any(math.ldexp(math.ldexp(v, k), -k) != v for v in coords):
                 continue  # a subnormal coordinate: not an exact scaling
             exact += 1
-            a, b, c = (Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in shape.vertices)
+            big = scaled(shape, k)
             for tol, w in want.items():
-                got = classify(Triangle(a, b, c), tol)
+                got = classify(big, tol)
                 assert (got.kind, got.margin.hex()) == (w.kind, w.margin.hex()), (k, tol)
     assert exact > len(shapes) * len(scales) // 2
     # Decimal scales at which the squared sides underflow or overflow.
@@ -368,11 +368,11 @@ def test_stored_classification_matches_the_frame_formula(t, tol):
 
 
 def test_right_and_obtuse_triangles_construct_at_every_scale():
-    right = (Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 0.5))
-    obtuse = (Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1))
+    right = Triangle(Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 0.5))
+    obtuse = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1))
     for k in (-1000, -40, 0, 40, 1000):
-        for vertices, kind in ((right, TriangleKind.RIGHT), (obtuse, TriangleKind.OBTUSE)):
-            t = Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in vertices))
+        for parent, kind in ((right, TriangleKind.RIGHT), (obtuse, TriangleKind.OBTUSE)):
+            t = scaled(parent, k)
             assert classify(t).kind is kind
             with pytest.raises(NotAcuteError):
                 require_acute(t)
@@ -463,7 +463,7 @@ def test_require_acute_classifies_huge_triangles_as_their_scaled_copies():
     for _ in range(200):
         xs = [rng.uniform(-1.6e154, 1.6e154) for _ in range(6)]
         t = Triangle(Point(xs[0], xs[1]), Point(xs[2], xs[3]), Point(xs[4], xs[5]))
-        unit = Triangle(*(Point(math.ldexp(p.x, -512), math.ldexp(p.y, -512)) for p in t.vertices))
+        unit = scaled(t, -512)
         assert classify(t) == classify(unit)
         assert angles(t) == angles(unit)
         try:
@@ -477,7 +477,7 @@ def test_require_acute_classifies_huge_triangles_as_their_scaled_copies():
     # angle at c; on the frame it is acute, with the margin of its copy at
     # scale 2^-997.
     t = Triangle(Point(0, 0), Point(1e300, 0), Point(5e299, 1e300))
-    unit = Triangle(*(Point(math.ldexp(p.x, -997), math.ldexp(p.y, -997)) for p in t.vertices))
+    unit = scaled(t, -997)
     assert require_acute(t) == require_acute(unit)
     assert classify(t).kind is TriangleKind.ACUTE
 
@@ -534,6 +534,18 @@ def test_orthic_rejects_non_acute():
             orthic_triangle(Triangle(Point(0, 0), Point(1, 0), Point(-0.1, 1)), bad)
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             classify(obtuse, bad)
+
+
+def test_orthic_tolerance_reaches_the_acute_gate():
+    # Largest angle 2.0e-10 short of right: right at the default tolerance,
+    # acute at tol 0, where the feet are formed.
+    t = Triangle(Point(0, 0), Point(1, 0), Point(0.5, 0.5000000001))
+    assert classify(t).margin == pytest.approx(2.0e-10, rel=1e-6)
+    with pytest.raises(NotAcuteError, match="right, not acute"):
+        orthic_triangle(t)
+    orth = orthic_triangle(t, tol=0.0)
+    assert orth.foot_from_c == Point(0.5, 0.0)
+    assert orth.perimeter == pytest.approx(1.0, abs=1e-9)
 
 
 def test_orthic_angle_law_sweep():

@@ -10,10 +10,9 @@ scale-1 values, for k anywhere from -1000 to 1000.
 import math
 import random
 
-from conftest import random_acute_triangle
+from conftest import random_acute_triangle, scaled
 from fagnano import cli
 from fagnano.geometry import (
-    Point,
     Triangle,
     angles,
     classify,
@@ -45,10 +44,6 @@ def shapes():
     for i in range(17):
         named[f"acute-{i}"] = random_acute_triangle(rng)
     return named
-
-
-def scaled(t, k):
-    return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in t.vertices))
 
 
 def lengths(t, start):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optimize_bits
-from conftest import acute_triangles, random_acute_triangle, sample_acute_angles
+from conftest import acute_triangles, random_acute_triangle, sample_acute_angles, scaled
 from fagnano import cli
 from fagnano.geometry import (
     NotAcuteError,
@@ -412,18 +412,14 @@ def test_closed_form_is_the_orthic_perimeter_bit_for_bit():
     # back: the float orthic_triangle(t).perimeter gives, at every scale, and
     # the same NotAcuteError where t is right or obtuse.
     rng = random.Random(20161016)
-    right = (Point(0, 0), Point(1, 0), Point(0, 1))
-    obtuse = (Point(0, 0), Point(1, 0), Point(2, 0.1))
-
-    def scaled(vertices, k):
-        return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in vertices))
-
+    right = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))
+    obtuse = Triangle(Point(0, 0), Point(1, 0), Point(2, 0.1))
     for k in (-500, 0, 500):
         for _ in range(300):
-            t = scaled(random_acute_triangle(rng, rng.choice((1e-2, 1e-6))).vertices, k)
+            t = scaled(random_acute_triangle(rng, rng.choice((1e-2, 1e-6))), k)
             assert min_perimeter_closed_form(t).hex() == orthic_triangle(t).perimeter.hex()
-        for vertices in (right, obtuse):
-            t = scaled(vertices, k)
+        for parent in (right, obtuse):
+            t = scaled(parent, k)
             with pytest.raises(NotAcuteError) as closed:
                 min_perimeter_closed_form(t)
             with pytest.raises(NotAcuteError) as orthic:

@@ -3,14 +3,10 @@ import re
 
 import pytest
 
+from conftest import scaled
 from fagnano.geometry import NotAcuteError, Point, Triangle
 from fagnano.golden import build
 from fagnano.render import RenderSpec, render_golden, render_triangle
-
-
-@pytest.fixture
-def equilateral():
-    return Triangle(Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2))
 
 
 def test_spec_validation():
@@ -84,8 +80,7 @@ def test_power_of_two_scale_gives_the_same_svg(equilateral, k):
     # 2^k, which is exact, draws the same picture byte for byte.
     scalene = Triangle(Point(-1.0, 0.3), Point(2.5, -0.7), Point(0.4, 3.0))
     for t in (equilateral, scalene):
-        scaled = Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in t.vertices))
-        assert render_triangle(scaled, RenderSpec()) == render_triangle(t, RenderSpec())
+        assert render_triangle(scaled(t, k), RenderSpec()) == render_triangle(t, RenderSpec())
 
 
 def test_subnormal_triangle_renders_finite_coordinates(equilateral):
@@ -93,6 +88,6 @@ def test_subnormal_triangle_renders_finite_coordinates(equilateral):
     # every coordinate NaN; the canvas measures offsets in units of a power
     # of two near the span.  The feet lose bits here, so only finiteness is
     # required.
-    tiny = Triangle(*(Point(math.ldexp(p.x, -1060), math.ldexp(p.y, -1060)) for p in equilateral.vertices))
+    tiny = scaled(equilateral, -1060)
     numbers = re.findall(r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', render_triangle(tiny, RenderSpec()))
     assert numbers and all(math.isfinite(float(v)) for v in numbers)

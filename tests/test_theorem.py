@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import theorem_bits
-from conftest import acute_triangles, random_acute_triangle, sample_acute_angles
-from fagnano import cli, geometry, jsonio
+from conftest import acute_triangles, random_acute_triangle, sample_acute_angles, scaled
+from fagnano import cli, geometry, jsonio, theorem
 from fagnano.geometry import (
     ANGLE_TOL,
     GeometryError,
@@ -203,9 +203,9 @@ def test_centers_finite_on_the_flattest_triangles_at_extreme_scales():
             center = orthocenter(sliver)
             assert center.x == pytest.approx(math.ldexp(x, k), rel=1e-9)
             assert center.y == pytest.approx(math.ldexp(x * (1.0 - x) / h, k), rel=1e-3)
-        scaled = Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in acute.vertices))
-        assert all(math.isfinite(v) for v in orthocenter(scaled).as_tuple())
-        assert incenter_orthocenter_check(scaled) <= 1e-12
+        needle = scaled(acute, k)
+        assert all(math.isfinite(v) for v in orthocenter(needle).as_tuple())
+        assert incenter_orthocenter_check(needle) <= 1e-12
 
 
 def test_incenter_orthocenter_sweep():
@@ -347,6 +347,27 @@ def test_orthic_measures_map_no_foot_back(monkeypatch):
         assert call() == want[name], name
 
 
+def test_checks_build_no_angle_triple(monkeypatch):
+    # The scan and verdict decide on the measured angle tuples: the scan
+    # wraps a node's angles in an AngleTriple only for a counterexample.
+    golden = cli.parse_triangle("golden-bfc")
+    calls = {
+        "scan": lambda: scan_angle_space(16).to_document(),
+        "verdict": lambda: verdict(golden).to_document(),
+    }
+    want = {name: call() for name, call in calls.items()}
+
+    def forbidden(*args):
+        raise AssertionError("an AngleTriple was built")
+
+    monkeypatch.setattr(geometry, "AngleTriple", forbidden)
+    monkeypatch.setattr(theorem, "AngleTriple", forbidden)
+    with pytest.raises(AssertionError, match="AngleTriple"):
+        angles(golden)
+    for name, call in calls.items():
+        assert call() == want[name], name
+
+
 # ----------------------------------------------------- biconditional directions
 
 
@@ -405,11 +426,6 @@ def bit_shapes():
     shapes["equilateral"] = cli.parse_triangle("equilateral")
     shapes["golden-bfc"] = cli.parse_triangle("golden-bfc")
     return shapes
-
-
-def scaled(t, k):
-    """t with every coordinate times 2^k, which is exact."""
-    return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in t.vertices))
 
 
 def check_bits(t):
