@@ -94,6 +94,61 @@ def _vertex_angles(
     )
 
 
+def _frame(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> tuple:
+    """``Triangle``'s construction on bare floats: the checks, then the frame,
+    the frame sides, the vertex angles and whether b and c were swapped (see
+    ``Triangle``)."""
+    # e puts the largest |coordinate| in [0.5, 1): every coordinate
+    # difference is then at most 2 in magnitude, and every side of a
+    # triangle that passes the area test is longer than about 1e-28.
+    e = -math.frexp(max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy)))[1]
+    ldexp = math.ldexp
+    fax, fay, fbx, fby = ldexp(ax, e), ldexp(ay, e), ldexp(bx, e), ldexp(by, e)
+    fcx, fcy = ldexp(cx, e), ldexp(cy, e)
+    ab = math.hypot(fax - fbx, fay - fby)
+    bc = math.hypot(fbx - fcx, fby - fcy)
+    ca = math.hypot(fcx - fax, fcy - fay)
+    # Finite vertices give frame sides of at most 2*sqrt(2) each.
+    frame_perimeter = ab + bc + ca
+    if not math.isfinite(frame_perimeter):
+        x, y = next(v for v in ((ax, ay), (bx, by), (cx, cy)) if not all(map(math.isfinite, v)))
+        raise NonFiniteError(f"non-finite coordinates ({x}, {y})")
+    # The one range rule: every length, foot, center and inscribed
+    # perimeter of an acute triangle is bounded by its perimeter.
+    if math.frexp(frame_perimeter)[1] - e > sys.float_info.max_exp:
+        raise DegenerateTriangleError(
+            f"perimeter {frame_perimeter!r} * 2**{-e} is outside the double "
+            "range; rescale the triangle"
+        )
+    tested = (fbx - fax) * (fcy - fay) - (fby - fay) * (fcx - fax)
+    longest = max(ab, bc, ca)
+    if longest == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * longest * longest:
+        raise DegenerateTriangleError("vertices are (near-)collinear")
+    swapped = tested < 0.0
+    if swapped:
+        fbx, fby, fcx, fcy = fcx, fcy, fbx, fby
+        ab, ca = ca, ab
+    # The swap negates the doubled area exactly and keeps the longest side,
+    # so the frame is never degenerate and its margin alone classifies it.
+    return (
+        (e, fax, fay, fbx, fby, fcx, fcy),
+        (bc, ca, ab),
+        _vertex_angles(fax, fay, fbx, fby, fcx, fcy),
+        swapped,
+    )
+
+
+def _unit_circle(alpha: float, beta: float) -> tuple[float, ...]:
+    """The vertex floats of ``Triangle.from_angles(alpha, beta)``."""
+    gamma = math.pi - alpha - beta
+    if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
+        raise GeometryError(f"angles ({alpha}, {beta}, {gamma}) do not form a triangle")
+    # Central angle over each side is twice the opposite interior angle.
+    tb = 2.0 * gamma
+    tc = 2.0 * gamma + 2.0 * alpha
+    return 1.0, 0.0, math.cos(tb), math.sin(tb), math.cos(tc), math.sin(tc)
+
+
 class TriangleKind(Enum):
     ACUTE = "acute"
     RIGHT = "right"
@@ -138,10 +193,10 @@ class AngleTriple:
 class Triangle:
     """Ordered vertex triple, normalized to counterclockwise orientation.
 
-    Construction checks and measures the vertices, once: it rejects a
-    non-finite vertex, an area below the degeneracy tolerance and a perimeter
-    outside the double range, and swaps b and c when the input winds
-    clockwise (the swap is observable).  ``frame`` holds
+    Construction checks and measures the vertices, once, in ``_frame``: it
+    rejects a non-finite vertex, an area below the degeneracy tolerance and a
+    perimeter outside the double range, and swaps b and c when the input
+    winds clockwise (the swap is observable).  ``frame`` holds
     (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e;
     ``frame_sides`` the lengths (|bc|, |ca|, |ab|) of the sides they span;
     ``vertex_angles`` their interior angles at a, b and c;
@@ -158,42 +213,12 @@ class Triangle:
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        # e puts the largest |coordinate| in [0.5, 1): every coordinate
-        # difference is then at most 2 in magnitude, and every side of a
-        # triangle that passes the area test is longer than about 1e-28.
-        e = -math.frexp(max(abs(a.x), abs(a.y), abs(b.x), abs(b.y), abs(c.x), abs(c.y)))[1]
-        ldexp = math.ldexp
-        ax, ay, bx, by = ldexp(a.x, e), ldexp(a.y, e), ldexp(b.x, e), ldexp(b.y, e)
-        cx, cy = ldexp(c.x, e), ldexp(c.y, e)
-        ab = math.hypot(ax - bx, ay - by)
-        bc = math.hypot(bx - cx, by - cy)
-        ca = math.hypot(cx - ax, cy - ay)
-        # Finite vertices give frame sides of at most 2*sqrt(2) each.
-        frame_perimeter = ab + bc + ca
-        if not math.isfinite(frame_perimeter):
-            p = next(p for p in (a, b, c) if not (math.isfinite(p.x) and math.isfinite(p.y)))
-            raise NonFiniteError(f"non-finite coordinates ({p.x}, {p.y})")
-        # The one range rule: every length, foot, center and inscribed
-        # perimeter of an acute triangle is bounded by its perimeter.
-        if math.frexp(frame_perimeter)[1] - e > sys.float_info.max_exp:
-            raise DegenerateTriangleError(
-                f"perimeter {frame_perimeter!r} * 2**{-e} is outside the double "
-                "range; rescale the triangle"
-            )
-        tested = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        longest = max(ab, bc, ca)
-        if longest == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * longest * longest:
-            raise DegenerateTriangleError("vertices are (near-)collinear")
-        if tested < 0.0:
+        frame, frame_sides, vertex_angles, swapped = _frame(a.x, a.y, b.x, b.y, c.x, c.y)
+        if swapped:
             object.__setattr__(self, "b", c)
             object.__setattr__(self, "c", b)
-            bx, by, cx, cy = cx, cy, bx, by
-            ab, ca = ca, ab
-        object.__setattr__(self, "frame", (e, ax, ay, bx, by, cx, cy))
-        object.__setattr__(self, "frame_sides", (bc, ca, ab))
-        # The swap negates the doubled area exactly and keeps the longest side,
-        # so the frame is never degenerate and its margin alone classifies it.
-        vertex_angles = _vertex_angles(ax, ay, bx, by, cx, cy)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "frame_sides", frame_sides)
         object.__setattr__(self, "vertex_angles", vertex_angles)
         margin = math.pi / 2.0 - max(vertex_angles)
         object.__setattr__(self, "classification", _by_margin(margin, ANGLE_TOL))
@@ -203,17 +228,8 @@ class Triangle:
         """Instantiate the shape with interior angles (alpha, beta, pi-alpha-beta)
         on the unit circle centered at the origin, with a at (1, 0).
         """
-        gamma = math.pi - alpha - beta
-        if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
-            raise GeometryError(f"angles ({alpha}, {beta}, {gamma}) do not form a triangle")
-        # Central angle over each side is twice the opposite interior angle.
-        tb = 2.0 * gamma
-        tc = 2.0 * gamma + 2.0 * alpha
-        return cls(
-            Point(1.0, 0.0),
-            Point(math.cos(tb), math.sin(tb)),
-            Point(math.cos(tc), math.sin(tc)),
-        )
+        ax, ay, bx, by, cx, cy = _unit_circle(alpha, beta)
+        return cls(Point(ax, ay), Point(bx, by), Point(cx, cy))
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
@@ -265,13 +281,19 @@ def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     return the classification otherwise.  A tol that is negative, NaN or
     infinite raises ValueError (from ``classify``)."""
     cls = classify(t, tol)
-    if cls.kind is not TriangleKind.ACUTE:
-        largest = max(t.vertex_angles)
-        raise NotAcuteError(
-            f"triangle is {cls.kind.value}, not acute: largest angle "
-            f"{largest!r} rad at vertex {'abc'[t.vertex_angles.index(largest)]}"
-        )
+    _acute_gate(t.vertex_angles, cls.margin, tol)
     return cls
+
+
+def _acute_gate(vertex_angles: tuple[float, float, float], margin: float, tol: float) -> None:
+    """Raise NotAcuteError naming the largest of vertex_angles unless margin,
+    pi/2 minus that angle, exceeds tol."""
+    if not margin > tol:
+        largest = max(vertex_angles)
+        raise NotAcuteError(
+            f"triangle is {_by_margin(margin, tol).kind.value}, not acute: largest angle "
+            f"{largest!r} rad at vertex {'abc'[vertex_angles.index(largest)]}"
+        )
 
 
 def projection_param(
@@ -291,7 +313,13 @@ def _feet(t: Triangle, tol: float = ANGLE_TOL) -> tuple[float, float, float, flo
     projected orthogonally onto the line through the other two.  Only an
     acute triangle has them: ``require_acute(t, tol)`` is called first."""
     require_acute(t, tol)
-    _, ax, ay, bx, by, cx, cy = t.frame
+    return _frame_feet(t.frame)
+
+
+def _frame_feet(frame: tuple) -> tuple[float, float, float, float, float, float]:
+    """The altitude feet of the frame (e, ax, ay, bx, by, cx, cy), unchecked:
+    the caller has passed the acute gate."""
+    _, ax, ay, bx, by, cx, cy = frame
     sa = projection_param(ax, ay, bx, by, cx, cy)
     sb = projection_param(bx, by, cx, cy, ax, ay)
     sc = projection_param(cx, cy, ax, ay, bx, by)

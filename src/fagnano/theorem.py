@@ -26,10 +26,14 @@ from .geometry import (
     ANGLE_TOL,
     AngleTriple,
     Triangle,
+    _acute_gate,
     _angle,
     _feet,
+    _frame,
+    _frame_feet,
     _incenter,
     _orthocenter,
+    _unit_circle,
     _vertex_angles,
     check_tolerance,
 )
@@ -258,15 +262,16 @@ def scan_angle_space(
     """Sweep acute shape space for violations of either direction.
 
     One loop walks the open-simplex grid nodes, then the beta = pi/4 locus
-    nodes, and instantiates each on the unit circumradius.  It requires the
+    nodes, and measures each on the unit circumradius, on the bare floats of
+    its frame: it builds no ``Point`` or ``Triangle``.  It requires the
     biconditional and, where applicable, the pairing on every sample.  Grid
     nodes alone may be skipped as knife-edge samples (any parent angle within
     ``boundary_band`` of pi/4, or any orthic angle within it of pi/2); on the
     locus a right orthic angle paired with vertex b is mandatory.  Both kinds
     of node count toward ``samples_tested``.  ``tol_angle`` sets only the
-    verdict tests: every node is acute by construction and is classified at
-    ``ANGLE_TOL``.  Each node's orthic angles are measured on its frame feet;
-    no ``OrthicResult`` is built.
+    verdict tests: every node is acute by construction and passes the acute
+    gate at ``ANGLE_TOL``.  Each node's orthic angles are measured on its
+    frame feet.
     A ``boundary_band`` that skips every grid node raises ValueError.
     """
     if not (isinstance(grid_resolution, int) and grid_resolution >= 8):
@@ -286,9 +291,9 @@ def scan_angle_space(
         zip(quarter_pi_locus_nodes(grid_resolution), repeat(True)),
     )
     for (alpha, beta), on_locus in nodes:
-        tri = Triangle.from_angles(alpha, beta)
-        parent = tri.vertex_angles
-        orth = _vertex_angles(*_feet(tri))
+        frame, _, parent, _ = _frame(*_unit_circle(alpha, beta))
+        _acute_gate(parent, HALF_PI - max(parent), ANGLE_TOL)
+        orth = _vertex_angles(*_frame_feet(frame))
         if not on_locus and (
             min(abs(x - QUARTER_PI) for x in parent) < boundary_band
             or min(abs(x - HALF_PI) for x in orth) < boundary_band

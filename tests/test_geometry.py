@@ -17,6 +17,7 @@ from fagnano.geometry import (
     Point,
     Triangle,
     TriangleKind,
+    _frame,
     angles,
     classify,
     dist,
@@ -130,6 +131,40 @@ def test_triangle_names_an_overflowing_side():
     Triangle(Point(0, 0), Point(5e307, 0), Point(0, 5e307))
 
 
+@pytest.mark.parametrize(
+    "coords, error, message",
+    [
+        ((0.0, 0.0, 1.0, 0.0, math.nan, 1.0), NonFiniteError, "non-finite coordinates (nan, 1.0)"),
+        ((0.0, math.inf, 0.0, 0.0, 1.0, 0.0), NonFiniteError, "non-finite coordinates (0.0, inf)"),
+        (
+            (0.0, 0.0, 1e308, 0.0, -1e308, 1.0),
+            DegenerateTriangleError,
+            "perimeter 2.2250738585072014 * 2**1024 is outside the double range; "
+            "rescale the triangle",
+        ),
+        (
+            (0.0, 0.0, -1e308, 1.0, 1e308, 0.0),
+            DegenerateTriangleError,
+            "perimeter 2.2250738585072014 * 2**1024 is outside the double range; "
+            "rescale the triangle",
+        ),
+        ((0.0, 0.0, 1.0, 0.0, 2.0, 1e-13), DegenerateTriangleError, "vertices are (near-)collinear"),
+        ((0.0, 0.0, 1.0, 0.0, 2.0, -1e-13), DegenerateTriangleError, "vertices are (near-)collinear"),
+    ],
+)
+def test_triangle_checks_are_the_frame_checks(coords, error, message):
+    # Triangle's construction is _frame on the vertex floats: the same
+    # error and message, whichever way the input winds.
+    ax, ay, bx, by, cx, cy = coords
+    for check in (
+        lambda: Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy)),
+        lambda: _frame(*coords),
+    ):
+        with pytest.raises(error) as raised:
+            check()
+        assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_triangle_normalizes_orientation():
     t = Triangle(Point(0, 0), Point(0, 1), Point(1, 0))  # clockwise input
     assert t.b == Point(1, 0) and t.c == Point(0, 1)
@@ -137,6 +172,12 @@ def test_triangle_normalizes_orientation():
     assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
     ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))  # kept as given
     assert ccw.b == Point(1, 0) and ccw.c == Point(0, 1)
+    # The swap is _frame's, which reports it; Triangle stores its measures.
+    frame, frame_sides, vertex_angles, swapped = _frame(0, 0, 0, 1, 1, 0)
+    assert swapped and not _frame(0, 0, 1, 0, 0, 1)[3]
+    assert repr((frame, frame_sides, vertex_angles)) == repr(
+        (t.frame, t.frame_sides, t.vertex_angles)
+    )
     # Both cross products of the area overflow here; the swap must still
     # follow the winding, as it does for the same shape at scale 1.
     small = Triangle(Point(0, 0), Point(1, 2), Point(2, 1))

@@ -347,6 +347,40 @@ def test_orthic_measures_map_no_foot_back(monkeypatch):
         assert call() == want[name], name
 
 
+def test_scan_builds_no_triangle(monkeypatch):
+    # Each scan node is measured on the bare floats of its frame: no
+    # Triangle is constructed, and the report is the same.
+    args = ((16,), (16, 0.1, 0.2))
+    want = {a: jsonio.dumps(scan_angle_space(*a).to_document()) for a in args}
+
+    def forbidden(self):
+        raise AssertionError("a Triangle was built")
+
+    monkeypatch.setattr(geometry.Triangle, "__post_init__", forbidden)
+    with pytest.raises(AssertionError, match="Triangle"):
+        Triangle.from_angles(1.0, 1.1)
+    for a in args:
+        assert jsonio.dumps(scan_angle_space(*a).to_document()) == want[a], a
+
+
+def test_scan_nodes_share_from_angles_frame():
+    # The scan and Triangle.from_angles place a node with one helper and
+    # measure it with one frame function: bit for bit the same measures.
+    nodes = (*acute_grid_nodes(40), *quarter_pi_locus_nodes(40))
+    assert len(nodes) == 741 + 39
+    for alpha, beta in nodes:
+        coords = geometry._unit_circle(alpha, beta)
+        frame, frame_sides, vertex_angles, swapped = geometry._frame(*coords)
+        t = Triangle.from_angles(alpha, beta)
+        assert not swapped
+        assert repr(tuple(p.as_tuple() for p in t.vertices)) == repr(
+            (coords[0:2], coords[2:4], coords[4:6])
+        )
+        assert repr((t.frame, t.frame_sides, t.vertex_angles)) == repr(
+            (frame, frame_sides, vertex_angles)
+        ), (alpha, beta)
+
+
 def test_checks_build_no_angle_triple(monkeypatch):
     # The scan and verdict decide on the measured angle tuples: the scan
     # wraps a node's angles in an AngleTriple only for a counterexample.
