@@ -309,8 +309,8 @@ def test_scan_report_serialization_is_deterministic():
 
 # sha256 of jsonio.dumps(scan_angle_space(*args).to_document()).  The (16,
 # 0.1, 0.2) report lists counterexamples, so their angles are pinned to the
-# digit.  CI checks the installed `fagnano scan --resolution 16` against the
-# resolution-16 hash.
+# digit.  CI checks the installed `fagnano scan --resolution 16` and
+# `--resolution 200` against their hashes.
 SCAN_SHA256 = {
     (8,): "bfd4b74b918c9c04484e721322078bf58c375c9d6326c5d287db852e13291768",
     (16,): "05dfde3a207c60078efc8c5649bc866516d982ca736b4329426d12b1a344e1e0",
