@@ -15,8 +15,8 @@ perimeter are finite.  Outputs in the subnormal range may lose bits.
 
 A ``Triangle`` also measures itself once: construction stores its frame side
 lengths, its frame vertex angles and its classification at ``ANGLE_TOL``,
-which ``side_lengths``, ``diameter``, ``angles``, ``classify`` and
-``require_acute`` read instead of measuring again.
+which ``diameter``, ``angles``, ``classify`` and ``require_acute`` read
+instead of measuring again.
 """
 
 from __future__ import annotations
@@ -57,18 +57,6 @@ class Point:
 
     x: float
     y: float
-
-    def __sub__(self, other: Point) -> Point:
-        return Point(self.x - other.x, self.y - other.y)
-
-    def dot(self, other: Point) -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: Point) -> float:
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -235,11 +223,6 @@ class Triangle:
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.a, self.b, self.c)
 
-    def side_lengths(self) -> tuple[float, float, float]:
-        """Lengths (|bc|, |ca|, |ab|), i.e. the side opposite each vertex."""
-        e, (bc, ca, ab) = self.frame[0], self.frame_sides
-        return (math.ldexp(bc, -e), math.ldexp(ca, -e), math.ldexp(ab, -e))
-
     def diameter(self) -> float:
         return math.ldexp(max(self.frame_sides), -self.frame[0])
 
@@ -331,8 +314,10 @@ def _frame_feet(frame: tuple) -> tuple[float, float, float, float, float, float]
 
 
 def _unframed(e: int, x: float, y: float) -> Point:
-    """The frame point (x, y) at the triangle's own scale.  Only the
-    orthocenter of a non-acute triangle can overflow there."""
+    """The frame point (x, y) at the triangle's own scale.  A point that
+    lands past the double range there, such as the orthocenter of a
+    non-acute triangle, raises NonFiniteError, not ``math.ldexp``'s
+    OverflowError."""
     try:
         return Point(math.ldexp(x, -e), math.ldexp(y, -e))
     except OverflowError:
@@ -400,22 +385,8 @@ def _orthocenter(ax, ay, bx, by, cx, cy) -> tuple[float, float]:
     return ax + d1x * s, ay + d1y * s
 
 
-def orthocenter(t: Triangle) -> Point:
-    """Common point of the three altitudes of t."""
-    return _unframed(t.frame[0], *_orthocenter(*t.frame[1:]))
-
-
 def _incenter(ax, ay, bx, by, cx, cy) -> tuple[float, float]:
     """Side-length-weighted vertex average; equidistant from the three sides."""
     la, lb, lc = math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
     w = la + lb + lc
     return (la * ax + lb * bx + lc * cx) / w, (la * ay + lb * by + lc * cy) / w
-
-
-def incenter(t: Triangle) -> Point:
-    """Center of the inscribed circle of t."""
-    return _unframed(t.frame[0], *_incenter(*t.frame[1:]))
-
-
-def perimeter(p: Point, q: Point, r: Point) -> float:
-    return _perimeter(p.x, p.y, q.x, q.y, r.x, r.y)

@@ -39,7 +39,6 @@ from .geometry import (
     _feet,
     _perimeter,
     _unframed,
-    projection_param,
     require_acute,
 )
 
@@ -466,15 +465,3 @@ def min_perimeter_closed_form(t: Triangle) -> float:
     """The known answer: the orthic triangle's perimeter, measured on the
     frame feet (``orthic_triangle(t).perimeter``, bit for bit)."""
     return math.ldexp(_perimeter(*_feet(t)), -t.frame[0])
-
-
-def orthic_config(t: Triangle) -> InscribedConfig:
-    """Side parameters of the altitude feet (the closed-form optimizer seat):
-    each vertex's projection parameter on the opposite side, in the frame."""
-    require_acute(t)
-    _, ax, ay, bx, by, cx, cy = t.frame
-    return InscribedConfig(
-        t_on_bc=projection_param(ax, ay, bx, by, cx, cy),
-        t_on_ca=projection_param(bx, by, cx, cy, ax, ay),
-        t_on_ab=projection_param(cx, cy, ax, ay, bx, by),
-    )

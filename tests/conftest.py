@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import assume, settings, strategies as st
 
-from fagnano.geometry import Point, Triangle
+from fagnano.geometry import Point, Triangle, _incenter, _orthocenter, _unframed, projection_param
+from fagnano.optimize import InscribedConfig
 
 settings.register_profile("numeric", deadline=None)
 settings.load_profile("numeric")
@@ -61,6 +62,27 @@ def similarity(t: Triangle, scale: float, angle: float, dx: float, dy: float) ->
 def scaled(t: Triangle, k: int) -> Triangle:
     """t with every coordinate times 2^k, which is exact."""
     return Triangle(*(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in t.vertices))
+
+
+def orthocenter(t: Triangle) -> Point:
+    """Common point of the three altitudes of t, from the library's frame kernel."""
+    return _unframed(t.frame[0], *_orthocenter(*t.frame[1:]))
+
+
+def incenter(t: Triangle) -> Point:
+    """Center of the inscribed circle of t, from the library's frame kernel."""
+    return _unframed(t.frame[0], *_incenter(*t.frame[1:]))
+
+
+def orthic_config(t: Triangle) -> InscribedConfig:
+    """Side parameters of the altitude feet: each vertex's projection
+    parameter on the opposite side, in the frame."""
+    _, ax, ay, bx, by, cx, cy = t.frame
+    return InscribedConfig(
+        t_on_bc=projection_param(ax, ay, bx, by, cx, cy),
+        t_on_ca=projection_param(bx, by, cx, cy, ax, ay),
+        t_on_ab=projection_param(cx, cy, ax, ay, bx, by),
+    )
 
 
 @pytest.fixture

@@ -169,7 +169,7 @@ def test_minimize_reflection_golden_matches_feet(capsys):
     assert code == 0
     doc = json.loads(out)
     # known closed-form feet parameters for this embedding
-    from fagnano.optimize import orthic_config
+    from conftest import orthic_config
     from fagnano.cli import parse_triangle
 
     target = orthic_config(parse_triangle("golden-bfc"))

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import acute_angle_pairs, acute_triangles, random_acute_triangle, scaled, similarity
+from conftest import (
+    acute_angle_pairs,
+    acute_triangles,
+    incenter,
+    orthocenter,
+    random_acute_triangle,
+    scaled,
+    similarity,
+)
 from fagnano.geometry import (
     ANGLE_TOL,
     DEGENERACY_TOL,
@@ -18,13 +26,13 @@ from fagnano.geometry import (
     Triangle,
     TriangleKind,
     _frame,
+    _orthocenter,
+    _perimeter,
+    _unframed,
     angles,
     classify,
     dist,
-    incenter,
     orthic_triangle,
-    orthocenter,
-    perimeter,
     projection_param,
     require_acute,
 )
@@ -55,8 +63,13 @@ def project_oracle(p: Point, q: Point, r: Point) -> Point:
 
 def angle_oracle(p: Point, q: Point, r: Point) -> float:
     """Independent angle measure at q via the arccos route."""
-    u, v = p - q, r - q
-    return math.acos(u.dot(v) / (u.norm() * v.norm()))
+    ux, uy, vx, vy = p.x - q.x, p.y - q.y, r.x - q.x, r.y - q.y
+    return math.acos((ux * vx + uy * vy) / (math.hypot(ux, uy) * math.hypot(vx, vy)))
+
+
+def side_lengths(t: Triangle) -> tuple[float, float, float]:
+    """Lengths (|bc|, |ca|, |ab|) that t stored at construction, at its own scale."""
+    return tuple(math.ldexp(s, -t.frame[0]) for s in t.frame_sides)
 
 
 # ---------------------------------------------------------------- construction
@@ -390,7 +403,7 @@ def test_stored_classification_matches_the_frame_formula(t, tol):
     # Normal lengths match bit for bit; a subnormal one may lose one bit
     # (2^-1074) in either formula when mapped back from the frame.
     want = dist_formula(t)
-    for got, old in zip((*t.side_lengths(), t.diameter()), (*want, max(want))):
+    for got, old in zip((*side_lengths(t), t.diameter()), (*want, max(want))):
         if old >= 2.0 ** -1022:
             assert got.hex() == old.hex()
         else:
@@ -422,7 +435,7 @@ def test_right_and_obtuse_triangles_construct_at_every_scale():
 def test_stored_classification_is_read_without_trigonometry(monkeypatch):
     t = Triangle.from_angles(1.0, 1.1)
     obtuse = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1))
-    want = (classify(t), classify(t, 0.2), angles(t), t.side_lengths(), t.diameter())
+    want = (classify(t), classify(t, 0.2), angles(t), side_lengths(t), t.diameter())
 
     def forbidden(*args):
         raise AssertionError("measured again")
@@ -430,7 +443,7 @@ def test_stored_classification_is_read_without_trigonometry(monkeypatch):
     monkeypatch.setattr(math, "atan2", forbidden)
     monkeypatch.setattr(math, "hypot", forbidden)
     assert require_acute(t) == want[0]
-    assert (classify(t), classify(t, 0.2), angles(t), t.side_lengths(), t.diameter()) == want
+    assert (classify(t), classify(t, 0.2), angles(t), side_lengths(t), t.diameter()) == want
     with pytest.raises(NotAcuteError) as raised:
         require_acute(obtuse)
     assert str(raised.value) == (
@@ -471,9 +484,9 @@ def test_foot_projection_residual(t):
         q = t.vertices[(v + 1) % 3]
         r = t.vertices[(v + 2) % 3]
         foot = feet[v]
-        drop = p - foot
-        side = r - q
-        residual = abs(drop.dot(side)) / (drop.norm() * side.norm())
+        dx, dy = p.x - foot.x, p.y - foot.y
+        sx, sy = r.x - q.x, r.y - q.y
+        residual = abs(dx * sx + dy * sy) / (math.hypot(dx, dy) * math.hypot(sx, sy))
         assert residual <= 1e-12
 
 
@@ -488,7 +501,7 @@ def test_points_of_an_obtuse_triangle_past_the_double_range():
     # OverflowError.
     t = Triangle(Point(1.7e308, 3.5e307), Point(1.6e308, 0.0), Point(1.61e308, 1e306))
     with pytest.raises(NonFiniteError, match=r"\* 2\*\*1024 overflows"):
-        orthocenter(t)
+        _unframed(t.frame[0], *_orthocenter(*t.frame[1:]))
     # Its feet are never mapped back: the acute gate comes first.
     with pytest.raises(NotAcuteError):
         orthic_triangle(t)
@@ -611,12 +624,13 @@ def test_orthic_feet_strictly_inside_sides(t):
     for v, foot in enumerate(orth.feet):
         q = t.vertices[(v + 1) % 3]
         r = t.vertices[(v + 2) % 3]
-        side = r - q
-        s = (foot - q).dot(side) / side.dot(side)
+        sx, sy = r.x - q.x, r.y - q.y
+        fx, fy = foot.x - q.x, foot.y - q.y
+        s = (fx * sx + fy * sy) / (sx * sx + sy * sy)
         assert 0.0 < s < 1.0
         # and the foot sits on the side line itself
-        offset = abs((foot - q).cross(side)) / side.norm()
-        assert offset <= 1e-12 * side.norm()
+        offset = abs(fx * sy - fy * sx) / math.hypot(sx, sy)
+        assert offset <= 1e-12 * math.hypot(sx, sy)
 
 
 @given(acute_triangles(margin=0.01))
@@ -654,9 +668,9 @@ def test_orthocenter_lies_on_all_altitudes(t):
         p = t.vertices[v]
         q = t.vertices[(v + 1) % 3]
         r = t.vertices[(v + 2) % 3]
-        side = r - q
-        altitude_dir = Point(-side.y, side.x)
-        residual = abs((h - p).cross(altitude_dir)) / altitude_dir.norm()
+        # The altitude from p runs along (-(r - q).y, (r - q).x).
+        dx, dy = q.y - r.y, r.x - q.x
+        residual = abs((h.x - p.x) * dy - (h.y - p.y) * dx) / math.hypot(dx, dy)
         assert residual <= 1e-10
 
 
@@ -676,8 +690,8 @@ def test_incenter_equidistant_from_sides(t):
     for v in range(3):
         q = t.vertices[(v + 1) % 3]
         r = t.vertices[(v + 2) % 3]
-        side = r - q
-        gaps.append(abs((center - q).cross(side)) / side.norm())
+        sx, sy = r.x - q.x, r.y - q.y
+        gaps.append(abs((center.x - q.x) * sy - (center.y - q.y) * sx) / math.hypot(sx, sy))
     assert max(gaps) - min(gaps) <= 1e-10
 
 
@@ -691,21 +705,20 @@ def test_incenter_of_orthic_is_orthocenter_golden(golden_bfc):
 
 
 def test_perimeter_unit_right():
-    assert perimeter(Point(0, 0), Point(1, 0), Point(0, 1)) == pytest.approx(
+    assert _perimeter(0, 0, 1, 0, 0, 1) == pytest.approx(
         2.0 + math.sqrt(2.0), abs=1e-15
     )
 
 
 def test_perimeter_coincident_points_is_zero():
-    p = Point(0.3, 0.7)
-    assert perimeter(p, p, p) == 0.0
+    assert _perimeter(0.3, 0.7, 0.3, 0.7, 0.3, 0.7) == 0.0
 
 
 def test_perimeter_golden_feet_proportionality(golden_bfc):
     orth = orthic_triangle(golden_bfc)
     fa, fb, fc = orth.feet
     smallest = min(orth.side_lengths())
-    assert perimeter(fa, fb, fc) == pytest.approx(
+    assert _perimeter(fa.x, fa.y, fb.x, fb.y, fc.x, fc.y) == pytest.approx(
         (1.0 + 2.0 + math.sqrt(5.0)) * smallest, abs=1e-12
     )
 

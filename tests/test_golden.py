@@ -31,10 +31,9 @@ def test_rectangle_and_square_measures(fig):
     square = (fig.a, fig.b, fig.e, fig.f)
     for i in range(4):
         assert dist(square[i], square[(i + 1) % 4]) == pytest.approx(1.0, abs=1e-12)
-        corner = square[(i + 1) % 4]
-        u = square[i] - corner
-        v = square[(i + 2) % 4] - corner
-        assert abs(u.dot(v)) <= 1e-12
+        p, corner, r = square[i], square[(i + 1) % 4], square[(i + 2) % 4]
+        ux, uy, vx, vy = p.x - corner.x, p.y - corner.y, r.x - corner.x, r.y - corner.y
+        assert abs(ux * vx + uy * vy) <= 1e-12
 
 
 def test_leftover_rectangle_is_golden(fig):

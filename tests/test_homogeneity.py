@@ -10,16 +10,9 @@ scale-1 values, for k anywhere from -1000 to 1000.
 import math
 import random
 
-from conftest import random_acute_triangle, scaled
+from conftest import incenter, orthocenter, random_acute_triangle, scaled
 from fagnano import cli
-from fagnano.geometry import (
-    Triangle,
-    angles,
-    classify,
-    incenter,
-    orthic_triangle,
-    orthocenter,
-)
+from fagnano.geometry import Triangle, angles, classify, orthic_triangle
 from fagnano.optimize import (
     InscribedConfig,
     minimize_grid_then_simplex,

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optimize_bits
-from conftest import acute_triangles, random_acute_triangle, sample_acute_angles, scaled
+from conftest import (
+    acute_triangles,
+    orthic_config,
+    random_acute_triangle,
+    sample_acute_angles,
+    scaled,
+)
 from fagnano import cli
 from fagnano.geometry import (
     NotAcuteError,
@@ -25,7 +31,6 @@ from fagnano.optimize import (
     minimize_grid_then_simplex,
     minimize_reflection_descent,
     objective,
-    orthic_config,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import theorem_bits
-from conftest import acute_triangles, random_acute_triangle, sample_acute_angles, scaled
+from conftest import (
+    acute_triangles,
+    orthocenter,
+    random_acute_triangle,
+    sample_acute_angles,
+    scaled,
+)
 from fagnano import cli, geometry, jsonio, theorem
 from fagnano.geometry import (
     ANGLE_TOL,
@@ -18,7 +24,6 @@ from fagnano.geometry import (
     angles,
     classify,
     orthic_triangle,
-    orthocenter,
     TriangleKind,
 )
 from fagnano.optimize import min_perimeter_closed_form
@@ -38,13 +43,24 @@ HALF_PI = math.pi / 2
 # -------------------------------------------------------------------- verdict
 
 
-def test_verdict_quarter_pi_shape():
-    t = Triangle.from_angles(QUARTER_PI, 3 * math.pi / 8)
+QUARTER_PI_SHAPE = Triangle.from_angles(QUARTER_PI, 3 * math.pi / 8)
+
+
+# The pi/4 vertex taken to a, b and c in turn by cyclic reordering.
+@pytest.mark.parametrize(
+    "t, k",
+    [
+        (QUARTER_PI_SHAPE, 0),
+        (Triangle(QUARTER_PI_SHAPE.c, QUARTER_PI_SHAPE.a, QUARTER_PI_SHAPE.b), 1),
+        (Triangle(QUARTER_PI_SHAPE.b, QUARTER_PI_SHAPE.c, QUARTER_PI_SHAPE.a), 2),
+    ],
+    ids=["a", "b", "c"],
+)
+def test_verdict_quarter_pi_shape(t, k):
     v = verdict(t)
     assert v.orthic_is_right
-    assert v.right_vertex == 0
+    assert v.right_vertex == v.quarter_pi_vertex == k
     assert v.has_quarter_pi and v.quarter_pi_unique
-    assert v.quarter_pi_vertex == 0
     assert v.pairing_holds is True
     assert v.biconditional_holds
 
