@@ -6,7 +6,8 @@ right angle then sits at the foot of the altitude dropped from that vertex.
 This module evaluates both directions of that biconditional on individual
 triangles, re-derives every intermediate angle identity of the underlying
 argument from explicit coordinates, and sweeps triangle shape space for
-counterexamples.
+counterexamples.  The scan decides each node on the verdict's fields as a
+plain tuple and builds a ``TheoremVerdict`` only for a counterexample.
 
 Tolerance coupling: the orthic-angle test at pi/2 uses ``tol_angle`` while the
 parent-angle test at pi/4 uses ``tol_angle / 2``, because the exact relation
@@ -66,36 +67,39 @@ class TheoremVerdict:
 
 def _verdict_core(
     p: tuple[float, float, float], o: tuple[float, float, float], tol_angle: float
-) -> TheoremVerdict:
-    """The verdict on parent and orthic angle tuples, both indexed by vertex."""
-    right_candidates = [i for i in range(3) if abs(o[i] - HALF_PI) <= tol_angle]
-    orthic_is_right = bool(right_candidates)
-    right_vertex = (
-        min(right_candidates, key=lambda i: abs(o[i] - HALF_PI))
-        if right_candidates
-        else None
+) -> tuple[bool, int | None, bool, int | None, bool, bool | None, bool]:
+    """The verdict's fields, in ``TheoremVerdict`` order, on parent and orthic
+    angle tuples indexed by vertex: a plain tuple, so a passing scan node
+    builds no ``TheoremVerdict``."""
+    # right_vertex: the first index with the smallest |o - pi/2| within tol.
+    d0, d1, d2 = abs(o[0] - HALF_PI), abs(o[1] - HALF_PI), abs(o[2] - HALF_PI)
+    right_vertex, best = None, math.inf
+    if d0 <= tol_angle:
+        right_vertex, best = 0, d0
+    if d1 <= tol_angle and d1 < best:
+        right_vertex, best = 1, d1
+    if d2 <= tol_angle and d2 < best:
+        right_vertex = 2
+    orthic_is_right = right_vertex is not None
+
+    half_tol = tol_angle / 2.0
+    q0 = abs(p[0] - QUARTER_PI) <= half_tol
+    q1 = abs(p[1] - QUARTER_PI) <= half_tol
+    q2 = abs(p[2] - QUARTER_PI) <= half_tol
+    quarter_pi_vertex = 0 if q0 else 1 if q1 else 2 if q2 else None
+    quarter_pi_unique = q0 + q1 + q2 == 1
+
+    pairing_holds = (
+        right_vertex == quarter_pi_vertex if orthic_is_right and quarter_pi_unique else None
     )
-
-    quarter_candidates = [
-        i for i in range(3) if abs(p[i] - QUARTER_PI) <= tol_angle / 2.0
-    ]
-    has_quarter_pi = bool(quarter_candidates)
-    quarter_pi_unique = len(quarter_candidates) == 1
-    quarter_pi_vertex = quarter_candidates[0] if quarter_candidates else None
-
-    biconditional_holds = orthic_is_right == (has_quarter_pi and quarter_pi_unique)
-    if orthic_is_right and has_quarter_pi and quarter_pi_unique:
-        pairing_holds = right_vertex == quarter_pi_vertex
-    else:
-        pairing_holds = None
-    return TheoremVerdict(
-        orthic_is_right=orthic_is_right,
-        right_vertex=right_vertex,
-        has_quarter_pi=has_quarter_pi,
-        quarter_pi_vertex=quarter_pi_vertex,
-        quarter_pi_unique=quarter_pi_unique,
-        pairing_holds=pairing_holds,
-        biconditional_holds=biconditional_holds,
+    return (
+        orthic_is_right,
+        right_vertex,
+        quarter_pi_vertex is not None,
+        quarter_pi_vertex,
+        quarter_pi_unique,
+        pairing_holds,
+        orthic_is_right == quarter_pi_unique,
     )
 
 
@@ -109,7 +113,9 @@ def verdict(t: Triangle, tol_angle: float = ANGLE_TOL) -> TheoremVerdict:
     angles are measured on the frame feet; no ``OrthicResult`` is built.
     """
     check_tolerance("tol_angle", tol_angle)
-    return _verdict_core(t.vertex_angles, _vertex_angles(*_feet(t)), tol_angle)
+    return TheoremVerdict(
+        *_verdict_core(t.vertex_angles, _vertex_angles(*_feet(t)), tol_angle)
+    )
 
 
 @dataclass(frozen=True)
@@ -271,7 +277,7 @@ def scan_angle_space(
     of node count toward ``samples_tested``.  ``tol_angle`` sets only the
     verdict tests: every node is acute by construction and passes the acute
     gate at ``ANGLE_TOL``.  Each node's orthic angles are measured on its
-    frame feet.
+    frame feet; a passing node builds no ``TheoremVerdict``.
     A ``boundary_band`` that skips every grid node raises ValueError.
     """
     if not (isinstance(grid_resolution, int) and grid_resolution >= 8):
@@ -295,20 +301,25 @@ def scan_angle_space(
         _acute_gate(parent, HALF_PI - max(parent), ANGLE_TOL)
         orth = _vertex_angles(*_frame_feet(frame))
         if not on_locus and (
-            min(abs(x - QUARTER_PI) for x in parent) < boundary_band
-            or min(abs(x - HALF_PI) for x in orth) < boundary_band
+            abs(parent[0] - QUARTER_PI) < boundary_band
+            or abs(parent[1] - QUARTER_PI) < boundary_band
+            or abs(parent[2] - QUARTER_PI) < boundary_band
+            or abs(orth[0] - HALF_PI) < boundary_band
+            or abs(orth[1] - HALF_PI) < boundary_band
+            or abs(orth[2] - HALF_PI) < boundary_band
         ):
             skipped += 1
             continue
         tested += 1
-        v = _verdict_core(parent, orth, tol_angle)
-        ok = v.biconditional_holds and v.pairing_holds is not False
+        fields = _verdict_core(parent, orth, tol_angle)
+        orthic_is_right, right_vertex, _, _, _, pairing_holds, biconditional_holds = fields
+        ok = biconditional_holds and pairing_holds is not False
         if on_locus:
             # Forward direction: a pi/4 parent must produce a right orthic
             # angle at the matching foot (ok already makes the pairing hold).
-            ok = ok and v.orthic_is_right and v.right_vertex == 1
+            ok = ok and orthic_is_right and right_vertex == 1
         if not ok:
-            counterexamples.append((AngleTriple(*parent), v))
+            counterexamples.append((AngleTriple(*parent), TheoremVerdict(*fields)))
     # The locus alone contributes grid_resolution - 1 tested samples.
     if tested == grid_resolution - 1:
         raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")

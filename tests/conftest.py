@@ -85,6 +85,42 @@ def orthic_config(t: Triangle) -> InscribedConfig:
     )
 
 
+
+def verdict_fields_oracle(p, o, tol_angle):
+    """The verdict's seven fields, in TheoremVerdict order, by the list
+    comprehensions and lambda of the library's first verdict: a reference
+    for ``theorem._verdict_core``'s unrolled tests."""
+    half_pi, quarter_pi = math.pi / 2.0, math.pi / 4.0
+    right_candidates = [i for i in range(3) if abs(o[i] - half_pi) <= tol_angle]
+    orthic_is_right = bool(right_candidates)
+    right_vertex = (
+        min(right_candidates, key=lambda i: abs(o[i] - half_pi))
+        if right_candidates
+        else None
+    )
+
+    quarter_candidates = [
+        i for i in range(3) if abs(p[i] - quarter_pi) <= tol_angle / 2.0
+    ]
+    has_quarter_pi = bool(quarter_candidates)
+    quarter_pi_unique = len(quarter_candidates) == 1
+    quarter_pi_vertex = quarter_candidates[0] if quarter_candidates else None
+
+    biconditional_holds = orthic_is_right == (has_quarter_pi and quarter_pi_unique)
+    if orthic_is_right and has_quarter_pi and quarter_pi_unique:
+        pairing_holds = right_vertex == quarter_pi_vertex
+    else:
+        pairing_holds = None
+    return (
+        orthic_is_right,
+        right_vertex,
+        has_quarter_pi,
+        quarter_pi_vertex,
+        quarter_pi_unique,
+        pairing_holds,
+        biconditional_holds,
+    )
+
 @pytest.fixture
 def equilateral() -> Triangle:
     return Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, math.sqrt(3.0) / 2.0))

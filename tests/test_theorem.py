@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -13,6 +15,7 @@ from conftest import (
     random_acute_triangle,
     sample_acute_angles,
     scaled,
+    verdict_fields_oracle,
 )
 from fagnano import cli, geometry, jsonio, theorem
 from fagnano.geometry import (
@@ -126,6 +129,49 @@ def test_tol_angle_is_not_the_acuteness_tolerance():
     assert v.orthic_is_right and v.has_quarter_pi and not v.quarter_pi_unique
     assert proof_steps(t, 0.2).quarter_relation_active
 
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.1])
+def test_verdict_core_matches_the_comprehension_oracle(tol):
+    # Every angle sits at pi/4 or pi/2, offset by 0, +-tol/4, +-tol/2, +-tol
+    # or +-2 tol: the values straddle both tests' thresholds and give exact
+    # ties between orthic candidates and two or three pi/4 candidates.  The
+    # first five fields read one side only, and the last two combine the
+    # sides only through them, so every parent tuple meets one orthic tuple
+    # of each kind of orthic fields, and every orthic tuple one parent tuple
+    # of each kind of parent fields.  repr tells a bool from an int.
+    assert [f.name for f in dataclasses.fields(theorem.TheoremVerdict)] == [
+        "orthic_is_right",
+        "right_vertex",
+        "has_quarter_pi",
+        "quarter_pi_vertex",
+        "quarter_pi_unique",
+        "pairing_holds",
+        "biconditional_holds",
+    ]
+    offsets = {s * k * tol for s in (1, -1) for k in (0, 0.25, 0.5, 1, 2)}
+    values = sorted({base + d for base in (QUARTER_PI, HALF_PI) for d in offsets})
+    tuples = list(itertools.product(values, repeat=3))
+    far = (1.0, 1.0, 1.0)
+    orthic_kinds = {verdict_fields_oracle(far, o, tol)[:2]: o for o in tuples}
+    parent_kinds = {verdict_fields_oracle(p, far, tol)[2:5]: p for p in tuples}
+    pairs = [
+        *itertools.product(tuples, orthic_kinds.values()),
+        *itertools.product(parent_kinds.values(), tuples),
+    ]
+    for p, o in pairs:
+        assert repr(theorem._verdict_core(p, o, tol)) == repr(
+            verdict_fields_oracle(p, o, tol)
+        ), (p, o)
+    # Right angle at each foot or none; pi/4 at no, one or several vertices.
+    assert set(orthic_kinds) == {(False, None), (True, 0), (True, 1), (True, 2)}
+    assert {k[0] for k in parent_kinds if not k[2]} == {False, True}
+    if tol:
+        # An exact tie between two orthic candidates goes to the first.
+        o = (HALF_PI + tol / 4, HALF_PI + tol / 4, HALF_PI + tol / 2)
+        assert theorem._verdict_core(far, o, tol)[1] == 0
+        # None, one at a, b or c, several from a (two or three) or from b.
+        assert len(parent_kinds) == 1 + 3 + 2
 
 @settings(max_examples=60)
 @given(acute_triangles(margin=0.05), st.integers(min_value=0, max_value=2**32 - 1))
@@ -417,6 +463,45 @@ def test_checks_build_no_angle_triple(monkeypatch):
     for name, call in calls.items():
         assert call() == want[name], name
 
+
+
+def test_passing_scan_nodes_build_no_verdict(monkeypatch):
+    # The scan decides each node on the verdict's field tuple: it builds a
+    # TheoremVerdict only for a counterexample.
+    args = ((16,), (40,))
+    want = {a: jsonio.dumps(scan_angle_space(*a).to_document()) for a in args}
+
+    def forbidden(*args):
+        raise AssertionError("a TheoremVerdict was built")
+
+    monkeypatch.setattr(theorem, "TheoremVerdict", forbidden)
+    for a in args:
+        assert jsonio.dumps(scan_angle_space(*a).to_document()) == want[a], a
+    with pytest.raises(AssertionError, match="TheoremVerdict"):
+        scan_angle_space(16, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_scan_requires_the_right_vertex_on_the_locus(monkeypatch, n):
+    # A core that puts the right orthic angle at the foot from a on the
+    # beta = pi/4 locus makes each of its n - 1 nodes a counterexample; grid
+    # nodes that close to pi/4 are skipped by the band before the verdict.
+    real = theorem._verdict_core
+
+    def at_a_on_locus(p, o, tol_angle):
+        fields = real(p, o, tol_angle)
+        if abs(p[1] - QUARTER_PI) < 1e-9:
+            return (fields[0], 0, *fields[2:])
+        return fields
+
+    monkeypatch.setattr(theorem, "_verdict_core", at_a_on_locus)
+    report = scan_angle_space(n)
+    assert len(report.counterexamples) == n - 1
+    for tri, v in report.counterexamples:
+        assert abs(tri.beta - QUARTER_PI) < 1e-9
+        assert v.right_vertex == 0 and v.pairing_holds is True
+    monkeypatch.setattr(theorem, "_verdict_core", lambda p, o, tol: real(p, o, tol))
+    assert scan_angle_space(n).counterexamples == ()
 
 # ----------------------------------------------------- biconditional directions
 
