@@ -85,7 +85,6 @@ def orthic_config(t: Triangle) -> InscribedConfig:
     )
 
 
-
 def verdict_fields_oracle(p, o, tol_angle):
     """The verdict's seven fields, in TheoremVerdict order, by the list
     comprehensions and lambda of the library's first verdict: a reference
@@ -120,6 +119,7 @@ def verdict_fields_oracle(p, o, tol_angle):
         pairing_holds,
         biconditional_holds,
     )
+
 
 @pytest.fixture
 def equilateral() -> Triangle:

@@ -130,7 +130,6 @@ def test_tol_angle_is_not_the_acuteness_tolerance():
     assert proof_steps(t, 0.2).quarter_relation_active
 
 
-
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.1])
 def test_verdict_core_matches_the_comprehension_oracle(tol):
     # Every angle sits at pi/4 or pi/2, offset by 0, +-tol/4, +-tol/2, +-tol
@@ -172,6 +171,7 @@ def test_verdict_core_matches_the_comprehension_oracle(tol):
         assert theorem._verdict_core(far, o, tol)[1] == 0
         # None, one at a, b or c, several from a (two or three) or from b.
         assert len(parent_kinds) == 1 + 3 + 2
+
 
 @settings(max_examples=60)
 @given(acute_triangles(margin=0.05), st.integers(min_value=0, max_value=2**32 - 1))
@@ -464,7 +464,6 @@ def test_checks_build_no_angle_triple(monkeypatch):
         assert call() == want[name], name
 
 
-
 def test_passing_scan_nodes_build_no_verdict(monkeypatch):
     # The scan decides each node on the verdict's field tuple: it builds a
     # TheoremVerdict only for a counterexample.
@@ -502,6 +501,7 @@ def test_scan_requires_the_right_vertex_on_the_locus(monkeypatch, n):
         assert v.right_vertex == 0 and v.pairing_holds is True
     monkeypatch.setattr(theorem, "_verdict_core", lambda p, o, tol: real(p, o, tol))
     assert scan_angle_space(n).counterexamples == ()
+
 
 # ----------------------------------------------------- biconditional directions
 
