@@ -18,13 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (
-    OrthicResult,
-    Point,
-    Triangle,
-    dist,
-    orthic_triangle,
-)
+from .geometry import Point, Triangle, dist, orthic_triangle
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # The fixed embedding above, as coordinate pairs.
@@ -62,9 +56,6 @@ class GoldenFigure:
     e: Point
     f: Point
     triangle_bfc: Triangle
-    orthic: OrthicResult
-    g: Point
-    h: Point
     bg: float
     ge: float
     he: float
@@ -76,7 +67,9 @@ def build() -> GoldenFigure:
 
     ``triangle_bfc`` is stored in the (already counterclockwise) vertex order
     b, c, f, so the feet are: from b -> h on cf, from c -> g on fb, and from
-    f -> the square corner e on bc.
+    f -> the square corner e on bc.  The feet are not stored: bg, ge, he and
+    gh are measured from them here, and ``orthic_triangle(triangle_bfc)``
+    gives them again.
     """
     a, b, c, d, e, f = (Point(*p) for p in (A, B, C, D, E, F))
     tri = Triangle(b, c, f)
@@ -97,9 +90,6 @@ def build() -> GoldenFigure:
         e=e,
         f=f,
         triangle_bfc=tri,
-        orthic=orth,
-        g=g,
-        h=h,
         bg=dist(b, g),
         ge=dist(g, e),
         he=dist(h, e),

@@ -82,11 +82,9 @@ class _Canvas:
             f'stroke-width="{width:g}"/>'
         )
 
-    def dot(self, p: Point, fill: str, radius: float = 2.5) -> None:
+    def dot(self, p: Point, fill: str) -> None:
         x, y = self.to_screen(p)
-        self.elements.append(
-            f'<circle cx="{x:.4f}" cy="{y:.4f}" r="{radius:g}" fill="{fill}"/>'
-        )
+        self.elements.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="2.5" fill="{fill}"/>')
 
     def label(self, p: Point, text: str, dx: float = 6.0, dy: float = -6.0) -> None:
         x, y = self.to_screen(p)
@@ -119,10 +117,10 @@ def _draw_construction(
     feet = None
     if spec.show_altitudes or spec.show_orthic:
         feet = orthic_triangle(t).feet
-    if spec.show_altitudes and feet is not None:
+    if spec.show_altitudes:
         for vertex, foot in zip(t.vertices, feet):
             canvas.line(vertex, foot, "#7a7a7a", 1.0, dash="5,4")
-    if spec.show_orthic and feet is not None:
+    if spec.show_orthic:
         fa, fb, fc = feet
         canvas.line(fa, fb, "#c03030", 1.4)
         canvas.line(fb, fc, "#c03030", 1.4)

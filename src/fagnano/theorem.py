@@ -9,10 +9,12 @@ argument from explicit coordinates, and sweeps triangle shape space for
 counterexamples.  The scan decides each node on the verdict's fields as a
 plain tuple and builds a ``TheoremVerdict`` only for a counterexample.
 
-Tolerance coupling: the orthic-angle test at pi/2 uses ``tol_angle`` while the
-parent-angle test at pi/4 uses ``tol_angle / 2``, because the exact relation
-orthic angle = pi - 2 * parent angle doubles perturbations.  Scan samples
-within ``boundary_band`` of either threshold are skipped, not adjudicated: a
+Tolerance coupling: the orthic-angle test at pi/2 uses a tolerance tol while
+the parent-angle test at pi/4 uses ``tol / 2``, because the exact relation
+orthic angle = pi - 2 * parent angle doubles perturbations.  ``verdict`` and
+``proof_steps`` decide at ``ANGLE_TOL``; only the scan takes its own
+``tol_angle`` (not the acuteness tolerance).  Scan samples within
+``boundary_band`` of either threshold are skipped, not adjudicated: a
 floating-point iff cannot be decided on its knife edge.
 """
 
@@ -103,18 +105,17 @@ def _verdict_core(
     )
 
 
-def verdict(t: Triangle, tol_angle: float = ANGLE_TOL) -> TheoremVerdict:
+def verdict(t: Triangle) -> TheoremVerdict:
     """Evaluate the biconditional and the opposite-angle pairing on ``t``.
 
-    The orthic angle at foot_from_x is compared against pi/2 at ``tol_angle``;
-    the parent angle at x against pi/4 at ``tol_angle / 2``.  The pairing check
-    is the index correspondence between those two hits.  ``tol_angle`` sets
-    only those tests: ``t`` must be acute at ``ANGLE_TOL``.  The orthic
-    angles are measured on the frame feet; no ``OrthicResult`` is built.
+    The orthic angle at foot_from_x is compared against pi/2 at ``ANGLE_TOL``;
+    the parent angle at x against pi/4 at ``ANGLE_TOL / 2``.  The pairing
+    check is the index correspondence between those two hits.  ``t`` must be
+    acute at ``ANGLE_TOL``.  The orthic angles are measured on the frame
+    feet; no ``OrthicResult`` is built.
     """
-    check_tolerance("tol_angle", tol_angle)
     return TheoremVerdict(
-        *_verdict_core(t.vertex_angles, _vertex_angles(*_feet(t)), tol_angle)
+        *_verdict_core(t.vertex_angles, _vertex_angles(*_feet(t)), ANGLE_TOL)
     )
 
 
@@ -153,15 +154,14 @@ class ProofStepReport:
         )
 
 
-def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
+def proof_steps(t: Triangle) -> ProofStepReport:
     """Residuals of the proof's identities on the acute triangle ``t``.
 
     Every angle is measured on the frame coordinates of ``t`` and its feet
     (see ``Triangle.frame``), where no difference or product leaves the
-    double range.  ``tol_angle`` sets only ``quarter_relation_active``:
-    ``t`` must be acute at ``ANGLE_TOL``.
+    double range.  ``t`` must be acute at ``ANGLE_TOL``, and
+    ``quarter_relation_active`` tests the orthic angle at e at ``ANGLE_TOL``.
     """
-    check_tolerance("tol_angle", tol_angle)
     _, ax, ay, bx, by, cx, cy = t.frame
     dx, dy, ex, ey, fx, fy = _feet(t)
     # Edge vectors p - q out of each apex q: "dex" is the x of e - d.
@@ -183,7 +183,7 @@ def proof_steps(t: Triangle, tol_angle: float = ANGLE_TOL) -> ProofStepReport:
     bisection_residuals = (abs(dfc - cfe), abs(fda - ade), abs(feb - bed))
 
     quarter_relation_residual = abs(cfe + ade - QUARTER_PI)
-    quarter_relation_active = abs(angle_e - HALF_PI) <= tol_angle
+    quarter_relation_active = abs(angle_e - HALF_PI) <= ANGLE_TOL
 
     angle_b = t.vertex_angles[1]
     bfe = _angle(fbx, fby, fex, fey)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fagnano import cli
-from fagnano.geometry import TriangleKind, angles, classify, dist
+from fagnano.geometry import TriangleKind, angles, classify, dist, orthic_triangle
 from fagnano.golden import build, law_of_cosines, report_document, reproduce_paper_values
 from fagnano.optimize import minimize_grid_then_simplex
 from fagnano.theorem import verdict
@@ -51,14 +51,17 @@ def test_triangle_bfc_is_acute_with_quarter_pi_at_b(fig):
     assert angles(fig.triangle_bfc).alpha == pytest.approx(math.pi / 4, abs=1e-15)
 
 
+# The figure stores only the lengths measured from the feet; the feet
+# themselves come from the orthic triangle of bfc (order b, c, f).
 def test_foot_from_f_is_square_corner(fig):
-    assert dist(fig.orthic.foot_from_c, fig.e) <= 1e-12
+    assert dist(orthic_triangle(fig.triangle_bfc).foot_from_c, fig.e) <= 1e-12
 
 
 def test_foot_labels(fig):
-    assert dist(fig.g, fig.b) == pytest.approx(fig.bg, abs=1e-15)
-    assert fig.g.x == pytest.approx(1.0 - fig.phi / 2.0, abs=1e-12)
-    assert fig.g.y == pytest.approx(fig.phi / 2.0, abs=1e-12)
+    g = orthic_triangle(fig.triangle_bfc).foot_from_b
+    assert dist(g, fig.b) == pytest.approx(fig.bg, abs=1e-15)
+    assert g.x == pytest.approx(1.0 - fig.phi / 2.0, abs=1e-12)
+    assert g.y == pytest.approx(fig.phi / 2.0, abs=1e-12)
 
 
 def test_reproduced_values_match_closed_forms(fig):
@@ -111,7 +114,8 @@ def test_figure_is_theorem_instance(fig):
 
 def test_orthic_perimeter_matches_optimizer(fig):
     result = minimize_grid_then_simplex(fig.triangle_bfc)
-    assert abs(result.perimeter - fig.orthic.perimeter) / fig.orthic.perimeter <= 1e-6
+    orthic = orthic_triangle(fig.triangle_bfc)
+    assert abs(result.perimeter - orthic.perimeter) / orthic.perimeter <= 1e-6
 
 
 def test_report_document_shape(fig):

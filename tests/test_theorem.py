@@ -90,15 +90,22 @@ def test_verdict_rejects_non_acute():
         verdict(Triangle(Point(0, 0), Point(1, 0), Point(0, 1)))
 
 
+def measured_verdict(t, tol):
+    """The verdict at ``tol`` on the measured parent and orthic angles of
+    ``t``: the scan's call, since verdict decides at ANGLE_TOL only."""
+    orthic = geometry._vertex_angles(*geometry._feet(t))
+    return theorem.TheoremVerdict(*theorem._verdict_core(t.vertex_angles, orthic, tol))
+
+
 def test_verdict_tolerance_coupling():
     # parent within tol/2 of pi/4 <=> orthic within tol of pi/2; probe both
     # sides of the threshold with a tol far above coordinate noise
     tol = 1e-6
     inside = Triangle.from_angles(QUARTER_PI + 0.4 * tol, 1.2)
-    v = verdict(inside, tol_angle=tol)
+    v = measured_verdict(inside, tol)
     assert v.has_quarter_pi and v.orthic_is_right and v.biconditional_holds
     outside = Triangle.from_angles(QUARTER_PI + 0.8 * tol, 1.2)
-    v = verdict(outside, tol_angle=tol)
+    v = measured_verdict(outside, tol)
     assert not v.has_quarter_pi and not v.orthic_is_right and v.biconditional_holds
 
 
@@ -119,15 +126,14 @@ def test_two_quarter_pi_angles_is_right_and_gated():
 
 
 def test_tol_angle_is_not_the_acuteness_tolerance():
-    # (0.8, 0.8, pi - 1.6) is acute with margin 1.6 - pi/2 = 0.029; a
-    # tol_angle of 0.2 loosens only the verdict's tests, where it once
+    # (0.8, 0.8, pi - 1.6) is acute with margin 1.6 - pi/2 = 0.029; the
+    # scan's tol_angle of 0.2 loosens only the verdict's tests, where it once
     # classified the triangle as right.  Both base angles lie within 0.1 of
     # pi/4, and the orthic angles at their feet within 0.2 of pi/2.
     t = Triangle.from_angles(0.8, 0.8)
     assert classify(t).margin == pytest.approx(1.6 - HALF_PI, abs=1e-12)
-    v = verdict(t, 0.2)
+    v = measured_verdict(t, 0.2)
     assert v.orthic_is_right and v.has_quarter_pi and not v.quarter_pi_unique
-    assert proof_steps(t, 0.2).quarter_relation_active
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.1])
@@ -371,8 +377,8 @@ def test_scan_report_serialization_is_deterministic():
 
 # sha256 of jsonio.dumps(scan_angle_space(*args).to_document()).  The (16,
 # 0.1, 0.2) report lists counterexamples, so their angles are pinned to the
-# digit.  CI checks the installed `fagnano scan --resolution 16` and
-# `--resolution 200` against their hashes.
+# digit.  CI reads this dict (with ast, keep it a literal) and checks the
+# installed `fagnano scan` at (16,), (200,) and (16, 0.1, 0.2) against it.
 SCAN_SHA256 = {
     (8,): "bfd4b74b918c9c04484e721322078bf58c375c9d6326c5d287db852e13291768",
     (16,): "05dfde3a207c60078efc8c5649bc866516d982ca736b4329426d12b1a344e1e0",
@@ -394,7 +400,7 @@ def test_orthic_measures_map_no_foot_back(monkeypatch):
     t = Triangle.from_angles(1.0, 1.1)
     calls = {
         "scan": lambda: jsonio.dumps(scan_angle_space(16).to_document()),
-        "verdict": lambda: (verdict(t), verdict(t, 0.2)),
+        "verdict": lambda: verdict(t),
         "closed form": lambda: min_perimeter_closed_form(t),
     }
     want = {name: call() for name, call in calls.items()}
@@ -503,6 +509,29 @@ def test_scan_requires_the_right_vertex_on_the_locus(monkeypatch, n):
     assert scan_angle_space(n).counterexamples == ()
 
 
+def test_scan_band_tests_each_measured_orthic_angle():
+    # At a band of 1e-16 the measured orthic angles, which differ from
+    # pi - 2 * parent by rounding, decide skips of their own: each of the
+    # three orthic comparisons alone skips a grid node that no other
+    # comparison does, so dropping any one of them changes samples_skipped.
+    n, band = 18, 1e-16
+    skipped = 0
+    alone = [0] * 6
+    for alpha, beta in acute_grid_nodes(n):
+        frame, _, parent, _ = geometry._frame(*geometry._unit_circle(alpha, beta))
+        orth = geometry._vertex_angles(*geometry._frame_feet(frame))
+        near = [abs(x - QUARTER_PI) < band for x in parent]
+        near += [abs(x - HALF_PI) < band for x in orth]
+        if any(near):
+            skipped += 1
+            if sum(near) == 1:
+                alone[near.index(True)] += 1
+    assert alone[3:] == [1, 3, 1]
+    report = scan_angle_space(n, 0.0, band)
+    assert (report.samples_tested, report.samples_skipped) == (142, 11)
+    assert report.samples_skipped == skipped
+
+
 # ----------------------------------------------------- biconditional directions
 
 
@@ -585,7 +614,6 @@ BAD_INPUTS = {
     "right": Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)),
     "obtuse": Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1)),
 }
-BAD_TOLS = (-1.0, math.nan, math.inf)
 
 
 def raising_calls():
@@ -594,10 +622,6 @@ def raising_calls():
     for case, t in BAD_INPUTS.items():
         for func in (proof_steps, incenter_orthocenter_check, verdict):
             calls[func.__name__, case] = (func, (t,))
-    golden = cli.parse_triangle("golden-bfc")
-    for tol in BAD_TOLS:
-        for func in (proof_steps, verdict):
-            calls[func.__name__, f"golden-bfc tol {tol!r}"] = (func, (golden, tol))
     return calls
 
 
