@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 
 # A triangle is degenerate when area < DEGENERACY_TOL * (longest side)^2.
@@ -50,13 +49,53 @@ class NotAcuteError(GeometryError):
     """An operation that requires an acute triangle got a non-acute one."""
 
 
-@dataclass(frozen=True)
-class Point:
+# How a record's __init__ sets a field: its own __setattr__ raises.
+_set = object.__setattr__
+
+
+class _Record:
+    """Frozen value record: ``_fields`` names, in order, the attributes that
+    equality, hash and repr read.
+
+    Two records are equal when they are of the same class and their field
+    tuples are equal, so a NaN field still equals itself; the hash is the
+    field tuple's.  Assignment and deletion raise AttributeError, so each
+    subclass's ``__init__`` sets its attributes with ``_set``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(_Record):
     """A position in the Euclidean plane: a plain value, neither checked nor
     converted.  ``Triangle`` rejects a vertex that is not finite."""
 
-    x: float
-    y: float
+    _fields = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -143,42 +182,43 @@ class TriangleKind(Enum):
     OBTUSE = "obtuse"
 
 
-@dataclass(frozen=True)
-class TriangleClass:
+class TriangleClass(_Record):
     """Shape classification plus the signed margin of the largest angle.
 
     ``margin = pi/2 - largest_angle``: positive for acute, negative for obtuse,
     |margin| <= tol for right.
     """
 
-    kind: TriangleKind
-    margin: float
+    _fields = ("kind", "margin")
+
+    def __init__(self, kind: TriangleKind, margin: float):
+        _set(self, "kind", kind)
+        _set(self, "margin", margin)
 
 
-@dataclass(frozen=True)
-class AngleTriple:
+class AngleTriple(_Record):
     """Interior angles in radians, indexed by vertex (alpha at a, etc.)."""
 
-    alpha: float
-    beta: float
-    gamma: float
+    _fields = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        for value in (self.alpha, self.beta, self.gamma):
+    def __init__(self, alpha: float, beta: float, gamma: float):
+        for value in (alpha, beta, gamma):
             if not (0.0 < value < math.pi):
                 raise GeometryError(f"angle {value} outside (0, pi)")
-        if abs(self.alpha + self.beta + self.gamma - math.pi) > ANGLE_SUM_TOL:
+        if abs(alpha + beta + gamma - math.pi) > ANGLE_SUM_TOL:
             raise GeometryError(
-                f"angle sum {self.alpha + self.beta + self.gamma} differs from pi "
+                f"angle sum {alpha + beta + gamma} differs from pi "
                 f"by more than {ANGLE_SUM_TOL}"
             )
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(_Record):
     """Ordered vertex triple, normalized to counterclockwise orientation.
 
     Construction checks and measures the vertices, once, in ``_frame``: it
@@ -188,28 +228,24 @@ class Triangle:
     (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e;
     ``frame_sides`` the lengths (|bc|, |ca|, |ab|) of the sides they span;
     ``vertex_angles`` their interior angles at a, b and c;
-    ``classification`` their ``TriangleClass`` at ``ANGLE_TOL``.
+    ``classification`` their ``TriangleClass`` at ``ANGLE_TOL``.  These
+    four are not fields: equality, hash and repr read a, b and c only.
     """
 
-    a: Point
-    b: Point
-    c: Point
-    frame: tuple = field(init=False, compare=False, repr=False)
-    frame_sides: tuple = field(init=False, compare=False, repr=False)
-    vertex_angles: tuple = field(init=False, compare=False, repr=False)
-    classification: TriangleClass = field(init=False, compare=False, repr=False)
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
+    def __init__(self, a: Point, b: Point, c: Point):
         frame, frame_sides, vertex_angles, swapped = _frame(a.x, a.y, b.x, b.y, c.x, c.y)
         if swapped:
-            object.__setattr__(self, "b", c)
-            object.__setattr__(self, "c", b)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "frame_sides", frame_sides)
-        object.__setattr__(self, "vertex_angles", vertex_angles)
+            b, c = c, b
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "frame", frame)
+        _set(self, "frame_sides", frame_sides)
+        _set(self, "vertex_angles", vertex_angles)
         margin = math.pi / 2.0 - max(vertex_angles)
-        object.__setattr__(self, "classification", _by_margin(margin, ANGLE_TOL))
+        _set(self, "classification", _by_margin(margin, ANGLE_TOL))
 
     @classmethod
     def from_angles(cls, alpha: float, beta: float) -> Triangle:
@@ -333,18 +369,23 @@ def _perimeter(
     )
 
 
-@dataclass(frozen=True)
-class OrthicResult:
+class OrthicResult(_Record):
     """The three altitude feet with the measures of the triangle they span.
 
     ``angles`` is indexed by hosting foot: alpha at foot_from_a, and so on.
     """
 
-    foot_from_a: Point
-    foot_from_b: Point
-    foot_from_c: Point
-    angles: AngleTriple
-    perimeter: float
+    _fields = ("foot_from_a", "foot_from_b", "foot_from_c", "angles", "perimeter")
+
+    def __init__(
+        self, foot_from_a: Point, foot_from_b: Point, foot_from_c: Point,
+        angles: AngleTriple, perimeter: float,
+    ):
+        _set(self, "foot_from_a", foot_from_a)
+        _set(self, "foot_from_b", foot_from_b)
+        _set(self, "foot_from_c", foot_from_c)
+        _set(self, "angles", angles)
+        _set(self, "perimeter", perimeter)
 
     @property
     def feet(self) -> tuple[Point, Point, Point]:

@@ -29,7 +29,6 @@ three-axis sweep over three parameters and the three sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .geometry import (
@@ -38,6 +37,8 @@ from .geometry import (
     Triangle,
     _feet,
     _perimeter,
+    _Record,
+    _set,
     _unframed,
     require_acute,
 )
@@ -60,8 +61,7 @@ class InvalidConfigError(GeometryError):
     """A side parameter left the open interval (0, 1)."""
 
 
-@dataclass(frozen=True)
-class InscribedConfig:
+class InscribedConfig(_Record):
     """Side parameters selecting one interior point per side.
 
     ``t_on_bc`` picks b + t*(c-b), ``t_on_ca`` picks c + t*(a-c) and
@@ -69,18 +69,15 @@ class InscribedConfig:
     a vertex sitting on a corner degenerates the inscribed triangle.
     """
 
-    t_on_bc: float
-    t_on_ca: float
-    t_on_ab: float
+    _fields = ("t_on_bc", "t_on_ca", "t_on_ab")
 
-    def __post_init__(self):
-        for name, value in (
-            ("t_on_bc", self.t_on_bc),
-            ("t_on_ca", self.t_on_ca),
-            ("t_on_ab", self.t_on_ab),
-        ):
+    def __init__(self, t_on_bc: float, t_on_ca: float, t_on_ab: float):
+        for name, value in zip(self._fields, (t_on_bc, t_on_ca, t_on_ab)):
             if not (0.0 < value < 1.0):
                 raise InvalidConfigError(f"{name}={value} outside the open interval (0, 1)")
+        _set(self, "t_on_bc", t_on_bc)
+        _set(self, "t_on_ca", t_on_ca)
+        _set(self, "t_on_ab", t_on_ab)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t_on_bc, self.t_on_ca, self.t_on_ab)
@@ -96,8 +93,7 @@ class InscribedConfig:
         )
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(_Record):
     """Outcome of one minimization run.
 
     ``history`` holds (iteration, perimeter) pairs, starting with the initial
@@ -108,14 +104,24 @@ class MinimizeResult:
     0 for the simplex search); it is not part of the CLI's JSON.
     """
 
-    config: InscribedConfig
-    perimeter: float
-    iterations: int
-    converged: bool
-    history: tuple[tuple[int, float], ...]
-    clamped: bool = False
-    warning: str | None = None
-    extrapolations: int = 0
+    _fields = (
+        "config", "perimeter", "iterations", "converged", "history",
+        "clamped", "warning", "extrapolations",
+    )
+
+    def __init__(
+        self, config: InscribedConfig, perimeter: float, iterations: int, converged: bool,
+        history: tuple[tuple[int, float], ...], clamped: bool = False,
+        warning: str | None = None, extrapolations: int = 0,
+    ):
+        _set(self, "config", config)
+        _set(self, "perimeter", perimeter)
+        _set(self, "iterations", iterations)
+        _set(self, "converged", converged)
+        _set(self, "history", history)
+        _set(self, "clamped", clamped)
+        _set(self, "warning", warning)
+        _set(self, "extrapolations", extrapolations)
 
 
 def objective(t: Triangle, c: InscribedConfig) -> float:

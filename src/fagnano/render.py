@@ -9,31 +9,33 @@ preserved) with the y axis flipped so figures read the usual way up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .geometry import Point, Triangle, orthic_triangle
+from .geometry import Point, Triangle, _Record, _set, orthic_triangle
 from .golden import GoldenFigure
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    width_px: int = 640
-    height_px: int = 480
-    margin_px: int = 48
-    show_altitudes: bool = True
-    show_orthic: bool = True
-    show_labels: bool = True
+class RenderSpec(_Record):
+    _fields = (
+        "width_px", "height_px", "margin_px", "show_altitudes", "show_orthic", "show_labels",
+    )
 
-    def __post_init__(self):
-        if self.width_px < 64 or self.height_px < 64:
+    def __init__(
+        self, width_px: int = 640, height_px: int = 480, margin_px: int = 48,
+        show_altitudes: bool = True, show_orthic: bool = True, show_labels: bool = True,
+    ):
+        if width_px < 64 or height_px < 64:
+            raise ValueError(f"viewport {width_px}x{height_px} below the 64 px minimum")
+        if not (0 <= margin_px < min(width_px, height_px) / 4):
             raise ValueError(
-                f"viewport {self.width_px}x{self.height_px} below the 64 px minimum"
+                f"margin {margin_px} must be nonnegative and below "
+                f"min(width, height)/4 = {min(width_px, height_px) / 4:g}"
             )
-        if not (0 <= self.margin_px < min(self.width_px, self.height_px) / 4):
-            raise ValueError(
-                f"margin {self.margin_px} must be nonnegative and below "
-                f"min(width, height)/4 = {min(self.width_px, self.height_px) / 4:g}"
-            )
+        _set(self, "width_px", width_px)
+        _set(self, "height_px", height_px)
+        _set(self, "margin_px", margin_px)
+        _set(self, "show_altitudes", show_altitudes)
+        _set(self, "show_orthic", show_orthic)
+        _set(self, "show_labels", show_labels)
 
 
 class _Canvas:

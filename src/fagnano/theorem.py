@@ -21,7 +21,6 @@ floating-point iff cannot be decided on its knife edge.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import Iterator
 
@@ -36,6 +35,8 @@ from .geometry import (
     _frame_feet,
     _incenter,
     _orthocenter,
+    _Record,
+    _set,
     _unit_circle,
     _vertex_angles,
     check_tolerance,
@@ -47,24 +48,33 @@ HALF_PI = math.pi / 2.0
 DEFAULT_BOUNDARY_BAND = 1e-6
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(_Record):
     """Both directions of the characterization, evaluated on one triangle.
 
     ``pairing_holds`` is None when either side of the biconditional is false
     (the opposite-angle claim is only meaningful when both hold).
     """
 
-    orthic_is_right: bool
-    right_vertex: int | None
-    has_quarter_pi: bool
-    quarter_pi_vertex: int | None
-    quarter_pi_unique: bool
-    pairing_holds: bool | None
-    biconditional_holds: bool
+    _fields = (
+        "orthic_is_right", "right_vertex", "has_quarter_pi", "quarter_pi_vertex",
+        "quarter_pi_unique", "pairing_holds", "biconditional_holds",
+    )
+
+    def __init__(
+        self, orthic_is_right: bool, right_vertex: int | None, has_quarter_pi: bool,
+        quarter_pi_vertex: int | None, quarter_pi_unique: bool, pairing_holds: bool | None,
+        biconditional_holds: bool,
+    ):
+        _set(self, "orthic_is_right", orthic_is_right)
+        _set(self, "right_vertex", right_vertex)
+        _set(self, "has_quarter_pi", has_quarter_pi)
+        _set(self, "quarter_pi_vertex", quarter_pi_vertex)
+        _set(self, "quarter_pi_unique", quarter_pi_unique)
+        _set(self, "pairing_holds", pairing_holds)
+        _set(self, "biconditional_holds", biconditional_holds)
 
     def to_document(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def _verdict_core(
@@ -119,8 +129,7 @@ def verdict(t: Triangle) -> TheoremVerdict:
     )
 
 
-@dataclass(frozen=True)
-class ProofStepReport:
+class ProofStepReport(_Record):
     """Residuals of the intermediate identities, from explicit coordinates.
 
     With d, e, f the feet of the altitudes from a, b, c:
@@ -137,12 +146,22 @@ class ProofStepReport:
       angle(bde) against pi/2 + angle(ade).
     """
 
-    angle_sum_residual: float
-    bisection_residuals: tuple[float, float, float]
-    quarter_relation_residual: float
-    quarter_relation_active: bool
-    quad_sum_residual: float
-    decomposition_residuals: tuple[float, float]
+    _fields = (
+        "angle_sum_residual", "bisection_residuals", "quarter_relation_residual",
+        "quarter_relation_active", "quad_sum_residual", "decomposition_residuals",
+    )
+
+    def __init__(
+        self, angle_sum_residual: float, bisection_residuals: tuple[float, float, float],
+        quarter_relation_residual: float, quarter_relation_active: bool,
+        quad_sum_residual: float, decomposition_residuals: tuple[float, float],
+    ):
+        _set(self, "angle_sum_residual", angle_sum_residual)
+        _set(self, "bisection_residuals", bisection_residuals)
+        _set(self, "quarter_relation_residual", quarter_relation_residual)
+        _set(self, "quarter_relation_active", quarter_relation_active)
+        _set(self, "quad_sum_residual", quad_sum_residual)
+        _set(self, "decomposition_residuals", decomposition_residuals)
 
     def all_unconditional(self) -> tuple[float, ...]:
         """Every residual that must vanish for any acute triangle."""
@@ -215,16 +234,25 @@ def incenter_orthocenter_check(t: Triangle) -> float:
     return math.hypot(ix - hx, iy - hy) / max(t.frame_sides)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Outcome of a shape-space sweep.  Empty counterexamples is a pass."""
 
-    grid_resolution: int
-    samples_tested: int
-    samples_skipped: int
-    counterexamples: tuple[tuple[AngleTriple, TheoremVerdict], ...]
-    boundary_band: float
-    tol_angle: float
+    _fields = (
+        "grid_resolution", "samples_tested", "samples_skipped", "counterexamples",
+        "boundary_band", "tol_angle",
+    )
+
+    def __init__(
+        self, grid_resolution: int, samples_tested: int, samples_skipped: int,
+        counterexamples: tuple[tuple[AngleTriple, TheoremVerdict], ...],
+        boundary_band: float, tol_angle: float,
+    ):
+        _set(self, "grid_resolution", grid_resolution)
+        _set(self, "samples_tested", samples_tested)
+        _set(self, "samples_skipped", samples_skipped)
+        _set(self, "counterexamples", counterexamples)
+        _set(self, "boundary_band", boundary_band)
+        _set(self, "tol_angle", tol_angle)
 
     def to_document(self) -> dict:
         return {

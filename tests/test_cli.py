@@ -411,13 +411,17 @@ EXTREME_COMMANDS = (["orthic"], ["minimize", "--method", "reflection"], ["minimi
 EXTREME_IDS = ("orthic", "reflection", "grid-simplex")
 
 
-def run_process(*argv):
+def run_python(*args):
+    """``python ARGS`` in a fresh interpreter that imports this fagnano."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "fagnano", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def run_process(*argv):
+    return run_python("-m", "fagnano", *argv)
 
 
 # Acute triangles whose squared sides underflow to 0 (1e-170) or overflow to
@@ -550,17 +554,34 @@ def test_cli_fuzz_processes_print_no_traceback(tmp_path):
 # pytest's own process already holds numpy, so a fresh interpreter imports
 # the package, runs the commands in order and reports after each whether
 # numpy is loaded; none of them needs it.
-NUMPY_PROBE = """
+# Modules no fagnano import or command may load: numpy is not a dependency,
+# and dataclasses (with inspect, which it loads) costs a fifth of start-up.
+UNWANTED = ("numpy", "dataclasses", "inspect")
+MODULE_PROBE = """
 import contextlib, io, json, sys
 import fagnano, fagnano.cli, fagnano.geometry, fagnano.golden, fagnano.jsonio
 import fagnano.optimize, fagnano.render, fagnano.theorem
-loaded = [["import", 0, "numpy" in sys.modules]]
+unwanted = sys.argv[2:]
+loaded = [["import", 0, [m for m in unwanted if m in sys.modules]]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = fagnano.cli.main(argv)
-    loaded.append([" ".join(argv), code, "numpy" in sys.modules])
+    loaded.append([" ".join(argv), code, [m for m in unwanted if m in sys.modules]])
 print(json.dumps(loaded))
 """
+# The same interpreter with only the stdlib modules fagnano and MODULE_PROBE
+# import: what it loads, fagnano cannot keep out.
+STDLIB_PROBE = """
+import argparse, contextlib, enum, functools, io, itertools, json, json.encoder
+import math, operator, re, sys, typing
+print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
+"""
+
+
+def probe(script, *args):
+    proc = run_python("-c", script, *args)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_no_command_loads_numpy(tmp_path):
@@ -572,16 +593,15 @@ def test_no_command_loads_numpy(tmp_path):
         ["minimize", "golden-bfc", "--method", "reflection"],
         ["minimize", "golden-bfc"],
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [["import", 0, False]] + [
-        [" ".join(argv), 0, False] for argv in commands
+    loaded = probe(MODULE_PROBE, json.dumps(commands), *UNWANTED)
+    labels = ["import", *(" ".join(argv) for argv in commands)]
+    assert [(label, code, "numpy" in mods) for label, code, mods in loaded] == [
+        (label, 0, False) for label in labels
     ]
+    stdlib = probe(STDLIB_PROBE, *UNWANTED)
+    if stdlib:
+        pytest.skip(f"this Python's own stdlib loads {', '.join(stdlib)}")
+    assert loaded == [[label, 0, []] for label in labels]
 
 
 # Each module imports on its own, in a fresh interpreter, and loads only the
@@ -607,15 +627,8 @@ print(json.dumps(sorted(
 
 
 def test_each_module_imports_alone():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fagnano.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     for name, uses in IMPORT_GRAPH.items():
-        proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, name],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == uses, name
+        assert probe(IMPORT_PROBE, name) == uses, name
 
 
 # ------------------------------------------------------------------- general

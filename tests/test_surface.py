@@ -23,20 +23,21 @@ SURFACE = {
     "geometry": {
         "DEGENERACY_TOL", "ANGLE_TOL", "ANGLE_SUM_TOL",
         "GeometryError", "NonFiniteError", "DegenerateTriangleError", "NotAcuteError",
-        "Point", "Point.as_tuple",
+        "Point", "Point.__init__", "Point.as_tuple",
         "dist",
-        "TriangleKind", "TriangleClass",
-        "AngleTriple", "AngleTriple.__post_init__", "AngleTriple.as_tuple",
-        "Triangle", "Triangle.__post_init__", "Triangle.from_angles",
+        "TriangleKind", "TriangleClass", "TriangleClass.__init__",
+        "AngleTriple", "AngleTriple.__init__", "AngleTriple.as_tuple",
+        "Triangle", "Triangle.__init__", "Triangle.from_angles",
         "Triangle.vertices", "Triangle.diameter",
         "angles", "classify", "check_tolerance", "require_acute", "projection_param",
-        "OrthicResult", "OrthicResult.feet", "OrthicResult.side_lengths",
+        "OrthicResult", "OrthicResult.__init__",
+        "OrthicResult.feet", "OrthicResult.side_lengths",
         "orthic_triangle",
     },
     "golden": {
         "PHI",
-        "ValueCheck", "ValueCheck.residual", "ValueCheck.to_document",
-        "GoldenFigure",
+        "ValueCheck", "ValueCheck.__init__", "ValueCheck.residual", "ValueCheck.to_document",
+        "GoldenFigure", "GoldenFigure.__init__",
         "build", "law_of_cosines", "reproduce_paper_values", "report_document",
     },
     "jsonio": {"format_float", "dumps"},
@@ -44,19 +45,20 @@ SURFACE = {
         "CLAMP_MARGIN", "NEAR_RIGHT_MARGIN", "DEFAULT_MAX_ITER",
         "DEFAULT_SIMPLEX_TOL", "DEFAULT_DESCENT_TOL",
         "InvalidConfigError",
-        "InscribedConfig", "InscribedConfig.__post_init__",
+        "InscribedConfig", "InscribedConfig.__init__",
         "InscribedConfig.as_tuple", "InscribedConfig.points",
-        "MinimizeResult",
+        "MinimizeResult", "MinimizeResult.__init__",
         "objective", "minimize_grid_then_simplex", "minimize_reflection_descent",
         "min_perimeter_closed_form",
     },
-    "render": {"RenderSpec", "RenderSpec.__post_init__", "render_triangle", "render_golden"},
+    "render": {"RenderSpec", "RenderSpec.__init__", "render_triangle", "render_golden"},
     "theorem": {
         "QUARTER_PI", "HALF_PI", "DEFAULT_BOUNDARY_BAND",
-        "TheoremVerdict", "TheoremVerdict.to_document", "verdict",
-        "ProofStepReport", "ProofStepReport.all_unconditional", "proof_steps",
+        "TheoremVerdict", "TheoremVerdict.__init__", "TheoremVerdict.to_document", "verdict",
+        "ProofStepReport", "ProofStepReport.__init__", "ProofStepReport.all_unconditional",
+        "proof_steps",
         "incenter_orthocenter_check",
-        "ScanReport", "ScanReport.to_document",
+        "ScanReport", "ScanReport.__init__", "ScanReport.to_document",
         "acute_grid_nodes", "quarter_pi_locus_nodes", "scan_angle_space",
     },
 }
