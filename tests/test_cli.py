@@ -551,11 +551,11 @@ def test_cli_fuzz_processes_print_no_traceback(tmp_path):
 
 # ---------------------------------------------------------------- numpy import
 
-# pytest's own process already holds numpy, so a fresh interpreter imports
-# the package, runs the commands in order and reports after each whether
-# numpy is loaded; none of them needs it.
-# Modules no fagnano import or command may load: numpy is not a dependency,
-# and dataclasses (with inspect, which it loads) costs a fifth of start-up.
+# pytest's own process already holds these modules, so a fresh interpreter
+# imports the package, runs the commands in order and reports after each
+# which of them are loaded; none of them needs one.  numpy is not a
+# dependency, and dataclasses (with inspect, which it loads) cost a fifth of
+# the package's start-up.
 UNWANTED = ("numpy", "dataclasses", "inspect")
 MODULE_PROBE = """
 import contextlib, io, json, sys
