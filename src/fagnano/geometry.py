@@ -113,11 +113,21 @@ def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
 def _vertex_angles(
     ax: float, ay: float, bx: float, by: float, cx: float, cy: float
 ) -> tuple[float, float, float]:
-    """Interior angles at a, b and c of the triangle with these vertices."""
+    """Interior angles at a, b and c of the triangle with these vertices.
+
+    ``_angle`` of each apex's two edge vectors, computed on the three
+    shared edge differences: q - p is exactly -(p - q), so each angle has
+    ``_angle``'s bits wherever its cross and dot products are not both
+    zero, as on every frame and its feet (a zero edge reads the sign of a
+    zero there)."""
+    abx, aby = bx - ax, by - ay
+    bcx, bcy = cx - bx, cy - by
+    cax, cay = ax - cx, ay - cy
+    atan2 = math.atan2
     return (
-        _angle(bx - ax, by - ay, cx - ax, cy - ay),
-        _angle(cx - bx, cy - by, ax - bx, ay - by),
-        _angle(ax - cx, ay - cy, bx - cx, by - cy),
+        atan2(abs(abx * cay - aby * cax), -(abx * cax + aby * cay)),
+        atan2(abs(bcx * aby - bcy * abx), -(bcx * abx + bcy * aby)),
+        atan2(abs(cax * bcy - cay * bcx), -(cax * bcx + cay * bcy)),
     )
 
 

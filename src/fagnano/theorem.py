@@ -6,8 +6,10 @@ right angle then sits at the foot of the altitude dropped from that vertex.
 This module evaluates both directions of that biconditional on individual
 triangles, re-derives every intermediate angle identity of the underlying
 argument from explicit coordinates, and sweeps triangle shape space for
-counterexamples.  The scan decides each node on the verdict's fields as a
-plain tuple and builds a ``TheoremVerdict`` only for a counterexample.
+counterexamples.  The scan only counts its grid nodes, whose verdict
+cannot fail off the skip band, and decides its pi/4-locus nodes on the
+verdict's fields as a plain tuple, building a ``TheoremVerdict`` only for a
+counterexample.
 
 Tolerance coupling: the orthic-angle test at pi/2 uses a tolerance tol while
 the parent-angle test at pi/4 uses ``tol / 2``, because the exact relation
@@ -21,8 +23,7 @@ floating-point iff cannot be decided on its knife edge.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
-from typing import Iterator
+from collections.abc import Iterator
 
 from .geometry import (
     ANGLE_TOL,
@@ -288,6 +289,17 @@ def quarter_pi_locus_nodes(grid_resolution: int) -> Iterator[tuple[float, float]
         yield (QUARTER_PI + k * h, QUARTER_PI)
 
 
+def _node_angles(
+    alpha: float, beta: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Parent and orthic angles of the scan node (alpha, beta), measured on
+    the bare floats of its unit-circumradius frame (those of
+    ``Triangle.from_angles``) after the acute gate at ``ANGLE_TOL``."""
+    frame, _, parent, _ = _frame(*_unit_circle(alpha, beta))
+    _acute_gate(parent, HALF_PI - max(parent), ANGLE_TOL)
+    return parent, _vertex_angles(*_frame_feet(frame))
+
+
 def scan_angle_space(
     grid_resolution: int,
     tol_angle: float = ANGLE_TOL,
@@ -295,18 +307,19 @@ def scan_angle_space(
 ) -> ScanReport:
     """Sweep acute shape space for violations of either direction.
 
-    One loop walks the open-simplex grid nodes, then the beta = pi/4 locus
-    nodes, and measures each on the unit circumradius, on the bare floats of
-    its frame: it builds no ``Point`` or ``Triangle``.  It requires the
-    biconditional and, where applicable, the pairing on every sample.  Grid
-    nodes alone may be skipped as knife-edge samples (any parent angle within
-    ``boundary_band`` of pi/4, or any orthic angle within it of pi/2); on the
-    locus a right orthic angle paired with vertex b is mandatory.  Both kinds
-    of node count toward ``samples_tested``.  ``tol_angle`` sets only the
-    verdict tests: every node is acute by construction and passes the acute
-    gate at ``ANGLE_TOL``.  Each node's orthic angles are measured on its
-    frame feet; a passing node builds no ``TheoremVerdict``.
-    A ``boundary_band`` that skips every grid node raises ValueError.
+    Each node is measured on the unit circumradius, on the bare floats of
+    its frame: the scan builds no ``Point`` or ``Triangle``.  The grid loop
+    only counts the open-simplex nodes: it skips a knife-edge node (any
+    parent angle within ``boundary_band`` of pi/4, or any orthic angle
+    within it of pi/2) and tests every other one, whose verdict cannot fail
+    because ``boundary_band`` exceeds ``tol_angle``.  The locus loop decides
+    the beta = pi/4 nodes on the verdict's fields and requires the
+    biconditional with a right orthic angle at the foot from b, so
+    counterexamples come only from the locus.  Both kinds of node count
+    toward ``samples_tested``.  ``tol_angle`` sets only the verdict tests:
+    every node is acute by construction and passes the acute gate at
+    ``ANGLE_TOL``.  A passing locus node builds no ``TheoremVerdict``.  A
+    ``boundary_band`` that skips every grid node raises ValueError.
     """
     if not (isinstance(grid_resolution, int) and grid_resolution >= 8):
         raise ValueError(f"grid_resolution must be an int >= 8, got {grid_resolution!r}")
@@ -316,41 +329,42 @@ def scan_angle_space(
         raise ValueError(
             f"boundary_band ({boundary_band}) must exceed tol_angle ({tol_angle})"
         )
+    # Off the band no angle is within boundary_band > tol_angle of its
+    # threshold, so _verdict_core would return (False, None, False, None,
+    # False, None, True), which passes.
     tested = 0
     skipped = 0
-    counterexamples: list[tuple[AngleTriple, TheoremVerdict]] = []
-
-    nodes = chain(
-        zip(acute_grid_nodes(grid_resolution), repeat(False)),
-        zip(quarter_pi_locus_nodes(grid_resolution), repeat(True)),
-    )
-    for (alpha, beta), on_locus in nodes:
-        frame, _, parent, _ = _frame(*_unit_circle(alpha, beta))
-        _acute_gate(parent, HALF_PI - max(parent), ANGLE_TOL)
-        orth = _vertex_angles(*_frame_feet(frame))
-        if not on_locus and (
-            abs(parent[0] - QUARTER_PI) < boundary_band
-            or abs(parent[1] - QUARTER_PI) < boundary_band
-            or abs(parent[2] - QUARTER_PI) < boundary_band
-            or abs(orth[0] - HALF_PI) < boundary_band
-            or abs(orth[1] - HALF_PI) < boundary_band
-            or abs(orth[2] - HALF_PI) < boundary_band
+    for alpha, beta in acute_grid_nodes(grid_resolution):
+        (p0, p1, p2), (o0, o1, o2) = _node_angles(alpha, beta)
+        if (
+            abs(p0 - QUARTER_PI) < boundary_band
+            or abs(p1 - QUARTER_PI) < boundary_band
+            or abs(p2 - QUARTER_PI) < boundary_band
+            or abs(o0 - HALF_PI) < boundary_band
+            or abs(o1 - HALF_PI) < boundary_band
+            or abs(o2 - HALF_PI) < boundary_band
         ):
             skipped += 1
-            continue
-        tested += 1
+        else:
+            tested += 1
+    if tested == 0:
+        raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")
+
+    counterexamples: list[tuple[AngleTriple, TheoremVerdict]] = []
+    for alpha, beta in quarter_pi_locus_nodes(grid_resolution):
+        parent, orth = _node_angles(alpha, beta)
         fields = _verdict_core(parent, orth, tol_angle)
         orthic_is_right, right_vertex, _, _, _, pairing_holds, biconditional_holds = fields
-        ok = biconditional_holds and pairing_holds is not False
-        if on_locus:
-            # Forward direction: a pi/4 parent must produce a right orthic
-            # angle at the matching foot (ok already makes the pairing hold).
-            ok = ok and orthic_is_right and right_vertex == 1
-        if not ok:
+        # Both directions, and the forward one at the matching foot: the
+        # pi/4 angle at b must give a right orthic angle at the foot from b.
+        if not (
+            biconditional_holds
+            and pairing_holds is not False
+            and orthic_is_right
+            and right_vertex == 1
+        ):
             counterexamples.append((AngleTriple(*parent), TheoremVerdict(*fields)))
-    # The locus alone contributes grid_resolution - 1 tested samples.
-    if tested == grid_resolution - 1:
-        raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")
+    tested += grid_resolution - 1
 
     return ScanReport(
         grid_resolution=grid_resolution,

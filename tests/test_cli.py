@@ -572,14 +572,14 @@ print(json.dumps(loaded))
 # The same interpreter with only the stdlib modules fagnano and MODULE_PROBE
 # import: what it loads, fagnano cannot keep out.
 STDLIB_PROBE = """
-import argparse, contextlib, enum, functools, io, itertools, json, json.encoder
-import math, operator, re, sys, typing
+import argparse, collections.abc, contextlib, enum, functools, io, json, json.encoder
+import math, operator, re, sys
 print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
 """
 
 
-def probe(script, *args):
-    proc = run_python("-c", script, *args)
+def probe(script, *args, flags=()):
+    proc = run_python(*flags, "-c", script, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -602,6 +602,17 @@ def test_no_command_loads_numpy(tmp_path):
     if stdlib:
         pytest.skip(f"this Python's own stdlib loads {', '.join(stdlib)}")
     assert loaded == [[label, 0, []] for label in labels]
+
+
+def test_importing_fagnano_loads_no_typing():
+    # typing costs several ms of start-up, and fagnano annotates with
+    # collections.abc.  Both probes run under -S, because a site .pth file
+    # may import typing before any program runs.
+    loaded = probe(MODULE_PROBE, "[]", "typing", flags=("-S",))
+    stdlib = probe(STDLIB_PROBE, "typing", flags=("-S",))
+    if stdlib:
+        pytest.skip("this Python's own stdlib loads typing")
+    assert loaded == [["import", 0, []]]
 
 
 # Each module imports on its own, in a fresh interpreter, and loads only the

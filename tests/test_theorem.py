@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import theorem_bits
 from conftest import (
@@ -194,6 +194,36 @@ def test_verdict_stable_under_vertex_noise(t, seed):
     assert before.has_quarter_pi == after.has_quarter_pi
     assert before.quarter_pi_unique == after.quarter_pi_unique
     assert before.biconditional_holds == after.biconditional_holds
+
+
+# What _verdict_core returns where the scan's band test passes a grid node:
+# no right orthic angle, no pi/4 parent angle, and a biconditional that holds.
+OFF_BAND_FIELDS = (False, None, False, None, False, None, True)
+
+
+# An angle's side of its threshold and how far past the band it lies.
+BAND_OFFSET = st.tuples(st.sampled_from((1.0, -1.0)), st.floats(min_value=0.0, max_value=1.5))
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=0.0, max_value=0.1),
+    st.floats(min_value=0.0, max_value=0.2, exclude_min=True),
+    st.tuples(BAND_OFFSET, BAND_OFFSET, BAND_OFFSET),
+    st.tuples(BAND_OFFSET, BAND_OFFSET, BAND_OFFSET),
+)
+def test_verdict_core_is_constant_off_the_band(tol, extra, p_offsets, o_offsets):
+    # The scan only counts its grid nodes: with band > tol >= 0, every
+    # parent angle at least band from pi/4 and every orthic angle at least
+    # band from pi/2 (the nodes its band test does not skip), the verdict
+    # cannot fail.  repr tells a bool from an int.
+    band = tol + extra
+    assume(band > tol)
+    p = tuple(QUARTER_PI + s * (band + d) for s, d in p_offsets)
+    o = tuple(HALF_PI + s * (band + d) for s, d in o_offsets)
+    assume(all(abs(x - QUARTER_PI) >= band for x in p))
+    assume(all(abs(x - HALF_PI) >= band for x in o))
+    assert repr(theorem._verdict_core(p, o, tol)) == repr(OFF_BAND_FIELDS)
 
 
 # ---------------------------------------------------------------- proof steps
@@ -489,7 +519,7 @@ def test_passing_scan_nodes_build_no_verdict(monkeypatch):
 def test_scan_requires_the_right_vertex_on_the_locus(monkeypatch, n):
     # A core that puts the right orthic angle at the foot from a on the
     # beta = pi/4 locus makes each of its n - 1 nodes a counterexample; grid
-    # nodes that close to pi/4 are skipped by the band before the verdict.
+    # nodes are only counted, so the core never sees them.
     real = theorem._verdict_core
 
     def at_a_on_locus(p, o, tol_angle):
@@ -506,6 +536,31 @@ def test_scan_requires_the_right_vertex_on_the_locus(monkeypatch, n):
         assert v.right_vertex == 0 and v.pairing_holds is True
     monkeypatch.setattr(theorem, "_verdict_core", lambda p, o, tol: real(p, o, tol))
     assert scan_angle_space(n).counterexamples == ()
+
+
+@pytest.mark.parametrize("args", [(16,), (40,), (16, 0.1, 0.2)], ids=["16", "40", "16-loose"])
+def test_scan_calls_the_verdict_on_the_locus_only(monkeypatch, args):
+    # Grid nodes are only counted: the verdict core runs once per locus
+    # node, in order, and the report is byte-identical.
+    want = jsonio.dumps(scan_angle_space(*args).to_document())
+    node_angles, verdict_core = theorem._node_angles, theorem._verdict_core
+    last_node, verdict_nodes = [], []
+
+    def recording_node_angles(alpha, beta):
+        last_node[:] = [(alpha, beta)]
+        return node_angles(alpha, beta)
+
+    def recording_verdict_core(p, o, tol_angle):
+        verdict_nodes.append(last_node[0])
+        return verdict_core(p, o, tol_angle)
+
+    monkeypatch.setattr(theorem, "_node_angles", recording_node_angles)
+    monkeypatch.setattr(theorem, "_verdict_core", recording_verdict_core)
+    assert jsonio.dumps(scan_angle_space(*args).to_document()) == want
+    n = args[0]
+    assert len(verdict_nodes) == n - 1
+    assert all(beta == QUARTER_PI for _, beta in verdict_nodes)
+    assert verdict_nodes == list(quarter_pi_locus_nodes(n))
 
 
 def test_scan_band_tests_each_measured_orthic_angle():
