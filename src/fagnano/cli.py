@@ -37,7 +37,7 @@ from .optimize import (
     minimize_grid_then_simplex,
     minimize_reflection_descent,
 )
-from .theorem import DEFAULT_BOUNDARY_BAND, scan_angle_space
+from .theorem import scan_angle_space
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -207,9 +207,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = scan_angle_space(
-        args.resolution, tol_angle=args.tol_angle, boundary_band=args.boundary_band
-    )
+    report = scan_angle_space(args.resolution, tol_angle=args.tol_angle)
     _deliver(jsonio.dumps(report.to_document()), args.output)
     return EXIT_OK if not report.counterexamples else EXIT_COUNTEREXAMPLE
 
@@ -292,7 +290,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--tol-angle", type=_tolerance, default=ANGLE_TOL)
-    p.add_argument("--boundary-band", type=_tolerance, default=DEFAULT_BOUNDARY_BAND)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(

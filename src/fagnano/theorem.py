@@ -6,18 +6,17 @@ right angle then sits at the foot of the altitude dropped from that vertex.
 This module evaluates both directions of that biconditional on individual
 triangles, re-derives every intermediate angle identity of the underlying
 argument from explicit coordinates, and sweeps triangle shape space for
-counterexamples.  The scan only counts its grid nodes, whose verdict
-cannot fail off the skip band, and decides its pi/4-locus nodes on the
-verdict's fields as a plain tuple, building a ``TheoremVerdict`` only for a
-counterexample.
+counterexamples.  Both directions rest on the orthic-angle law, orthic
+angle at the foot from x = pi - 2 * (parent angle at x): the scan checks it
+at every node and decides its pi/4-locus nodes on the verdict's fields as a
+plain tuple, building a ``TheoremVerdict`` only for a counterexample.
 
 Tolerance coupling: the orthic-angle test at pi/2 uses a tolerance tol while
 the parent-angle test at pi/4 uses ``tol / 2``, because the exact relation
 orthic angle = pi - 2 * parent angle doubles perturbations.  ``verdict`` and
 ``proof_steps`` decide at ``ANGLE_TOL``; only the scan takes its own
-``tol_angle`` (not the acuteness tolerance).  Scan samples within
-``boundary_band`` of either threshold are skipped, not adjudicated: a
-floating-point iff cannot be decided on its knife edge.
+``tol_angle`` (not the acuteness tolerance), at least the law's rounding
+bound on the pi/4 locus.
 """
 
 from __future__ import annotations
@@ -46,7 +45,10 @@ from .geometry import (
 QUARTER_PI = math.pi / 4.0
 HALF_PI = math.pi / 2.0
 
-DEFAULT_BOUNDARY_BAND = 1e-6
+# A scan node fails the orthic-angle law when r * m > ANGLE_LAW_BOUND * eps
+# (see scan_angle_space); over the acute region r * m stays near 2 eps.
+ANGLE_LAW_BOUND = 8
+_EPS = math.ulp(1.0)
 
 
 class TheoremVerdict(_Record):
@@ -236,36 +238,37 @@ def incenter_orthocenter_check(t: Triangle) -> float:
 
 
 class ScanReport(_Record):
-    """Outcome of a shape-space sweep.  Empty counterexamples is a pass."""
+    """Outcome of a shape-space sweep.  Empty counterexamples is a pass;
+    ``worst_law_residual`` is the largest r * m / eps (see ``scan_angle_space``)."""
 
     _fields = (
-        "grid_resolution", "samples_tested", "samples_skipped", "counterexamples",
-        "boundary_band", "tol_angle",
+        "grid_resolution", "samples_tested", "counterexamples", "tol_angle", "worst_law_residual"
     )
+    # Not a field: every node is tested.  The bench adds it to samples_tested;
+    # ROADMAP item 2 removes it.
+    samples_skipped = 0
 
     def __init__(
-        self, grid_resolution: int, samples_tested: int, samples_skipped: int,
+        self, grid_resolution: int, samples_tested: int,
         counterexamples: tuple[tuple[AngleTriple, TheoremVerdict], ...],
-        boundary_band: float, tol_angle: float,
+        tol_angle: float, worst_law_residual: float,
     ):
         _set(self, "grid_resolution", grid_resolution)
         _set(self, "samples_tested", samples_tested)
-        _set(self, "samples_skipped", samples_skipped)
         _set(self, "counterexamples", counterexamples)
-        _set(self, "boundary_band", boundary_band)
         _set(self, "tol_angle", tol_angle)
+        _set(self, "worst_law_residual", worst_law_residual)
 
     def to_document(self) -> dict:
         return {
             "grid_resolution": self.grid_resolution,
             "samples_tested": self.samples_tested,
-            "samples_skipped": self.samples_skipped,
             "counterexamples": [
                 {"angles": list(tri.as_tuple()), "verdict": v.to_document()}
                 for tri, v in self.counterexamples
             ],
-            "boundary_band": self.boundary_band,
             "tol_angle": self.tol_angle,
+            "worst_law_residual": self.worst_law_residual,
         }
 
 
@@ -291,86 +294,83 @@ def quarter_pi_locus_nodes(grid_resolution: int) -> Iterator[tuple[float, float]
 
 def _node_angles(
     alpha: float, beta: float
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
     """Parent and orthic angles of the scan node (alpha, beta), measured on
     the bare floats of its unit-circumradius frame (those of
-    ``Triangle.from_angles``) after the acute gate at ``ANGLE_TOL``."""
+    ``Triangle.from_angles``) after the acute gate at ``ANGLE_TOL``, with
+    the node's angle-law residual times its margin, r * m."""
     frame, _, parent, _ = _frame(*_unit_circle(alpha, beta))
-    _acute_gate(parent, HALF_PI - max(parent), ANGLE_TOL)
-    return parent, _vertex_angles(*_frame_feet(frame))
+    margin = HALF_PI - max(parent)
+    _acute_gate(parent, margin, ANGLE_TOL)
+    orth = _vertex_angles(*_frame_feet(frame))
+    (p0, p1, p2), (o0, o1, o2), pi = parent, orth, math.pi
+    r, r1, r2 = abs(o0 + 2.0 * p0 - pi), abs(o1 + 2.0 * p1 - pi), abs(o2 + 2.0 * p2 - pi)
+    if r1 > r:
+        r = r1
+    if r2 > r:
+        r = r2
+    return parent, orth, r * margin
 
 
-def scan_angle_space(
-    grid_resolution: int,
-    tol_angle: float = ANGLE_TOL,
-    boundary_band: float = DEFAULT_BOUNDARY_BAND,
-) -> ScanReport:
+def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> ScanReport:
     """Sweep acute shape space for violations of either direction.
 
     Each node is measured on the unit circumradius, on the bare floats of
-    its frame: the scan builds no ``Point`` or ``Triangle``.  The grid loop
-    only counts the open-simplex nodes: it skips a knife-edge node (any
-    parent angle within ``boundary_band`` of pi/4, or any orthic angle
-    within it of pi/2) and tests every other one, whose verdict cannot fail
-    because ``boundary_band`` exceeds ``tol_angle``.  The locus loop decides
-    the beta = pi/4 nodes on the verdict's fields and requires the
-    biconditional with a right orthic angle at the foot from b, so
-    counterexamples come only from the locus.  Both kinds of node count
-    toward ``samples_tested``.  ``tol_angle`` sets only the verdict tests:
-    every node is acute by construction and passes the acute gate at
-    ``ANGLE_TOL``.  A passing locus node builds no ``TheoremVerdict``.  A
-    ``boundary_band`` that skips every grid node raises ValueError.
+    its frame: the scan builds no ``Point`` or ``Triangle``.  Every grid and
+    beta = pi/4 locus node is tested against the orthic-angle law: with
+    r = max over x of |o_x + 2 * p_x - pi| and m = pi/2 - max(p), a node
+    with r * m > ``ANGLE_LAW_BOUND`` * eps (eps = 2**-52) is a
+    counterexample.  A locus node must also pass the biconditional with a
+    right orthic angle at the foot from b.  The report gives the worst
+    r * m / eps.  A passing node builds no ``TheoremVerdict``.
+
+    ``tol_angle`` sets only the verdict tests: every node is acute by
+    construction and passes the acute gate at ``ANGLE_TOL``.  On the locus
+    the law puts the orthic angle at b within ``ANGLE_LAW_BOUND`` * eps / m
+    of pi/2, and m falls to pi / (4 * grid_resolution): a ``tol_angle``
+    below that bound would decide on rounding and raises ValueError.
     """
     if not (isinstance(grid_resolution, int) and grid_resolution >= 8):
         raise ValueError(f"grid_resolution must be an int >= 8, got {grid_resolution!r}")
     check_tolerance("tol_angle", tol_angle)
-    check_tolerance("boundary_band", boundary_band)
-    if boundary_band <= tol_angle:
+    limit = ANGLE_LAW_BOUND * _EPS
+    floor = limit / (QUARTER_PI / grid_resolution)
+    if tol_angle < floor:
         raise ValueError(
-            f"boundary_band ({boundary_band}) must exceed tol_angle ({tol_angle})"
+            f"tol_angle ({tol_angle!r}) is below {floor:.3g}, the angle law's"
+            f" rounding bound at resolution {grid_resolution}"
         )
-    # Off the band no angle is within boundary_band > tol_angle of its
-    # threshold, so _verdict_core would return (False, None, False, None,
-    # False, None, True), which passes.
-    tested = 0
-    skipped = 0
-    for alpha, beta in acute_grid_nodes(grid_resolution):
-        (p0, p1, p2), (o0, o1, o2) = _node_angles(alpha, beta)
-        if (
-            abs(p0 - QUARTER_PI) < boundary_band
-            or abs(p1 - QUARTER_PI) < boundary_band
-            or abs(p2 - QUARTER_PI) < boundary_band
-            or abs(o0 - HALF_PI) < boundary_band
-            or abs(o1 - HALF_PI) < boundary_band
-            or abs(o2 - HALF_PI) < boundary_band
-        ):
-            skipped += 1
-        else:
-            tested += 1
-    if tested == 0:
-        raise ValueError(f"boundary_band ({boundary_band}) skips all {skipped} grid nodes")
-
+    worst = 0.0
     counterexamples: list[tuple[AngleTriple, TheoremVerdict]] = []
+    for alpha, beta in acute_grid_nodes(grid_resolution):
+        parent, orth, law = _node_angles(alpha, beta)
+        if law > worst:
+            worst = law
+        if law > limit:
+            fields = _verdict_core(parent, orth, tol_angle)
+            counterexamples.append((AngleTriple(*parent), TheoremVerdict(*fields)))
+
     for alpha, beta in quarter_pi_locus_nodes(grid_resolution):
-        parent, orth = _node_angles(alpha, beta)
+        parent, orth, law = _node_angles(alpha, beta)
+        if law > worst:
+            worst = law
         fields = _verdict_core(parent, orth, tol_angle)
         orthic_is_right, right_vertex, _, _, _, pairing_holds, biconditional_holds = fields
         # Both directions, and the forward one at the matching foot: the
         # pi/4 angle at b must give a right orthic angle at the foot from b.
-        if not (
+        if law > limit or not (
             biconditional_holds
             and pairing_holds is not False
             and orthic_is_right
             and right_vertex == 1
         ):
             counterexamples.append((AngleTriple(*parent), TheoremVerdict(*fields)))
-    tested += grid_resolution - 1
 
     return ScanReport(
         grid_resolution=grid_resolution,
-        samples_tested=tested,
-        samples_skipped=skipped,
+        # The (n - 1)(n - 2)/2 grid nodes and the n - 1 locus nodes.
+        samples_tested=grid_resolution * (grid_resolution - 1) // 2,
         counterexamples=tuple(counterexamples),
-        boundary_band=boundary_band,
         tol_angle=tol_angle,
+        worst_law_residual=worst / _EPS,
     )

@@ -68,7 +68,7 @@ def test_criterion_2_side_proportions(capsys):
 
 def test_criterion_3_biconditional_scan(capsys):
     start = time.perf_counter()
-    scan = scan_angle_space(200, tol_angle=1e-9, boundary_band=1e-6)
+    scan = scan_angle_space(200, tol_angle=1e-9)
     elapsed = time.perf_counter() - start
     ok = not scan.counterexamples and elapsed < 30.0
     with capsys.disabled():
@@ -78,6 +78,7 @@ def test_criterion_3_biconditional_scan(capsys):
             ok,
             f"{scan.samples_tested} samples, "
             f"{len(scan.counterexamples)} counterexamples, "
+            f"worst law residual {scan.worst_law_residual:.2f} eps (limit 8), "
             f"runtime {elapsed:.2f}s (limit 30s)",
         )
 

@@ -83,7 +83,7 @@ def test_degenerate_input_message(capsys, text):
         ["minimize", "golden-bfc", "--tol", "inf"],
         ["minimize", "golden-bfc", "--method", "reflection", "--tol", "nan"],
         ["golden", "--tol", "inf"],
-        ["scan", "--resolution", "8", "--boundary-band", "nan"],
+        ["scan", "--resolution", "8", "--tol-angle", "inf"],
         ["scan", "--resolution", "8", "--tol-angle", "nan"],
         ["minimize", "golden-bfc", "--max-iter", "0"],
         ["minimize", "golden-bfc", "--method", "reflection", "--max-iter", "-1"],
@@ -239,27 +239,30 @@ def test_scan_small_resolution(capsys):
 
 
 def test_scan_defaults_clean(capsys):
-    code, out, _ = run(capsys, "scan")  # resolution 200, tol 1e-9, band 1e-6
+    code, out, _ = run(capsys, "scan")  # resolution 200, tol 1e-9
     assert code == 0
     doc = json.loads(out)
     assert doc["grid_resolution"] == 200
     assert doc["counterexamples"] == []
 
 
-def test_scan_invalid_band_exit_1(capsys):
-    code, _, err = run(
-        capsys, "scan", "--resolution", "8", "--boundary-band", "1e-10"
+def test_scan_tol_angle_below_the_floor_exit_1(capsys):
+    # At resolution 16 the law puts the orthic angle at the foot from b on
+    # the last locus node within 8 eps / (pi/64) = 3.62e-14 of pi/2: a
+    # tol_angle of 0 would report that rounding as 14 counterexamples.
+    code, out, err = run(capsys, "scan", "--resolution", "16", "--tol-angle", "0")
+    assert (code, out) == (1, "")
+    assert err == (
+        "fagnano: error: tol_angle (0.0) is below 3.62e-14, the angle law's"
+        " rounding bound at resolution 16\n"
     )
-    assert code == 1
-    assert "boundary_band" in err
+    assert run(capsys, "scan", "--resolution", "16", "--tol-angle", "3.7e-14")[0] == 0
 
 
-def test_scan_band_that_skips_every_grid_node_exit_1(capsys):
-    # Every acute angle lies within pi/4 of pi/4, so a band of 1 leaves
-    # only the pi/4 locus to test.
+def test_boundary_band_is_an_unknown_option(capsys):
     code, out, err = run(capsys, "scan", "--resolution", "16", "--boundary-band", "1")
     assert (code, out) == (1, "")
-    assert "boundary_band (1.0) skips all 105 grid nodes" in err
+    assert err == "fagnano: error: unrecognized arguments: --boundary-band 1\n"
 
 
 def test_scan_invalid_resolution_exit_1(capsys):
@@ -273,12 +276,10 @@ def test_scan_loose_tolerance_gives_a_verdict_not_a_bad_triangle(capsys):
     # pi/4 hit twice, so the forward direction reports them.
     from fagnano.theorem import scan_angle_space
 
-    report = scan_angle_space(16, tol_angle=0.1, boundary_band=0.2)
-    assert (report.samples_tested, report.samples_skipped) == (45, 75)
+    report = scan_angle_space(16, tol_angle=0.1)
+    assert report.samples_tested == 120
     assert [v.quarter_pi_unique for _, v in report.counterexamples] == [False, False]
-    code, out, err = run(
-        capsys, "scan", "--resolution", "16", "--tol-angle", "0.1", "--boundary-band", "0.2"
-    )
+    code, out, err = run(capsys, "scan", "--resolution", "16", "--tol-angle", "0.1")
     assert (code, err) == (4, "")
     assert json.loads(out) == json.loads(json.dumps(report.to_document()))
 
@@ -293,15 +294,14 @@ def test_scan_counterexample_exit_4(capsys, monkeypatch):
     fake = ScanReport(
         grid_resolution=8,
         samples_tested=1,
-        samples_skipped=0,
         counterexamples=(
             (
                 AngleTriple(1.0, 1.0, math.pi - 2.0),
                 TheoremVerdict(True, 0, False, None, False, None, False),
             ),
         ),
-        boundary_band=1e-6,
         tol_angle=1e-9,
+        worst_law_residual=2.0,
     )
     monkeypatch.setattr(cli, "scan_angle_space", lambda *a, **k: fake)
     code, out, _ = run(capsys, "scan", "--resolution", "8")

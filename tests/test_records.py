@@ -111,11 +111,10 @@ RECORDS = [
         ScanReport,
         {
             "grid_resolution": 16,
-            "samples_tested": 90,
-            "samples_skipped": 15,
+            "samples_tested": 120,
             "counterexamples": ((AngleTriple(1.0, 1.1, math.pi - 2.1), TheoremVerdict(**VERDICT)),),
-            "boundary_band": 1e-6,
             "tol_angle": 1e-9,
+            "worst_law_residual": 2.0,
         },
         {},
         {"counterexamples": ()},

@@ -53,7 +53,7 @@ SURFACE = {
     },
     "render": {"RenderSpec", "RenderSpec.__init__", "render_triangle", "render_golden"},
     "theorem": {
-        "QUARTER_PI", "HALF_PI", "DEFAULT_BOUNDARY_BAND",
+        "QUARTER_PI", "HALF_PI", "ANGLE_LAW_BOUND",
         "TheoremVerdict", "TheoremVerdict.__init__", "TheoremVerdict.to_document", "verdict",
         "ProofStepReport", "ProofStepReport.__init__", "ProofStepReport.all_unconditional",
         "proof_steps",

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import theorem_bits
 from conftest import (
@@ -111,8 +111,7 @@ def test_verdict_tolerance_coupling():
 def test_two_quarter_pi_angles_is_right_and_gated():
     # two angles strictly within tol/2 of pi/4 force the third within tol of
     # pi/2, so the acute gate excludes everything the verdict would have
-    # counted twice (at the exact tol/2 boundary rounding decides, which is
-    # what the scan's exclusion band is for)
+    # counted twice (at the exact tol/2 boundary rounding decides)
     eps = 0.45 * ANGLE_TOL
     for da, db in ((eps, eps), (-eps, eps), (-eps, -eps)):
         alpha, beta = QUARTER_PI + da, QUARTER_PI + db
@@ -194,36 +193,6 @@ def test_verdict_stable_under_vertex_noise(t, seed):
     assert before.has_quarter_pi == after.has_quarter_pi
     assert before.quarter_pi_unique == after.quarter_pi_unique
     assert before.biconditional_holds == after.biconditional_holds
-
-
-# What _verdict_core returns where the scan's band test passes a grid node:
-# no right orthic angle, no pi/4 parent angle, and a biconditional that holds.
-OFF_BAND_FIELDS = (False, None, False, None, False, None, True)
-
-
-# An angle's side of its threshold and how far past the band it lies.
-BAND_OFFSET = st.tuples(st.sampled_from((1.0, -1.0)), st.floats(min_value=0.0, max_value=1.5))
-
-
-@settings(max_examples=300)
-@given(
-    st.floats(min_value=0.0, max_value=0.1),
-    st.floats(min_value=0.0, max_value=0.2, exclude_min=True),
-    st.tuples(BAND_OFFSET, BAND_OFFSET, BAND_OFFSET),
-    st.tuples(BAND_OFFSET, BAND_OFFSET, BAND_OFFSET),
-)
-def test_verdict_core_is_constant_off_the_band(tol, extra, p_offsets, o_offsets):
-    # The scan only counts its grid nodes: with band > tol >= 0, every
-    # parent angle at least band from pi/4 and every orthic angle at least
-    # band from pi/2 (the nodes its band test does not skip), the verdict
-    # cannot fail.  repr tells a bool from an int.
-    band = tol + extra
-    assume(band > tol)
-    p = tuple(QUARTER_PI + s * (band + d) for s, d in p_offsets)
-    o = tuple(HALF_PI + s * (band + d) for s, d in o_offsets)
-    assume(all(abs(x - QUARTER_PI) >= band for x in p))
-    assume(all(abs(x - HALF_PI) >= band for x in o))
-    assert repr(theorem._verdict_core(p, o, tol)) == repr(OFF_BAND_FIELDS)
 
 
 # ---------------------------------------------------------------- proof steps
@@ -316,60 +285,40 @@ def test_incenter_orthocenter_sweep():
 # ----------------------------------------------------------------------- scan
 
 
-def expected_scan_counts(n, tol_angle, boundary_band):
-    """Independent enumeration of the documented sweep."""
-    h = HALF_PI / n
-    tested = skipped = 0
-    for i in range(1, n):
-        for j in range(1, n):
-            if i + j <= n:
-                continue
-            alpha, beta = i * h, j * h
-            gamma = math.pi - alpha - beta
-            parent = (alpha, beta, gamma)
-            orthic = tuple(math.pi - 2 * x for x in parent)
-            if (
-                min(abs(x - QUARTER_PI) for x in parent) < boundary_band
-                or min(abs(x - HALF_PI) for x in orthic) < boundary_band
-            ):
-                skipped += 1
-            else:
-                tested += 1
-    tested += n - 1  # the quarter-pi locus phase
-    return tested, skipped
+def expected_scan_count(n):
+    """Independent enumeration of the documented sweep: every node is tested."""
+    grid = sum(1 for i in range(1, n) for j in range(1, n) if i + j > n)
+    return grid + n - 1  # the quarter-pi locus phase
 
 
 def test_scan_resolution_8_counts():
     report = scan_angle_space(8)
-    tested, skipped = expected_scan_counts(8, ANGLE_TOL, 1e-6)
-    assert report.samples_tested == tested
-    assert report.samples_skipped == skipped
+    assert report.samples_tested == expected_scan_count(8) == 28
+    assert report.samples_skipped == 0
     assert report.counterexamples == ()
+    assert 0.0 < report.worst_law_residual <= theorem.ANGLE_LAW_BOUND
 
 
 def test_scan_resolution_64_clean():
     report = scan_angle_space(64)
     assert report.counterexamples == ()
-    tested, skipped = expected_scan_counts(64, ANGLE_TOL, 1e-6)
-    assert report.samples_tested == tested
+    assert report.samples_tested == expected_scan_count(64)
 
 
 def test_scan_validation():
     for bad in (7, 8.5, math.nan, 1e9, "16"):
         with pytest.raises(ValueError, match="grid_resolution must be an int >= 8"):
             scan_angle_space(bad)
-    with pytest.raises(ValueError):
-        scan_angle_space(16, tol_angle=1e-6, boundary_band=1e-6)
     for bad in (math.nan, math.inf, -1e-9):
         with pytest.raises(ValueError, match="tol_angle must be finite"):
             scan_angle_space(16, tol_angle=bad)
-        with pytest.raises(ValueError, match="boundary_band must be finite"):
-            scan_angle_space(16, boundary_band=bad)
-    # Every grid node has a parent angle within 0.785 of pi/4: only the
-    # locus would be tested.
-    assert expected_scan_counts(40, ANGLE_TOL, 0.785) == (39, 741)
-    with pytest.raises(ValueError, match=r"boundary_band \(0.785\) skips all 741 grid nodes"):
-        scan_angle_space(40, boundary_band=0.785)
+    # The tol_angle floor is the law's bound 8 eps / m on the last locus
+    # node, m = pi / (4 n): 32 n eps / pi.
+    for n in (8, 16, 40, 200):
+        floor = 32 * n * 2.0**-52 / math.pi
+        assert scan_angle_space(n, tol_angle=floor * (1 + 1e-12)).counterexamples == ()
+        with pytest.raises(ValueError, match=f"tol_angle .* is below {floor:.3g},"):
+            scan_angle_space(n, tol_angle=floor * (1 - 1e-12))
 
 
 def test_locus_nodes_all_produce_right_orthic():
@@ -397,23 +346,23 @@ def test_scan_report_serialization_is_deterministic():
     assert list(parsed.keys()) == [
         "grid_resolution",
         "samples_tested",
-        "samples_skipped",
         "counterexamples",
-        "boundary_band",
         "tol_angle",
+        "worst_law_residual",
     ]
 
 
 # sha256 of jsonio.dumps(scan_angle_space(*args).to_document()).  The (16,
-# 0.1, 0.2) report lists counterexamples, so their angles are pinned to the
+# 0.1) report lists counterexamples, so their angles are pinned to the
 # digit.  CI reads this dict (with ast, keep it a literal) and checks the
-# installed `fagnano scan` at (16,), (200,) and (16, 0.1, 0.2) against it.
+# installed `fagnano scan` at (16,), (200,) and (16, 0.1) against it;
+# tests/record_bits.py rewrites it from the current code.
 SCAN_SHA256 = {
     (8,): "bfd4b74b918c9c04484e721322078bf58c375c9d6326c5d287db852e13291768",
     (16,): "05dfde3a207c60078efc8c5649bc866516d982ca736b4329426d12b1a344e1e0",
     (40,): "8972ddf81b922f6ee0fd450f1b80e9539223f6c76bc0931ce60a03b174173739",
     (200,): "1abe380cc57b868eb94a3146b0ccaa65f357e9524dc74625872df1540cc18259",
-    (16, 0.1, 0.2): "c8f3d607d1d9358bc2d5b45a84214bf02df7ac6c8d0a15f8e5a0683915acc4db",
+    (16, 0.1): "c8f3d607d1d9358bc2d5b45a84214bf02df7ac6c8d0a15f8e5a0683915acc4db",
 }
 
 
@@ -447,7 +396,7 @@ def test_orthic_measures_map_no_foot_back(monkeypatch):
 def test_scan_builds_no_triangle(monkeypatch):
     # Each scan node is measured on the bare floats of its frame: no
     # Triangle is constructed, and the report is the same.
-    args = ((16,), (16, 0.1, 0.2))
+    args = ((16,), (16, 0.1))
     want = {a: jsonio.dumps(scan_angle_space(*a).to_document()) for a in args}
 
     def forbidden(self, *vertices):
@@ -512,14 +461,14 @@ def test_passing_scan_nodes_build_no_verdict(monkeypatch):
     for a in args:
         assert jsonio.dumps(scan_angle_space(*a).to_document()) == want[a], a
     with pytest.raises(AssertionError, match="TheoremVerdict"):
-        scan_angle_space(16, 0.1, 0.2)
+        scan_angle_space(16, 0.1)
 
 
 @pytest.mark.parametrize("n", [16, 40])
 def test_scan_requires_the_right_vertex_on_the_locus(monkeypatch, n):
     # A core that puts the right orthic angle at the foot from a on the
     # beta = pi/4 locus makes each of its n - 1 nodes a counterexample; grid
-    # nodes are only counted, so the core never sees them.
+    # nodes pass the angle law, so the core never sees them.
     real = theorem._verdict_core
 
     def at_a_on_locus(p, o, tol_angle):
@@ -538,10 +487,10 @@ def test_scan_requires_the_right_vertex_on_the_locus(monkeypatch, n):
     assert scan_angle_space(n).counterexamples == ()
 
 
-@pytest.mark.parametrize("args", [(16,), (40,), (16, 0.1, 0.2)], ids=["16", "40", "16-loose"])
+@pytest.mark.parametrize("args", [(16,), (40,), (16, 0.1)], ids=["16", "40", "16-loose"])
 def test_scan_calls_the_verdict_on_the_locus_only(monkeypatch, args):
-    # Grid nodes are only counted: the verdict core runs once per locus
-    # node, in order, and the report is byte-identical.
+    # Grid nodes that pass the angle law build no verdict: the verdict core
+    # runs once per locus node, in order, and the report is byte-identical.
     want = jsonio.dumps(scan_angle_space(*args).to_document())
     node_angles, verdict_core = theorem._node_angles, theorem._verdict_core
     last_node, verdict_nodes = [], []
@@ -563,27 +512,39 @@ def test_scan_calls_the_verdict_on_the_locus_only(monkeypatch, args):
     assert verdict_nodes == list(quarter_pi_locus_nodes(n))
 
 
-def test_scan_band_tests_each_measured_orthic_angle():
-    # At a band of 1e-16 the measured orthic angles, which differ from
-    # pi - 2 * parent by rounding, decide skips of their own: each of the
-    # three orthic comparisons alone skips a grid node that no other
-    # comparison does, so dropping any one of them changes samples_skipped.
-    n, band = 18, 1e-16
-    skipped = 0
-    alone = [0] * 6
-    for alpha, beta in acute_grid_nodes(n):
-        frame, _, parent, _ = geometry._frame(*geometry._unit_circle(alpha, beta))
-        orth = geometry._vertex_angles(*geometry._frame_feet(frame))
-        near = [abs(x - QUARTER_PI) < band for x in parent]
-        near += [abs(x - HALF_PI) < band for x in orth]
-        if any(near):
-            skipped += 1
-            if sum(near) == 1:
-                alone[near.index(True)] += 1
-    assert alone[3:] == [1, 3, 1]
-    report = scan_angle_space(n, 0.0, band)
-    assert (report.samples_tested, report.samples_skipped) == (142, 11)
-    assert report.samples_skipped == skipped
+def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
+    # One frame foot coordinate scaled by (1 + 1e-14) breaks the angle law
+    # past its bound on 41 of the 120 nodes at resolution 16, grid nodes
+    # among them; the band the scan once skipped on reported none.
+    frame_feet = theorem._frame_feet
+
+    def perturbed(frame):
+        dx, *rest = frame_feet(frame)
+        return (dx * (1 + 1e-14), *rest)
+
+    monkeypatch.setattr(theorem, "_frame_feet", perturbed)
+    report = scan_angle_space(16)
+    assert len(report.counterexamples) == 41
+    assert any(tri.beta != QUARTER_PI for tri, _ in report.counterexamples)
+    assert report.worst_law_residual > theorem.ANGLE_LAW_BOUND
+
+
+def test_scan_law_tests_each_measured_orthic_angle(monkeypatch):
+    # Each of the three law residuals decides on its own: 1e-13 added to
+    # one measured orthic angle makes grid counterexamples, with the worst
+    # residual past the bound.
+    vertex_angles = theorem._vertex_angles
+    for k in range(3):
+
+        def shifted(*feet, k=k):
+            orth = list(vertex_angles(*feet))
+            orth[k] += 1e-13
+            return tuple(orth)
+
+        monkeypatch.setattr(theorem, "_vertex_angles", shifted)
+        report = scan_angle_space(16)
+        assert any(tri.beta != QUARTER_PI for tri, _ in report.counterexamples), k
+        assert report.worst_law_residual > theorem.ANGLE_LAW_BOUND, k
 
 
 # ----------------------------------------------------- biconditional directions
