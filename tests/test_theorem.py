@@ -358,11 +358,11 @@ def test_scan_report_serialization_is_deterministic():
 # installed `fagnano scan` at (16,), (200,) and (16, 0.1) against it;
 # tests/record_bits.py rewrites it from the current code.
 SCAN_SHA256 = {
-    (8,): "bfd4b74b918c9c04484e721322078bf58c375c9d6326c5d287db852e13291768",
-    (16,): "05dfde3a207c60078efc8c5649bc866516d982ca736b4329426d12b1a344e1e0",
-    (40,): "8972ddf81b922f6ee0fd450f1b80e9539223f6c76bc0931ce60a03b174173739",
-    (200,): "1abe380cc57b868eb94a3146b0ccaa65f357e9524dc74625872df1540cc18259",
-    (16, 0.1): "c8f3d607d1d9358bc2d5b45a84214bf02df7ac6c8d0a15f8e5a0683915acc4db",
+    (8,): "b145b5c4f0e2c2d743162627641e95965594845fff38c3e6e677d5b4b38f06f6",
+    (16,): "e7c0984bdb4b98c4720374470a723cc2df24b9751fe4967e62694af4866fba29",
+    (40,): "a5a9c751d7618cbe51824d27bd3eb23d5b3a94c84f82b6bf8efc056df68c3296",
+    (200,): "d5a23bae79b2fa154feaaca502433af6e3090581ad975309281d7a16103272eb",
+    (16, 0.1): "23fcf8e0ecf8d6b554c49d98bbc99f9857bb2ac774362ecc666c3059e49bf3f0",
 }
 
 
