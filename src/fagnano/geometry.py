@@ -59,11 +59,35 @@ class _Record:
 
     Two records are equal when they are of the same class and their field
     tuples are equal, so a NaN field still equals itself; the hash is the
-    field tuple's.  Assignment and deletion raise AttributeError, so each
-    subclass's ``__init__`` sets its attributes with ``_set``.
+    field tuple's.  Assignment and deletion raise AttributeError, so an
+    ``__init__`` sets its attributes with ``_set``.
+
+    A subclass that sets ``_fields`` and defines no ``__init__`` gets one
+    built from ``_fields``, as ``collections.namedtuple`` builds its
+    ``__new__``: it takes the fields in order and only stores them.  A field
+    also set in the class body takes that value as its default.  A subclass
+    that does not set ``_fields`` keeps its parent's ``__init__``.  A record
+    that checks its arguments writes its own: ``AngleTriple``, ``Triangle``,
+    ``optimize.InscribedConfig`` and ``render.RenderSpec`` do.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "_fields" not in own or "__init__" in own:
+            return
+        # The def reads its defaults from this namespace when it runs; the
+        # body looks _set up in this module's globals.
+        namespace = {n: own[n] for n in cls._fields if n in own}
+        params = ", ".join(f"{n}={n}" if n in namespace else n for n in cls._fields)
+        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in cls._fields)
+        exec(f"def __init__(self, {params}):{body}", globals(), namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -92,10 +116,6 @@ class Point(_Record):
     converted.  ``Triangle`` rejects a vertex that is not finite."""
 
     _fields = ("x", "y")
-
-    def __init__(self, x: float, y: float):
-        _set(self, "x", x)
-        _set(self, "y", y)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -200,10 +220,6 @@ class TriangleClass(_Record):
     """
 
     _fields = ("kind", "margin")
-
-    def __init__(self, kind: TriangleKind, margin: float):
-        _set(self, "kind", kind)
-        _set(self, "margin", margin)
 
 
 class AngleTriple(_Record):
@@ -386,16 +402,6 @@ class OrthicResult(_Record):
     """
 
     _fields = ("foot_from_a", "foot_from_b", "foot_from_c", "angles", "perimeter")
-
-    def __init__(
-        self, foot_from_a: Point, foot_from_b: Point, foot_from_c: Point,
-        angles: AngleTriple, perimeter: float,
-    ):
-        _set(self, "foot_from_a", foot_from_a)
-        _set(self, "foot_from_b", foot_from_b)
-        _set(self, "foot_from_c", foot_from_c)
-        _set(self, "angles", angles)
-        _set(self, "perimeter", perimeter)
 
     @property
     def feet(self) -> tuple[Point, Point, Point]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Point, Triangle, _Record, _set, dist, orthic_triangle
+from .geometry import Point, Triangle, _Record, dist, orthic_triangle
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # The fixed embedding above, as coordinate pairs.
@@ -29,43 +29,16 @@ class ValueCheck(_Record):
 
     _fields = ("name", "computed", "expected")
 
-    def __init__(self, name: str, computed: float, expected: float):
-        _set(self, "name", name)
-        _set(self, "computed", computed)
-        _set(self, "expected", expected)
-
     @property
     def residual(self) -> float:
         return abs(self.computed - self.expected)
 
     def to_document(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "expected": self.expected,
-            "residual": self.residual,
-        }
+        return dict(zip(self._fields, self._values()), residual=self.residual)
 
 
 class GoldenFigure(_Record):
     _fields = ("phi", "a", "b", "c", "d", "e", "f", "triangle_bfc", "bg", "ge", "he", "gh")
-
-    def __init__(
-        self, phi: float, a: Point, b: Point, c: Point, d: Point, e: Point, f: Point,
-        triangle_bfc: Triangle, bg: float, ge: float, he: float, gh: float,
-    ):
-        _set(self, "phi", phi)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "e", e)
-        _set(self, "f", f)
-        _set(self, "triangle_bfc", triangle_bfc)
-        _set(self, "bg", bg)
-        _set(self, "ge", ge)
-        _set(self, "he", he)
-        _set(self, "gh", gh)
 
 
 def build() -> GoldenFigure:

@@ -108,20 +108,10 @@ class MinimizeResult(_Record):
         "config", "perimeter", "iterations", "converged", "history",
         "clamped", "warning", "extrapolations",
     )
-
-    def __init__(
-        self, config: InscribedConfig, perimeter: float, iterations: int, converged: bool,
-        history: tuple[tuple[int, float], ...], clamped: bool = False,
-        warning: str | None = None, extrapolations: int = 0,
-    ):
-        _set(self, "config", config)
-        _set(self, "perimeter", perimeter)
-        _set(self, "iterations", iterations)
-        _set(self, "converged", converged)
-        _set(self, "history", history)
-        _set(self, "clamped", clamped)
-        _set(self, "warning", warning)
-        _set(self, "extrapolations", extrapolations)
+    # The generated __init__'s defaults.
+    clamped = False
+    warning = None
+    extrapolations = 0
 
 
 def objective(t: Triangle, c: InscribedConfig) -> float:

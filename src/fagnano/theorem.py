@@ -36,7 +36,6 @@ from .geometry import (
     _incenter,
     _orthocenter,
     _Record,
-    _set,
     _unit_circle,
     _vertex_angles,
     check_tolerance,
@@ -62,19 +61,6 @@ class TheoremVerdict(_Record):
         "orthic_is_right", "right_vertex", "has_quarter_pi", "quarter_pi_vertex",
         "quarter_pi_unique", "pairing_holds", "biconditional_holds",
     )
-
-    def __init__(
-        self, orthic_is_right: bool, right_vertex: int | None, has_quarter_pi: bool,
-        quarter_pi_vertex: int | None, quarter_pi_unique: bool, pairing_holds: bool | None,
-        biconditional_holds: bool,
-    ):
-        _set(self, "orthic_is_right", orthic_is_right)
-        _set(self, "right_vertex", right_vertex)
-        _set(self, "has_quarter_pi", has_quarter_pi)
-        _set(self, "quarter_pi_vertex", quarter_pi_vertex)
-        _set(self, "quarter_pi_unique", quarter_pi_unique)
-        _set(self, "pairing_holds", pairing_holds)
-        _set(self, "biconditional_holds", biconditional_holds)
 
     def to_document(self) -> dict:
         return dict(zip(self._fields, self._values()))
@@ -153,18 +139,6 @@ class ProofStepReport(_Record):
         "angle_sum_residual", "bisection_residuals", "quarter_relation_residual",
         "quarter_relation_active", "quad_sum_residual", "decomposition_residuals",
     )
-
-    def __init__(
-        self, angle_sum_residual: float, bisection_residuals: tuple[float, float, float],
-        quarter_relation_residual: float, quarter_relation_active: bool,
-        quad_sum_residual: float, decomposition_residuals: tuple[float, float],
-    ):
-        _set(self, "angle_sum_residual", angle_sum_residual)
-        _set(self, "bisection_residuals", bisection_residuals)
-        _set(self, "quarter_relation_residual", quarter_relation_residual)
-        _set(self, "quarter_relation_active", quarter_relation_active)
-        _set(self, "quad_sum_residual", quad_sum_residual)
-        _set(self, "decomposition_residuals", decomposition_residuals)
 
     def all_unconditional(self) -> tuple[float, ...]:
         """Every residual that must vanish for any acute triangle."""
@@ -248,28 +222,13 @@ class ScanReport(_Record):
     # ROADMAP item 2 removes it.
     samples_skipped = 0
 
-    def __init__(
-        self, grid_resolution: int, samples_tested: int,
-        counterexamples: tuple[tuple[AngleTriple, TheoremVerdict], ...],
-        tol_angle: float, worst_law_residual: float,
-    ):
-        _set(self, "grid_resolution", grid_resolution)
-        _set(self, "samples_tested", samples_tested)
-        _set(self, "counterexamples", counterexamples)
-        _set(self, "tol_angle", tol_angle)
-        _set(self, "worst_law_residual", worst_law_residual)
-
     def to_document(self) -> dict:
-        return {
-            "grid_resolution": self.grid_resolution,
-            "samples_tested": self.samples_tested,
-            "counterexamples": [
-                {"angles": list(tri.as_tuple()), "verdict": v.to_document()}
-                for tri, v in self.counterexamples
-            ],
-            "tol_angle": self.tol_angle,
-            "worst_law_residual": self.worst_law_residual,
-        }
+        document = dict(zip(self._fields, self._values()))
+        document["counterexamples"] = [
+            {"angles": list(tri.as_tuple()), "verdict": v.to_document()}
+            for tri, v in self.counterexamples
+        ]
+        return document
 
 
 def acute_grid_nodes(grid_resolution: int) -> Iterator[tuple[float, float]]:
@@ -323,7 +282,10 @@ def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> Scan
     with r * m > ``ANGLE_LAW_BOUND`` * eps (eps = 2**-52) is a
     counterexample.  A locus node must also pass the biconditional with a
     right orthic angle at the foot from b.  The report gives the worst
-    r * m / eps.  A passing node builds no ``TheoremVerdict``.
+    r * m / eps.  A passing node builds no ``TheoremVerdict``.  A grid node
+    fails through the law alone, so its verdict can read
+    ``biconditional_holds`` True; ``worst_law_residual``, the largest over
+    the run, shows how far the law missed.
 
     ``tol_angle`` sets only the verdict tests: every node is acute by
     construction and passes the acute gate at ``ANGLE_TOL``.  On the locus

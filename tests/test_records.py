@@ -1,9 +1,11 @@
 """The value records behave as frozen dataclasses did.
 
 Each of the package's 13 records is built by keyword, with its defaults left
-out, and checked for equality, hash, repr, immutability, pickling and deep
-copying.  Field names are listed here, not read from the records, so the
-same test holds for any implementation of them.
+out, and checked for equality, hash, repr, immutability, pickling, deep
+copying and the TypeError of a wrong call.  Field names are listed here, not
+read from the records, so the same test holds for any implementation of
+them.  For two records whose ``__init__`` is built from ``_fields`` the
+bytecode is also compared with that of a ``def`` written out below.
 """
 
 import copy
@@ -121,6 +123,31 @@ RECORDS = [
     ),
 ]
 
+# The written-out form of two generated __init__s: store each argument.
+_set = object.__setattr__
+
+
+def point_init(self, x, y):
+    _set(self, "x", x)
+    _set(self, "y", y)
+
+
+def minimize_result_init(
+    self, config, perimeter, iterations, converged, history,
+    clamped=False, warning=None, extrapolations=0,
+):
+    _set(self, "config", config)
+    _set(self, "perimeter", perimeter)
+    _set(self, "iterations", iterations)
+    _set(self, "converged", converged)
+    _set(self, "history", history)
+    _set(self, "clamped", clamped)
+    _set(self, "warning", warning)
+    _set(self, "extrapolations", extrapolations)
+
+
+WRITTEN_OUT_INIT = {Point: point_init, MinimizeResult: minimize_result_init}
+
 PINNED_REPR = {
     Point: "Point(x=1.5, y=-2.0)",
     Triangle: "Triangle(a=Point(x=0.0, y=0.0), b=Point(x=4.0, y=0.0), c=Point(x=1.0, y=3.0))",
@@ -149,7 +176,9 @@ def test_record_behaves_as_a_frozen_dataclass(cls, kwargs, defaults, change):
     assert r != changed and not r == changed
     other = next(entry for entry in RECORDS if entry[0] is not cls)
     assert r != other[0](**other[1])
-    assert r != type("Subclass", (cls,), {})(**kwargs)
+    subclass = type("Subclass", (cls,), {})
+    assert subclass.__init__ is cls.__init__
+    assert r != subclass(**kwargs)
     assert r != values and r.__eq__(values) is NotImplemented
 
     assert hash(r) == hash(values)
@@ -159,6 +188,22 @@ def test_record_behaves_as_a_frozen_dataclass(cls, kwargs, defaults, change):
     assert repr(r) == f"{cls.__qualname__}({fields_repr})"
     if cls in PINNED_REPR:
         assert repr(r) == PINNED_REPR[cls]
+
+    # A wrong call names the class's __init__, as a def in its body would.
+    init_name = rf"^{cls.__qualname__}\.__init__\(\)"
+    if cls is not RenderSpec:  # every RenderSpec field has a default
+        with pytest.raises(TypeError, match=rf"{init_name} missing 1 required positional"):
+            cls(*[*kwargs.values()][:-1])
+    with pytest.raises(TypeError, match=rf"{init_name} got an unexpected keyword argument"):
+        cls(**kwargs, extra=0)
+
+    # A generated __init__ does per call what the written-out def does.
+    if cls in WRITTEN_OUT_INIT:
+        code, written = cls.__init__.__code__, WRITTEN_OUT_INIT[cls].__code__
+        assert code.co_code == written.co_code
+        assert code.co_names == written.co_names
+        assert code.co_varnames == written.co_varnames
+        assert cls.__init__.__defaults__ == WRITTEN_OUT_INIT[cls].__defaults__
 
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
