@@ -324,8 +324,11 @@ def check_tolerance(name: str, value: float) -> None:
 def require_acute(t: Triangle, tol: float = ANGLE_TOL) -> TriangleClass:
     """Raise NotAcuteError naming the offending angle unless t is acute;
     return the classification otherwise.  A tol that is negative, NaN or
-    infinite raises ValueError (from ``classify``)."""
+    infinite raises ValueError (from ``classify``), and so does one of at
+    least pi/6, the equilateral's margin, which no triangle exceeds."""
     cls = classify(t, tol)
+    if tol >= math.pi / 6:
+        raise ValueError(f"tol must be below pi/6 = {math.pi / 6!r}, got {tol!r}")
     _acute_gate(t.vertex_angles, cls.margin, tol)
     return cls
 

@@ -121,6 +121,28 @@ def verdict_fields_oracle(p, o, tol_angle):
     )
 
 
+def check_pin_tables(data, pins):
+    """Assert that the tables of the pin file ``data`` match its registry
+    ``pins``, name -> (keys, value), one to one, each holding its keys in order."""
+    assert [name for name in vars(data) if name.isupper()] == list(pins)
+    for name, (keys, _) in pins.items():
+        assert list(getattr(data, name)) == list(keys), name
+
+
+def check_pins(data, pins, *names, keys=None):
+    """Assert that each named table of ``data`` holds, for each key (all of
+    them by default), the entry ``pins[name]`` computes, naming the key."""
+    for name in names:
+        table_keys, value = pins[name]
+        for key in table_keys if keys is None else keys:
+            assert value(key) == getattr(data, name)[key], (name, key)
+
+
+def pin_test(data, pins, *names):
+    """A test of the named tables of ``data`` by check_pins."""
+    return lambda: check_pins(data, pins, *names)
+
+
 @pytest.fixture
 def equilateral() -> Triangle:
     return Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, math.sqrt(3.0) / 2.0))

@@ -1,49 +1,51 @@
-"""Rewrite the scan pins, SCAN_SHA256 in test_theorem.py, from the current code.
-
-Run from the repository root:
+"""Rewrite every bit pin, the tables of optimize_bits.py and theorem_bits.py,
+from the current code.  Run from the repository root:
 
     PYTHONPATH=src python tests/record_bits.py
 
-For each key of SCAN_SHA256 it computes the sha256 of
-jsonio.dumps(scan_angle_space(*key).to_document()), writes the dict back in
-place and prints each key whose pin changed.  The keys stay as they are in
-the file; to pin another scan, edit the key there and run this.  On a tree
-whose pins hold it leaves the file byte for byte as it was.  pytest does
-not collect this file and no test runs it, so a change that moves a pin by
-accident still fails test_scan_report_bytes_pinned.
+test_optimize.PINS and test_theorem.PINS map each table name to (keys,
+value): its keys in file order and the function that computes a key's entry.
+This computes every table of both files before it writes either, so a
+failure leaves both as they were; then it rewrites each dict literal in
+place, one repr line per entry, and prints every entry that changed, was
+added or was removed.  On a tree whose pins hold it leaves both files byte
+for byte as they were.  pytest does not collect this file and no test runs
+it, so a change that moves a pin by accident still fails the tests.
 """
 
 import ast
-import hashlib
 import pathlib
 
-from fagnano import jsonio
-from fagnano.theorem import scan_angle_space
+import optimize_bits
+import test_optimize
+import test_theorem
+import theorem_bits
 
-PINS = pathlib.Path(__file__).with_name("test_theorem.py")
 
-
-def scan_sha256(args: tuple) -> str:
-    text = jsonio.dumps(scan_angle_space(*args).to_document())
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+def show(table, key):
+    return repr(table[key]) if key in table else "absent"
 
 
 def main() -> None:
-    source = PINS.read_text()
-    node = next(
-        n for n in ast.parse(source).body
-        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "SCAN_SHA256"
-    )
-    old = ast.literal_eval(node.value)
-    new = {args: scan_sha256(args) for args in old}
-    entries = "".join(f'    {args!r}: "{digest}",\n' for args, digest in new.items())
-    lines = source.splitlines(keepends=True)
-    lines[node.lineno - 1 : node.end_lineno] = [f"SCAN_SHA256 = {{\n{entries}}}\n"]
-    PINS.write_text("".join(lines))
-    changed = [args for args in new if new[args] != old[args]]
-    for args in changed:
-        print(f"SCAN_SHA256[{args!r}]: {old[args]} -> {new[args]}")
-    print(f"{len(changed)} of {len(new)} pins changed")
+    rewrites, changes, total = [], [], 0
+    for data, pins in ((optimize_bits, test_optimize.PINS), (theorem_bits, test_theorem.PINS)):
+        tables = {name: {key: value(key) for key in keys} for name, (keys, value) in pins.items()}
+        for name, new in tables.items():
+            old = getattr(data, name)
+            total += len(new)
+            for key in [*new, *(k for k in old if k not in new)]:
+                if show(old, key) != show(new, key):
+                    changes.append(f"{name}[{key!r}]: {show(old, key)} -> {show(new, key)}")
+        path = pathlib.Path(data.__file__)
+        lines = path.read_text().splitlines(keepends=True)
+        for node in reversed([n for n in ast.parse("".join(lines)).body if isinstance(n, ast.Assign)]):
+            name = node.targets[0].id
+            entries = "".join(f"    {k!r}: {v!r},\n" for k, v in tables[name].items())
+            lines[node.lineno - 1 : node.end_lineno] = [f"{name} = {{\n{entries}}}\n"]
+        rewrites.append((path, "".join(lines)))
+    for path, text in rewrites:
+        path.write_text(text)
+    print(*changes, f"{len(changes)} of {total} pins changed", sep="\n")
 
 
 if __name__ == "__main__":

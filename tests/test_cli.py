@@ -28,6 +28,9 @@ def test_orthic_equilateral(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["perimeter"] == pytest.approx(1.5, abs=1e-12)
+    # Its acute margin is pi/6, the largest any triangle has: a --tol just
+    # below still passes it, one of pi/6 or more is a bad option.
+    assert run(capsys, "orthic", "equilateral", "--tol", "0.5") == (0, out, "")
 
 
 def test_orthic_golden_ratios(capsys):
@@ -88,6 +91,7 @@ def test_degenerate_input_message(capsys, text):
         ["minimize", "golden-bfc", "--max-iter", "0"],
         ["minimize", "golden-bfc", "--method", "reflection", "--max-iter", "-1"],
         ["orthic", "equilateral", "--tol", "abc"],
+        ["orthic", "equilateral", "--tol", "0.6"],
     ),
     ids=lambda argv: " ".join(argv),
 )
@@ -98,6 +102,11 @@ def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
         reason = f"iteration limit must be >= 1, got {int(argv[-1])!r}"
     elif argv[-1] == "abc":
         reason = "invalid float value: 'abc'"
+    elif argv[-1] == "0.6":
+        # No triangle's acute margin reaches pi/6: the acute gate rejects
+        # the tolerance, not the triangle.
+        assert err == f"fagnano: error: tol must be below pi/6 = {math.pi / 6!r}, got 0.6\n"
+        return
     else:
         reason = f"tolerance must be finite and >= 0, got {float(argv[-1])!r}"
     assert err == f"fagnano: error: argument {argv[-2]}: {reason}\n"

@@ -602,6 +602,20 @@ def test_orthic_tolerance_reaches_the_acute_gate():
     assert orth.perimeter == pytest.approx(1.0, abs=1e-9)
 
 
+def test_acute_gate_rejects_a_tolerance_no_triangle_passes(equilateral):
+    # The equilateral's margin pi/2 - pi/3 = pi/6 is the largest: at a tol
+    # of pi/6 or more the gate is a bad option, not a right triangle.
+    # classify keeps its meaning at any tolerance.
+    sixth = math.pi / 6
+    assert require_acute(equilateral, 0.5).kind is TriangleKind.ACUTE
+    for tol in (sixth, 0.6, 2.0):
+        with pytest.raises(ValueError, match=rf"tol must be below pi/6 = {sixth!r}, got"):
+            require_acute(equilateral, tol)
+        with pytest.raises(ValueError, match="below pi/6"):
+            orthic_triangle(equilateral, tol)
+        assert classify(equilateral, tol).kind is TriangleKind.RIGHT
+
+
 def test_orthic_angle_law_sweep():
     # orthic angle at foot_from_x == pi - 2 * (parent angle at x); this
     # coordinate-level law is what makes the characterization checkable.

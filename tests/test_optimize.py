@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 import optimize_bits
 from conftest import (
     acute_triangles,
+    check_pin_tables,
     orthic_config,
+    pin_test,
     random_acute_triangle,
     sample_acute_angles,
     scaled,
@@ -24,6 +26,7 @@ from fagnano.geometry import (
     orthic_triangle,
 )
 from fagnano.optimize import (
+    DEFAULT_MAX_ITER,
     InscribedConfig,
     InvalidConfigError,
     _best_on_side,
@@ -443,39 +446,24 @@ def test_near_right_warning_flag():
 # --------------------------------------------------------------- bit identity
 #
 # The solvers run float arithmetic in a fixed order, so their results are
-# pinned to the bit.  optimize_bits.py holds simplex values re-recorded when
-# the simplex search switched to the medial start, and descent values
-# re-recorded when the descent gained Anderson extrapolation.  Any change
-# there is a change of numerics, not a refactor.
+# pinned to the bit.  PINS names, for each table of optimize_bits.py, its
+# keys in file order and the function that computes a key's entry;
+# tests/record_bits.py writes the tables from it.  Any change there is a
+# change of numerics, not a refactor.
 
 # (m, beta) for the near-right parents from_angles(pi/2 - m, beta).
 BIT_NEAR_RIGHT = (
-    (1e-2, math.pi / 4),
-    (3e-3, math.pi / 4),
-    (1e-3, math.pi / 4),
-    (1e-2, 0.4),
-    (1e-3, 1.1),
+    (1e-2, math.pi / 4), (3e-3, math.pi / 4), (1e-3, math.pi / 4), (1e-2, 0.4), (1e-3, 1.1)
 )
 
 
-def bit_shapes():
-    rng = random.Random(20160622)
+def bit_runs():
+    """(shape, start) pairs: 30 random acute shapes, then the near-right
+    parents, each with a random start."""
+    rng, starts = random.Random(20160622), random.Random(7)
     shapes = [Triangle.from_angles(*sample_acute_angles(rng)) for _ in range(30)]
     shapes += [Triangle.from_angles(math.pi / 2 - m, b) for m, b in BIT_NEAR_RIGHT]
-    return shapes
-
-
-def bit_starts(count):
-    rng = random.Random(7)
-    return [
-        InscribedConfig(*(rng.uniform(0.05, 0.95) for _ in range(3)))
-        for _ in range(count)
-    ]
-
-
-def history_digest(history):
-    text = "\n".join(f"{i} {p.hex()}" for i, p in history)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return [(t, InscribedConfig(*(starts.uniform(0.05, 0.95) for _ in range(3)))) for t in shapes]
 
 
 def result_bits(result):
@@ -489,8 +477,13 @@ def result_bits(result):
         result.clamped,
         result.warning,
         len(result.history),
-        history_digest(result.history),
+        hashlib.sha256("\n".join(f"{i} {p.hex()}" for i, p in result.history).encode()).hexdigest(),
     )
+
+
+def descent_bits(result):
+    """result_bits plus the count of accepted extrapolated steps."""
+    return result_bits(result) + (result.extrapolations,)
 
 
 def cli_stdout_digest(argv):
@@ -506,72 +499,14 @@ BIT_CLI_COMMANDS = {
     "reflection": ["minimize", "golden-bfc", "--method", "reflection"],
 }
 
-
-def test_grid_simplex_bit_identical():
-    for index, t in enumerate(bit_shapes()):
-        result = minimize_grid_then_simplex(t)
-        assert result_bits(result) == optimize_bits.SIMPLEX[index], index
-
-
-# Shapes of optimize_bits.SIMPLEX_TIES: symmetric ones, where simplex vertices
-# tie on perimeter and the order among equal values decides the next step.
+# Shapes of SIMPLEX_TIES: symmetric ones, where simplex vertices tie on
+# perimeter and the order among equal values decides the next step.
 TIE_SHAPES = {
     "equilateral": cli.parse_triangle("equilateral"),
     "golden-bfc": cli.parse_triangle("golden-bfc"),
     "isosceles-tall": Triangle(Point(0.0, 0.0), Point(2.0, 0.0), Point(1.0, 3.0)),
     "isosceles-flat": Triangle(Point(-1.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.5)),
 }
-
-
-def test_grid_simplex_ties_bit_identical():
-    for (name, max_iter), bits in optimize_bits.SIMPLEX_TIES.items():
-        result = minimize_grid_then_simplex(TIE_SHAPES[name], max_iter=max_iter)
-        assert result_bits(result) == bits, (name, max_iter)
-
-
-def test_reflection_descent_bit_identical():
-    shapes = bit_shapes()
-    for index, (t, start) in enumerate(zip(shapes, bit_starts(len(shapes)))):
-        result = minimize_reflection_descent(t, start)
-        assert result_bits(result) == optimize_bits.DESCENT[index], index
-        assert result.extrapolations == optimize_bits.DESCENT_EXTRAPOLATIONS[index], index
-
-
-def descent_bits(result):
-    """result_bits plus the count of accepted extrapolated steps."""
-    return result_bits(result) + (result.extrapolations,)
-
-
-def test_reflection_descent_cut_off_bit_identical():
-    # Runs stopped by max_iter before any convergence test decides them.
-    shapes = bit_shapes()
-    for index, (t, start) in enumerate(zip(shapes, bit_starts(len(shapes)))):
-        for max_iter in (1, 2, 5):
-            result = minimize_reflection_descent(t, start, max_iter=max_iter)
-            assert descent_bits(result) == optimize_bits.DESCENT_CUT[index, max_iter], (
-                index,
-                max_iter,
-            )
-
-
-def test_grid_simplex_limits_bit_identical():
-    # A loose tolerance ends on the diameter test, max_iter=7 inside the
-    # first steps; both leave the run at a different simplex than the default.
-    for index, t in enumerate(bit_shapes()):
-        for option, value in (("tol", 1e-6), ("max_iter", 7)):
-            result = minimize_grid_then_simplex(t, **{option: value})
-            assert result_bits(result) == optimize_bits.SIMPLEX_LIMITS[index, option, value], (
-                index,
-                option,
-            )
-
-
-def test_reflection_clamp_recovery_bit_identical():
-    t = Triangle.from_angles(*CLAMP_RECOVERY_SHAPE)
-    start = InscribedConfig(*CLAMP_RECOVERY_START)
-    for max_iter, bits in optimize_bits.CLAMP_RECOVERY.items():
-        result = minimize_reflection_descent(t, start, max_iter=max_iter)
-        assert descent_bits(result) == bits, max_iter
 
 
 def near_face_cases(count):
@@ -589,15 +524,60 @@ def near_face_cases(count):
     return cases
 
 
-def test_reflection_near_face_bit_identical():
-    pins = optimize_bits.NEAR_FACE
-    # The pins cover the clamped path: 10 of the 40 descents clamp.
-    assert sum(bits[4] for bits in pins.values()) == 10
-    for index, (t, start) in enumerate(near_face_cases(len(pins))):
-        result = minimize_reflection_descent(t, start)
-        assert descent_bits(result) == pins[index], index
+RUNS = bit_runs()
+INDICES = range(len(RUNS))
+NEAR_FACE_CASES = near_face_cases(40)
+CLAMP_RECOVERY_RUN = (Triangle.from_angles(*CLAMP_RECOVERY_SHAPE), InscribedConfig(*CLAMP_RECOVERY_START))
 
 
-def test_cli_minimize_stdout_bit_identical():
-    for method, argv in BIT_CLI_COMMANDS.items():
-        assert cli_stdout_digest(argv) == optimize_bits.CLI_STDOUT[method], method
+def descent(index, max_iter=DEFAULT_MAX_ITER):
+    return minimize_reflection_descent(*RUNS[index], max_iter=max_iter)
+
+
+# Runs cut off by max_iter, before any convergence test decides them; a
+# loose simplex tolerance, which ends on the diameter test, and max_iter=7,
+# inside the first steps; the descent from test_reflection_clamp_recovery's
+# first start, clamped at every limit.
+PINS = {
+    "SIMPLEX": (INDICES, lambda i: result_bits(minimize_grid_then_simplex(RUNS[i][0]))),
+    "SIMPLEX_TIES": (
+        [*((name, DEFAULT_MAX_ITER) for name in TIE_SHAPES), *(("golden-bfc", m) for m in (1, 5, 50))],
+        lambda key: result_bits(minimize_grid_then_simplex(TIE_SHAPES[key[0]], max_iter=key[1])),
+    ),
+    "DESCENT": (INDICES, lambda i: result_bits(descent(i))),
+    "CLI_STDOUT": (BIT_CLI_COMMANDS, lambda method: cli_stdout_digest(BIT_CLI_COMMANDS[method])),
+    "DESCENT_EXTRAPOLATIONS": (INDICES, lambda i: descent(i).extrapolations),
+    "DESCENT_CUT": (
+        [(i, m) for i in INDICES for m in (1, 2, 5)], lambda key: descent_bits(descent(*key))
+    ),
+    "SIMPLEX_LIMITS": (
+        [(i, *option) for i in INDICES for option in (("tol", 1e-6), ("max_iter", 7))],
+        lambda key: result_bits(minimize_grid_then_simplex(RUNS[key[0]][0], **{key[1]: key[2]})),
+    ),
+    "CLAMP_RECOVERY": (
+        (1, 2, 5, DEFAULT_MAX_ITER),
+        lambda m: descent_bits(minimize_reflection_descent(*CLAMP_RECOVERY_RUN, max_iter=m)),
+    ),
+    "NEAR_FACE": (
+        range(len(NEAR_FACE_CASES)),
+        lambda i: descent_bits(minimize_reflection_descent(*NEAR_FACE_CASES[i])),
+    ),
+}
+
+
+def test_pins_cover_every_table():
+    check_pin_tables(optimize_bits, PINS)
+    # The near-face pins cover the clamped path: 10 of the 40 descents clamp.
+    assert sum(bits[4] for bits in optimize_bits.NEAR_FACE.values()) == 10
+
+
+test_grid_simplex_bit_identical = pin_test(optimize_bits, PINS, "SIMPLEX")
+test_grid_simplex_ties_bit_identical = pin_test(optimize_bits, PINS, "SIMPLEX_TIES")
+test_reflection_descent_bit_identical = pin_test(
+    optimize_bits, PINS, "DESCENT", "DESCENT_EXTRAPOLATIONS"
+)
+test_reflection_descent_cut_off_bit_identical = pin_test(optimize_bits, PINS, "DESCENT_CUT")
+test_grid_simplex_limits_bit_identical = pin_test(optimize_bits, PINS, "SIMPLEX_LIMITS")
+test_reflection_clamp_recovery_bit_identical = pin_test(optimize_bits, PINS, "CLAMP_RECOVERY")
+test_reflection_near_face_bit_identical = pin_test(optimize_bits, PINS, "NEAR_FACE")
+test_cli_minimize_stdout_bit_identical = pin_test(optimize_bits, PINS, "CLI_STDOUT")

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 import theorem_bits
 from conftest import (
     acute_triangles,
+    check_pin_tables,
+    check_pins,
     orthocenter,
+    pin_test,
     random_acute_triangle,
     sample_acute_angles,
     scaled,
@@ -352,26 +355,6 @@ def test_scan_report_serialization_is_deterministic():
     ]
 
 
-# sha256 of jsonio.dumps(scan_angle_space(*args).to_document()).  The (16,
-# 0.1) report lists counterexamples, so their angles are pinned to the
-# digit.  CI reads this dict (with ast, keep it a literal) and checks the
-# installed `fagnano scan` at (16,), (200,) and (16, 0.1) against it;
-# tests/record_bits.py rewrites it from the current code.
-SCAN_SHA256 = {
-    (8,): "b145b5c4f0e2c2d743162627641e95965594845fff38c3e6e677d5b4b38f06f6",
-    (16,): "e7c0984bdb4b98c4720374470a723cc2df24b9751fe4967e62694af4866fba29",
-    (40,): "a5a9c751d7618cbe51824d27bd3eb23d5b3a94c84f82b6bf8efc056df68c3296",
-    (200,): "d5a23bae79b2fa154feaaca502433af6e3090581ad975309281d7a16103272eb",
-    (16, 0.1): "23fcf8e0ecf8d6b554c49d98bbc99f9857bb2ac774362ecc666c3059e49bf3f0",
-}
-
-
-@pytest.mark.parametrize("args", sorted(SCAN_SHA256), ids=lambda a: "-".join(map(str, a)))
-def test_scan_report_bytes_pinned(args):
-    text = jsonio.dumps(scan_angle_space(*args).to_document())
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SCAN_SHA256[args]
-
-
 def test_orthic_measures_map_no_foot_back(monkeypatch):
     # The scan, verdict and the closed form measure the frame feet: none of
     # them builds an OrthicResult, whose feet _unframed maps back.
@@ -558,20 +541,12 @@ def test_forward_direction_samples():
         t = Triangle.from_angles(alpha, QUARTER_PI)
         v = verdict(t)
         assert v.orthic_is_right
-        assert abs(verdict_orthic_angle(t) - HALF_PI) <= 1e-8
+        assert abs(orthic_triangle(t).angles.beta - HALF_PI) <= 1e-8
         assert v.right_vertex == 1 and v.pairing_holds is True
-
-
-def verdict_orthic_angle(t):
-    from fagnano.geometry import orthic_triangle
-
-    return orthic_triangle(t).angles.beta
 
 
 def test_reverse_direction_samples():
     # all angles at least 1e-6 away from pi/4 -> no orthic angle near pi/2
-    from fagnano.geometry import orthic_triangle
-
     rng = random.Random(18)
     checked = 0
     while checked < 200:
@@ -587,9 +562,10 @@ def test_reverse_direction_samples():
 # --------------------------------------------------------------- bit identity
 #
 # The per-triangle checks run float arithmetic in a fixed order, so their
-# results are pinned to the bit.  theorem_bits.py holds values and raised
-# exceptions recorded from the checks that built a Point for every coordinate
-# difference; any change there is a change of numerics, not a refactor.
+# results are pinned to the bit.  PINS names, for each table of
+# theorem_bits.py, its keys in file order and the function that computes a
+# key's entry; tests/record_bits.py writes the tables from it.  Any change
+# there is a change of numerics, not a refactor.
 
 BIT_SCALES = (-500, -40, 0, 17, 500)
 
@@ -597,9 +573,7 @@ BIT_SCALES = (-500, -40, 0, 17, 500)
 def bit_shapes():
     """The named unit-size shapes of theorem_bits.CHECKS."""
     rng = random.Random(20160623)
-    shapes = {
-        f"acute-{i}": Triangle.from_angles(*sample_acute_angles(rng)) for i in range(10)
-    }
+    shapes = {f"acute-{i}": Triangle.from_angles(*sample_acute_angles(rng)) for i in range(10)}
     for i, (alpha, beta) in enumerate(quarter_pi_locus_nodes(5)):
         shapes[f"quarter-{i}"] = Triangle.from_angles(alpha, beta)
     shapes["equilateral"] = cli.parse_triangle("equilateral")
@@ -646,17 +620,37 @@ def raised_bits(func, args):
     return type(info.value).__name__, str(info.value)
 
 
-def test_checks_bit_identical():
-    for name, t in bit_shapes().items():
-        for k in BIT_SCALES:
-            assert check_bits(scaled(t, k)) == theorem_bits.CHECKS[name, k], (name, k)
+def scan_sha256(args):
+    """sha256 of the report of scan_angle_space(*args), the digest that
+    theorem_bits.SCAN_SHA256 pins and CI checks the installed scan against."""
+    text = jsonio.dumps(scan_angle_space(*args).to_document())
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def test_check_exceptions_identical():
-    calls = raising_calls()
-    assert calls.keys() == theorem_bits.RAISES.keys()
-    for key, (func, args) in calls.items():
-        assert raised_bits(func, args) == theorem_bits.RAISES[key], key
+BIT_SHAPES = bit_shapes()
+PINS = {
+    "CHECKS": (
+        [(name, k) for name in BIT_SHAPES for k in BIT_SCALES],
+        lambda key: check_bits(scaled(BIT_SHAPES[key[0]], key[1])),
+    ),
+    "RAISES": (list(raising_calls()), lambda key: raised_bits(*raising_calls()[key])),
+    "SCAN_SHA256": ([(8,), (16,), (40,), (200,), (16, 0.1)], scan_sha256),
+}
+
+
+def test_pins_cover_every_table():
+    check_pin_tables(theorem_bits, PINS)
+
+
+test_checks_bit_identical = pin_test(theorem_bits, PINS, "CHECKS")
+test_check_exceptions_identical = pin_test(theorem_bits, PINS, "RAISES")
+
+
+@pytest.mark.parametrize(
+    "args", sorted(PINS["SCAN_SHA256"][0]), ids=lambda a: "-".join(map(str, a))
+)
+def test_scan_report_bytes_pinned(args):
+    check_pins(theorem_bits, PINS, "SCAN_SHA256", keys=[args])
 
 
 def test_checks_compute_where_squared_sides_overflow():
