@@ -288,8 +288,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "scan", parents=[json_out], help="sweep shape space for characterization failures"
     )
-    p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--tol-angle", type=_tolerance, default=ANGLE_TOL)
+    p.add_argument(
+        "--resolution", type=int, default=200,
+        help="grid steps per right angle, an integer of at least 8 (default 200)",
+    )
+    p.add_argument(
+        "--tol-angle", type=_tolerance, default=ANGLE_TOL,
+        help="pi/4-locus verdict tolerance (default 1e-9), at least 32*n*eps/pi at resolution n",
+    )
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(

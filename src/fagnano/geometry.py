@@ -151,50 +151,6 @@ def _vertex_angles(
     )
 
 
-def _frame(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> tuple:
-    """``Triangle``'s construction on bare floats: the checks, then the frame,
-    the frame sides, the vertex angles and whether b and c were swapped (see
-    ``Triangle``)."""
-    # e puts the largest |coordinate| in [0.5, 1): every coordinate
-    # difference is then at most 2 in magnitude, and every side of a
-    # triangle that passes the area test is longer than about 1e-28.
-    e = -math.frexp(max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy)))[1]
-    ldexp = math.ldexp
-    fax, fay, fbx, fby = ldexp(ax, e), ldexp(ay, e), ldexp(bx, e), ldexp(by, e)
-    fcx, fcy = ldexp(cx, e), ldexp(cy, e)
-    ab = math.hypot(fax - fbx, fay - fby)
-    bc = math.hypot(fbx - fcx, fby - fcy)
-    ca = math.hypot(fcx - fax, fcy - fay)
-    # Finite vertices give frame sides of at most 2*sqrt(2) each.
-    frame_perimeter = ab + bc + ca
-    if not math.isfinite(frame_perimeter):
-        x, y = next(v for v in ((ax, ay), (bx, by), (cx, cy)) if not all(map(math.isfinite, v)))
-        raise NonFiniteError(f"non-finite coordinates ({x}, {y})")
-    # The one range rule: every length, foot, center and inscribed
-    # perimeter of an acute triangle is bounded by its perimeter.
-    if math.frexp(frame_perimeter)[1] - e > sys.float_info.max_exp:
-        raise DegenerateTriangleError(
-            f"perimeter {frame_perimeter!r} * 2**{-e} is outside the double "
-            "range; rescale the triangle"
-        )
-    tested = (fbx - fax) * (fcy - fay) - (fby - fay) * (fcx - fax)
-    longest = max(ab, bc, ca)
-    if longest == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * longest * longest:
-        raise DegenerateTriangleError("vertices are (near-)collinear")
-    swapped = tested < 0.0
-    if swapped:
-        fbx, fby, fcx, fcy = fcx, fcy, fbx, fby
-        ab, ca = ca, ab
-    # The swap negates the doubled area exactly and keeps the longest side,
-    # so the frame is never degenerate and its margin alone classifies it.
-    return (
-        (e, fax, fay, fbx, fby, fcx, fcy),
-        (bc, ca, ab),
-        _vertex_angles(fax, fay, fbx, fby, fcx, fcy),
-        swapped,
-    )
-
-
 def _unit_circle(alpha: float, beta: float) -> tuple[float, ...]:
     """The vertex floats of ``Triangle.from_angles(alpha, beta)``."""
     gamma = math.pi - alpha - beta
@@ -247,10 +203,10 @@ class AngleTriple(_Record):
 class Triangle(_Record):
     """Ordered vertex triple, normalized to counterclockwise orientation.
 
-    Construction checks and measures the vertices, once, in ``_frame``: it
-    rejects a non-finite vertex, an area below the degeneracy tolerance and a
-    perimeter outside the double range, and swaps b and c when the input
-    winds clockwise (the swap is observable).  ``frame`` holds
+    Construction is the one place where vertices are checked and measured:
+    it rejects a non-finite vertex, an area below the degeneracy tolerance
+    and a perimeter outside the double range, and swaps b and c when the
+    input winds clockwise (the swap is observable).  ``frame`` holds
     (e, ax, ay, bx, by, cx, cy): the vertices, after the swap, times 2^e;
     ``frame_sides`` the lengths (|bc|, |ca|, |ab|) of the sides they span;
     ``vertex_angles`` their interior angles at a, b and c;
@@ -261,14 +217,45 @@ class Triangle(_Record):
     _fields = ("a", "b", "c")
 
     def __init__(self, a: Point, b: Point, c: Point):
-        frame, frame_sides, vertex_angles, swapped = _frame(a.x, a.y, b.x, b.y, c.x, c.y)
-        if swapped:
+        ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
+        # e puts the largest |coordinate| in [0.5, 1): every coordinate
+        # difference is then at most 2 in magnitude, and every side of a
+        # triangle that passes the area test is longer than about 1e-28.
+        e = -math.frexp(max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy)))[1]
+        ldexp = math.ldexp
+        fax, fay, fbx, fby = ldexp(ax, e), ldexp(ay, e), ldexp(bx, e), ldexp(by, e)
+        fcx, fcy = ldexp(cx, e), ldexp(cy, e)
+        ab = math.hypot(fax - fbx, fay - fby)
+        bc = math.hypot(fbx - fcx, fby - fcy)
+        ca = math.hypot(fcx - fax, fcy - fay)
+        # Finite vertices give frame sides of at most 2*sqrt(2) each.
+        frame_perimeter = ab + bc + ca
+        if not math.isfinite(frame_perimeter):
+            p = next(p for p in (a, b, c) if not (math.isfinite(p.x) and math.isfinite(p.y)))
+            raise NonFiniteError(f"non-finite coordinates ({p.x}, {p.y})")
+        # The one range rule: every length, foot, center and inscribed
+        # perimeter of an acute triangle is bounded by its perimeter.
+        if math.frexp(frame_perimeter)[1] - e > sys.float_info.max_exp:
+            raise DegenerateTriangleError(
+                f"perimeter {frame_perimeter!r} * 2**{-e} is outside the double "
+                "range; rescale the triangle"
+            )
+        tested = (fbx - fax) * (fcy - fay) - (fby - fay) * (fcx - fax)
+        longest = max(ab, bc, ca)
+        if longest == 0.0 or abs(tested) / 2.0 < DEGENERACY_TOL * longest * longest:
+            raise DegenerateTriangleError("vertices are (near-)collinear")
+        if tested < 0.0:
             b, c = c, b
+            fbx, fby, fcx, fcy = fcx, fcy, fbx, fby
+            ab, ca = ca, ab
+        # The swap negates the doubled area exactly and keeps the longest side,
+        # so the frame is never degenerate and its margin alone classifies it.
+        vertex_angles = _vertex_angles(fax, fay, fbx, fby, fcx, fcy)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
-        _set(self, "frame", frame)
-        _set(self, "frame_sides", frame_sides)
+        _set(self, "frame", (e, fax, fay, fbx, fby, fcx, fcy))
+        _set(self, "frame_sides", (bc, ca, ab))
         _set(self, "vertex_angles", vertex_angles)
         margin = math.pi / 2.0 - max(vertex_angles)
         _set(self, "classification", _by_margin(margin, ANGLE_TOL))
@@ -361,13 +348,14 @@ def _feet(t: Triangle, tol: float = ANGLE_TOL) -> tuple[float, float, float, flo
     projected orthogonally onto the line through the other two.  Only an
     acute triangle has them: ``require_acute(t, tol)`` is called first."""
     require_acute(t, tol)
-    return _frame_feet(t.frame)
+    # Unpacked, not *t.frame[1:]: the slice and star-call were measurably slower.
+    _, ax, ay, bx, by, cx, cy = t.frame
+    return _frame_feet(ax, ay, bx, by, cx, cy)
 
 
-def _frame_feet(frame: tuple) -> tuple[float, float, float, float, float, float]:
-    """The altitude feet of the frame (e, ax, ay, bx, by, cx, cy), unchecked:
-    the caller has passed the acute gate."""
-    _, ax, ay, bx, by, cx, cy = frame
+def _frame_feet(ax, ay, bx, by, cx, cy) -> tuple[float, float, float, float, float, float]:
+    """The altitude feet of the triangle with these vertices, unchecked: the
+    caller has passed the acute gate."""
     sa = projection_param(ax, ay, bx, by, cx, cy)
     sb = projection_param(bx, by, cx, cy, ax, ay)
     sc = projection_param(cx, cy, ax, ay, bx, by)

@@ -7,9 +7,10 @@ This module evaluates both directions of that biconditional on individual
 triangles, re-derives every intermediate angle identity of the underlying
 argument from explicit coordinates, and sweeps triangle shape space for
 counterexamples.  Both directions rest on the orthic-angle law, orthic
-angle at the foot from x = pi - 2 * (parent angle at x): the scan checks it
-at every node and decides its pi/4-locus nodes on the verdict's fields as a
-plain tuple, building a ``TheoremVerdict`` only for a counterexample.
+angle at the foot from x = pi - 2 * (parent angle at x): the scan measures
+each node on its unit-circle vertex floats, with no ``Triangle``, checks the
+law at every node and decides its pi/4-locus nodes on the verdict's fields
+as a plain tuple, building a ``TheoremVerdict`` only for a counterexample.
 
 Tolerance coupling: the orthic-angle test at pi/2 uses a tolerance tol while
 the parent-angle test at pi/4 uses ``tol / 2``, because the exact relation
@@ -31,7 +32,6 @@ from .geometry import (
     _acute_gate,
     _angle,
     _feet,
-    _frame,
     _frame_feet,
     _incenter,
     _orthocenter,
@@ -255,13 +255,15 @@ def _node_angles(
     alpha: float, beta: float
 ) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
     """Parent and orthic angles of the scan node (alpha, beta), measured on
-    the bare floats of its unit-circumradius frame (those of
-    ``Triangle.from_angles``) after the acute gate at ``ANGLE_TOL``, with
-    the node's angle-law residual times its margin, r * m."""
-    frame, _, parent, _ = _frame(*_unit_circle(alpha, beta))
+    the vertex floats of ``Triangle.from_angles(alpha, beta)`` after the
+    acute gate at ``ANGLE_TOL``, with the node's angle-law residual times
+    its margin, r * m.  A unit-circle node needs none of ``Triangle``'s
+    checks, and its frame, these floats times 1/2, gives the same angles."""
+    vertices = _unit_circle(alpha, beta)
+    parent = _vertex_angles(*vertices)
     margin = HALF_PI - max(parent)
     _acute_gate(parent, margin, ANGLE_TOL)
-    orth = _vertex_angles(*_frame_feet(frame))
+    orth = _vertex_angles(*_frame_feet(*vertices))
     (p0, p1, p2), (o0, o1, o2), pi = parent, orth, math.pi
     r, r1, r2 = abs(o0 + 2.0 * p0 - pi), abs(o1 + 2.0 * p1 - pi), abs(o2 + 2.0 * p2 - pi)
     # Two comparisons, not max(): its call costs about 3% of a node (0.14 us).
@@ -275,9 +277,10 @@ def _node_angles(
 def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> ScanReport:
     """Sweep acute shape space for violations of either direction.
 
-    Each node is measured on the unit circumradius, on the bare floats of
-    its frame: the scan builds no ``Point`` or ``Triangle``.  Every grid and
-    beta = pi/4 locus node is tested against the orthic-angle law: with
+    Each node is measured on the bare floats of its vertices on the unit
+    circle (``_node_angles``): the scan builds no ``Point`` or ``Triangle``
+    and runs none of ``Triangle``'s checks.  Every grid and beta = pi/4
+    locus node is tested against the orthic-angle law: with
     r = max over x of |o_x + 2 * p_x - pi| and m = pi/2 - max(p), a node
     with r * m > ``ANGLE_LAW_BOUND`` * eps (eps = 2**-52) is a
     counterexample.  A locus node must also pass the biconditional with a

@@ -665,6 +665,20 @@ def test_help_names_the_exit_codes_only():
     assert "benchmark" not in proc.stdout and "``" not in proc.stdout
 
 
+def test_scan_help_documents_both_options(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["scan", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert raised.value.code == 0
+    for line in (
+        "--resolution RESOLUTION grid steps per right angle, an integer of at least 8"
+        " (default 200)",
+        "--tol-angle TOL_ANGLE pi/4-locus verdict tolerance (default 1e-9), at least"
+        " 32*n*eps/pi at resolution n",
+    ):
+        assert line in out, line
+
+
 def test_unknown_command_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 

@@ -25,7 +25,6 @@ from fagnano.geometry import (
     Point,
     Triangle,
     TriangleKind,
-    _frame,
     _orthocenter,
     _perimeter,
     _unframed,
@@ -166,16 +165,12 @@ def test_triangle_names_an_overflowing_side():
     ],
 )
 def test_triangle_checks_are_the_frame_checks(coords, error, message):
-    # Triangle's construction is _frame on the vertex floats: the same
-    # error and message, whichever way the input winds.
+    # Triangle's construction checks the vertex floats on its frame: the
+    # same error and message, whichever way the input winds.
     ax, ay, bx, by, cx, cy = coords
-    for check in (
-        lambda: Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy)),
-        lambda: _frame(*coords),
-    ):
-        with pytest.raises(error) as raised:
-            check()
-        assert type(raised.value) is error and str(raised.value) == message
+    with pytest.raises(error) as raised:
+        Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_triangle_normalizes_orientation():
@@ -185,11 +180,9 @@ def test_triangle_normalizes_orientation():
     assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
     ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))  # kept as given
     assert ccw.b == Point(1, 0) and ccw.c == Point(0, 1)
-    # The swap is _frame's, which reports it; Triangle stores its measures.
-    frame, frame_sides, vertex_angles, swapped = _frame(0, 0, 0, 1, 1, 0)
-    assert swapped and not _frame(0, 0, 1, 0, 0, 1)[3]
-    assert repr((frame, frame_sides, vertex_angles)) == repr(
-        (t.frame, t.frame_sides, t.vertex_angles)
+    # The swap comes before the measures: both windings store the same ones.
+    assert repr((t.frame, t.frame_sides, t.vertex_angles)) == repr(
+        (ccw.frame, ccw.frame_sides, ccw.vertex_angles)
     )
     # Both cross products of the area overflow here; the swap must still
     # follow the winding, as it does for the same shape at scale 1.

@@ -22,6 +22,7 @@ from conftest import (
 from fagnano import cli, geometry, jsonio, theorem
 from fagnano.geometry import (
     ANGLE_TOL,
+    AngleTriple,
     GeometryError,
     NotAcuteError,
     Point,
@@ -377,7 +378,7 @@ def test_orthic_measures_map_no_foot_back(monkeypatch):
 
 
 def test_scan_builds_no_triangle(monkeypatch):
-    # Each scan node is measured on the bare floats of its frame: no
+    # Each scan node is measured on the bare floats of its vertices: no
     # Triangle is constructed, and the report is the same.
     args = ((16,), (16, 0.1))
     want = {a: jsonio.dumps(scan_angle_space(*a).to_document()) for a in args}
@@ -393,20 +394,26 @@ def test_scan_builds_no_triangle(monkeypatch):
 
 
 def test_scan_nodes_share_from_angles_frame():
-    # The scan and Triangle.from_angles place a node with one helper and
-    # measure it with one frame function: bit for bit the same measures.
-    nodes = (*acute_grid_nodes(40), *quarter_pi_locus_nodes(40))
-    assert len(nodes) == 741 + 39
+    # The scan measures a node on the unit-circle floats that
+    # Triangle.from_angles takes, with no Triangle: Triangle keeps their
+    # order (no swap), and its frame, those floats times 1/2, gives the
+    # same parent and orthic angles bit for bit.
+    nodes = [
+        node
+        for n in (40, 200)
+        for node in (*acute_grid_nodes(n), *quarter_pi_locus_nodes(n))
+    ]
+    assert len(nodes) == 780 + 19_900
     for alpha, beta in nodes:
         coords = geometry._unit_circle(alpha, beta)
-        frame, frame_sides, vertex_angles, swapped = geometry._frame(*coords)
         t = Triangle.from_angles(alpha, beta)
-        assert not swapped
         assert repr(tuple(p.as_tuple() for p in t.vertices)) == repr(
             (coords[0:2], coords[2:4], coords[4:6])
         )
-        assert repr((t.frame, t.frame_sides, t.vertex_angles)) == repr(
-            (frame, frame_sides, vertex_angles)
+        assert repr(t.frame) == repr((-1, *(x / 2 for x in coords)))
+        parent, orth, _ = theorem._node_angles(alpha, beta)
+        assert repr((parent, orth)) == repr(
+            (t.vertex_angles, geometry._vertex_angles(*geometry._feet(t)))
         ), (alpha, beta)
 
 
@@ -501,8 +508,8 @@ def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
     # among them; the band the scan once skipped on reported none.
     frame_feet = theorem._frame_feet
 
-    def perturbed(frame):
-        dx, *rest = frame_feet(frame)
+    def perturbed(*vertices):
+        dx, *rest = frame_feet(*vertices)
         return (dx * (1 + 1e-14), *rest)
 
     monkeypatch.setattr(theorem, "_frame_feet", perturbed)
@@ -515,18 +522,30 @@ def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
 def test_scan_law_tests_each_measured_orthic_angle(monkeypatch):
     # Each of the three law residuals decides on its own: 1e-13 added to
     # one measured orthic angle makes grid counterexamples, with the worst
-    # residual past the bound.
-    vertex_angles = theorem._vertex_angles
+    # residual past the bound.  The scan measures the parent angles with
+    # the same function, so only a call on the feet it just took is shifted.
+    nodes = (*acute_grid_nodes(16), *quarter_pi_locus_nodes(16))
+    parents = {AngleTriple(*theorem._node_angles(*node)[0]) for node in nodes}
+    frame_feet, vertex_angles = theorem._frame_feet, theorem._vertex_angles
+    feet = []
+
+    def recording(*vertices):
+        feet[:] = [frame_feet(*vertices)]
+        return feet[0]
+
+    monkeypatch.setattr(theorem, "_frame_feet", recording)
     for k in range(3):
 
-        def shifted(*feet, k=k):
-            orth = list(vertex_angles(*feet))
-            orth[k] += 1e-13
-            return tuple(orth)
+        def shifted(*points, k=k):
+            measured = list(vertex_angles(*points))
+            if feet and points == feet[0]:
+                measured[k] += 1e-13
+            return tuple(measured)
 
         monkeypatch.setattr(theorem, "_vertex_angles", shifted)
         report = scan_angle_space(16)
         assert any(tri.beta != QUARTER_PI for tri, _ in report.counterexamples), k
+        assert all(tri in parents for tri, _ in report.counterexamples), k
         assert report.worst_law_residual > theorem.ANGLE_LAW_BOUND, k
 
 
