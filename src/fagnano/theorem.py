@@ -8,9 +8,11 @@ triangles, re-derives every intermediate angle identity of the underlying
 argument from explicit coordinates, and sweeps triangle shape space for
 counterexamples.  Both directions rest on the orthic-angle law, orthic
 angle at the foot from x = pi - 2 * (parent angle at x): the scan measures
-each node on its unit-circle vertex floats, with no ``Triangle``, checks the
-law at every node and decides its pi/4-locus nodes on the verdict's fields
-as a plain tuple, building a ``TheoremVerdict`` only for a counterexample.
+each node on its unit-circle vertex floats, with no ``Triangle``, in one pass
+over its edges whose dot products give both the parent angles and the
+altitude feet.  It checks the law at every node and decides its pi/4-locus
+nodes on the verdict's fields as a plain tuple, building a
+``TheoremVerdict`` only for a counterexample.
 
 Tolerance coupling: the orthic-angle test at pi/2 uses a tolerance tol while
 the parent-angle test at pi/4 uses ``tol / 2``, because the exact relation
@@ -32,7 +34,6 @@ from .geometry import (
     _acute_gate,
     _angle,
     _feet,
-    _frame_feet,
     _incenter,
     _orthocenter,
     _Record,
@@ -189,13 +190,14 @@ def proof_steps(t: Triangle) -> ProofStepReport:
         abs(bfe - HALF_PI - cfe),
         abs(bde - HALF_PI - ade),
     )
+    # Positional, in _fields order: six keywords cost about 0.3 us a call.
     return ProofStepReport(
-        angle_sum_residual=angle_sum_residual,
-        bisection_residuals=bisection_residuals,
-        quarter_relation_residual=quarter_relation_residual,
-        quarter_relation_active=quarter_relation_active,
-        quad_sum_residual=quad_sum_residual,
-        decomposition_residuals=decomposition_residuals,
+        angle_sum_residual,
+        bisection_residuals,
+        quarter_relation_residual,
+        quarter_relation_active,
+        quad_sum_residual,
+        decomposition_residuals,
     )
 
 
@@ -207,7 +209,9 @@ def incenter_orthocenter_check(t: Triangle) -> float:
     also where the feet of ``t`` would be subnormal.
     """
     ix, iy = _incenter(*_feet(t))
-    hx, hy = _orthocenter(*t.frame[1:])
+    # Unpacked, not *t.frame[1:], as in _feet.
+    _, ax, ay, bx, by, cx, cy = t.frame
+    hx, hy = _orthocenter(ax, ay, bx, by, cx, cy)
     return math.hypot(ix - hx, iy - hy) / max(t.frame_sides)
 
 
@@ -258,12 +262,36 @@ def _node_angles(
     the vertex floats of ``Triangle.from_angles(alpha, beta)`` after the
     acute gate at ``ANGLE_TOL``, with the node's angle-law residual times
     its margin, r * m.  A unit-circle node needs none of ``Triangle``'s
-    checks, and its frame, these floats times 1/2, gives the same angles."""
-    vertices = _unit_circle(alpha, beta)
-    parent = _vertex_angles(*vertices)
+    checks, and its frame, these floats times 1/2, gives the same angles.
+
+    One pass over the three edges: the dot product at each vertex gives
+    both its parent angle (``_vertex_angles``' formula) and a foot
+    parameter, since the foot from a lies |ab| cos B from b along bc.
+    Rounding is sign-symmetric, so -dot_b / |bc|^2 is bit for bit the
+    ``projection_param`` that ``_frame_feet`` computes.  The scan keeps this
+    inline copy of the projection: through ``_frame_feet`` a node took
+    3.3 us, not 2.6 (2 vCPUs, Python 3.11)."""
+    ax, ay, bx, by, cx, cy = _unit_circle(alpha, beta)
+    abx, aby = bx - ax, by - ay
+    bcx, bcy = cx - bx, cy - by
+    cax, cay = ax - cx, ay - cy
+    dot_a = abx * cax + aby * cay
+    dot_b = bcx * abx + bcy * aby
+    dot_c = cax * bcx + cay * bcy
+    atan2 = math.atan2
+    parent = (
+        atan2(abs(abx * cay - aby * cax), -dot_a),
+        atan2(abs(bcx * aby - bcy * abx), -dot_b),
+        atan2(abs(cax * bcy - cay * bcx), -dot_c),
+    )
     margin = HALF_PI - max(parent)
     _acute_gate(parent, margin, ANGLE_TOL)
-    orth = _vertex_angles(*_frame_feet(*vertices))
+    sa = -dot_b / (bcx * bcx + bcy * bcy)
+    sb = -dot_c / (cax * cax + cay * cay)
+    sc = -dot_a / (abx * abx + aby * aby)
+    orth = _vertex_angles(
+        bx + sa * bcx, by + sa * bcy, cx + sb * cax, cy + sb * cay, ax + sc * abx, ay + sc * aby
+    )
     (p0, p1, p2), (o0, o1, o2), pi = parent, orth, math.pi
     r, r1, r2 = abs(o0 + 2.0 * p0 - pi), abs(o1 + 2.0 * p1 - pi), abs(o2 + 2.0 * p2 - pi)
     # Two comparisons, not max(): its call costs about 3% of a node (0.14 us).

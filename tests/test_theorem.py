@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import theorem_bits
 from conftest import (
+    acute_angle_pairs,
     acute_triangles,
     check_pin_tables,
     check_pins,
@@ -417,6 +418,40 @@ def test_scan_nodes_share_from_angles_frame():
         ), (alpha, beta)
 
 
+@settings(deadline=None)
+@given(acute_angle_pairs(margin=1e-6))
+def test_off_grid_nodes_share_from_angles_frame(node):
+    # Off the grid too, down to margins of 1e-6 from 0 and from pi/2: the
+    # scan's one pass over a node's edges gives the parent angles of
+    # Triangle.from_angles and the orthic angles of its frame feet.
+    t = Triangle.from_angles(*node)
+    parent, orth, _ = theorem._node_angles(*node)
+    assert repr((parent, orth)) == repr(
+        (t.vertex_angles, geometry._vertex_angles(*geometry._feet(t)))
+    )
+
+
+def test_scan_measures_each_node_in_one_pass(monkeypatch):
+    # The scan measures a node's parent angles and foot parameters on the
+    # same edge products: _vertex_angles runs once per node, on its feet,
+    # and neither the feet kernel nor the projection primitive runs.
+    want = jsonio.dumps(scan_angle_space(16).to_document())
+    vertex_angles, calls = theorem._vertex_angles, []
+
+    def counting(*points):
+        calls.append(points)
+        return vertex_angles(*points)
+
+    def forbidden(*args):
+        raise AssertionError("a foot was projected outside the scan")
+
+    monkeypatch.setattr(theorem, "_vertex_angles", counting)
+    monkeypatch.setattr(geometry, "_frame_feet", forbidden)
+    monkeypatch.setattr(geometry, "projection_param", forbidden)
+    assert jsonio.dumps(scan_angle_space(16).to_document()) == want
+    assert len(calls) == 120
+
+
 def test_checks_build_no_angle_triple(monkeypatch):
     # The scan and verdict decide on the measured angle tuples: the scan
     # wraps a node's angles in an AngleTriple only for a counterexample.
@@ -503,16 +538,17 @@ def test_scan_calls_the_verdict_on_the_locus_only(monkeypatch, args):
 
 
 def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
-    # One frame foot coordinate scaled by (1 + 1e-14) breaks the angle law
-    # past its bound on 41 of the 120 nodes at resolution 16, grid nodes
-    # among them; the band the scan once skipped on reported none.
-    frame_feet = theorem._frame_feet
+    # The first foot coordinate scaled by (1 + 1e-14) before the orthic
+    # angles are measured breaks the angle law past its bound on 41 of the
+    # 120 nodes at resolution 16, grid nodes among them; the band the scan
+    # once skipped on reported none.  The scan measures its parent angles
+    # inline, so _vertex_angles sees only the feet.
+    vertex_angles = theorem._vertex_angles
 
-    def perturbed(*vertices):
-        dx, *rest = frame_feet(*vertices)
-        return (dx * (1 + 1e-14), *rest)
+    def perturbed(dx, *rest):
+        return vertex_angles(dx * (1 + 1e-14), *rest)
 
-    monkeypatch.setattr(theorem, "_frame_feet", perturbed)
+    monkeypatch.setattr(theorem, "_vertex_angles", perturbed)
     report = scan_angle_space(16)
     assert len(report.counterexamples) == 41
     assert any(tri.beta != QUARTER_PI for tri, _ in report.counterexamples)
@@ -522,24 +558,16 @@ def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
 def test_scan_law_tests_each_measured_orthic_angle(monkeypatch):
     # Each of the three law residuals decides on its own: 1e-13 added to
     # one measured orthic angle makes grid counterexamples, with the worst
-    # residual past the bound.  The scan measures the parent angles with
-    # the same function, so only a call on the feet it just took is shifted.
+    # residual past the bound.  The scan calls _vertex_angles on the feet
+    # alone, so every call is shifted.
     nodes = (*acute_grid_nodes(16), *quarter_pi_locus_nodes(16))
     parents = {AngleTriple(*theorem._node_angles(*node)[0]) for node in nodes}
-    frame_feet, vertex_angles = theorem._frame_feet, theorem._vertex_angles
-    feet = []
-
-    def recording(*vertices):
-        feet[:] = [frame_feet(*vertices)]
-        return feet[0]
-
-    monkeypatch.setattr(theorem, "_frame_feet", recording)
+    vertex_angles = theorem._vertex_angles
     for k in range(3):
 
         def shifted(*points, k=k):
             measured = list(vertex_angles(*points))
-            if feet and points == feet[0]:
-                measured[k] += 1e-13
+            measured[k] += 1e-13
             return tuple(measured)
 
         monkeypatch.setattr(theorem, "_vertex_angles", shifted)
