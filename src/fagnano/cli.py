@@ -256,6 +256,13 @@ def build_parser() -> _Parser:
     benchmark's ``cli`` workload or the tests.  A one-shot ``fagnano``
     process builds the parser once and its time is mostly interpreter
     start-up and imports.
+
+    ``subcommands`` maps each subcommand's name to its own parser.  ``main``
+    parses a request that starts with one of these names once, with that
+    parser alone; the top-level parse would only have matched the name.
+    Every other argv (none, ``-h``, a leading ``--``, an unknown or
+    abbreviated name) takes the full parse, which gives the top-level help
+    and errors.
     """
     parser = _Parser(
         prog="fagnano", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -317,13 +324,21 @@ def build_parser() -> _Parser:
     p.add_argument("--no-labels", action="store_true")
     p.add_argument("--json", action="store_true", help="print an element summary to stdout")
     p.set_defaults(func=_cmd_render)
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A leading subcommand name selects that parser alone (see build_parser).
+    subparser = parser.subcommands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if subparser is None:
+            args = parser.parse_args(argv)
+        else:
+            args = subparser.parse_args(argv[1:])
         return args.func(args)
     except (NotAcuteError, DegenerateTriangleError) as exc:
         print(f"fagnano: precondition: {exc}", file=sys.stderr)

@@ -25,11 +25,23 @@ class RenderSpec(_Record):
     ):
         if width_px < 64 or height_px < 64:
             raise ValueError(f"viewport {width_px}x{height_px} below the 64 px minimum")
+        # The layout takes the height and the drawable width (the width less
+        # both margins) as floats: a size beyond the float range is refused.
+        try:
+            float(height_px)
+        except OverflowError:
+            raise ValueError(f"height {height_px} px is beyond the float range") from None
         if not (0 <= margin_px < min(width_px, height_px) / 4):
             raise ValueError(
                 f"margin {margin_px} must be nonnegative and below "
                 f"min(width, height)/4 = {min(width_px, height_px) / 4:g}"
             )
+        try:
+            float(width_px - 2 * margin_px)
+        except OverflowError:
+            raise ValueError(
+                f"width {width_px} px less both margins is beyond the float range"
+            ) from None
         _set(self, "width_px", width_px)
         _set(self, "height_px", height_px)
         _set(self, "margin_px", margin_px)

@@ -328,7 +328,12 @@ def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> Scan
         raise ValueError(f"grid_resolution must be an int >= 8, got {grid_resolution!r}")
     check_tolerance("tol_angle", tol_angle)
     limit = ANGLE_LAW_BOUND * _EPS
-    floor = limit / (QUARTER_PI / grid_resolution)
+    try:
+        floor = limit / (QUARTER_PI / grid_resolution)
+    except OverflowError:
+        # A resolution beyond the float range: the floor exceeds every
+        # finite tol_angle.
+        floor = math.inf
     if tol_angle < floor:
         raise ValueError(
             f"tol_angle ({tol_angle!r}) is below {floor:.3g}, the angle law's"

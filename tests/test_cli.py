@@ -77,6 +77,10 @@ def test_degenerate_input_message(capsys, text):
     )
 
 
+# An integer of 401 digits, beyond the float range.
+HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "argv",
     (
@@ -92,12 +96,26 @@ def test_degenerate_input_message(capsys, text):
         ["minimize", "golden-bfc", "--method", "reflection", "--max-iter", "-1"],
         ["orthic", "equilateral", "--tol", "abc"],
         ["orthic", "equilateral", "--tol", "0.6"],
+        pytest.param(["render", "equilateral", "--width", HUGE], id="render --width HUGE"),
+        pytest.param(["render", "equilateral", "--height", HUGE], id="render --height HUGE"),
+        pytest.param(["scan", "--resolution", HUGE], id="scan --resolution HUGE"),
     ),
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
+    if argv[-1] == HUGE:
+        # A size or resolution beyond the float range is refused in one
+        # line, not an OverflowError traceback; no figure is written.
+        assert err == {
+            "--width": f"fagnano: error: width {HUGE} px less both margins is beyond the"
+            " float range\n",
+            "--height": f"fagnano: error: height {HUGE} px is beyond the float range\n",
+            "--resolution": "fagnano: error: tol_angle (1e-09) is below inf, the angle law's"
+            f" rounding bound at resolution {HUGE}\n",
+        }[argv[-2]]
+        return
     if argv[-2] == "--max-iter":
         reason = f"iteration limit must be >= 1, got {int(argv[-1])!r}"
     elif argv[-1] == "abc":
@@ -794,3 +812,88 @@ def test_shared_parser_matches_a_fresh_one(capsys, tmp_path, argv):
         assert shared.read_bytes() == fresh.read_bytes()
     else:
         assert run(capsys, *argv) == run_fresh(capsys, *argv)
+
+
+# ------------------------------------------------------- subcommand dispatch
+
+# The criterion-7 commands, then help, errors, abbreviations and "--".
+# Render commands write figure.svg, or fig.svg through the abbreviated
+# --out, in the test's working directory.
+DISPATCH_ARGV = (
+    ["orthic", "equilateral"],
+    ["orthic", "golden-bfc"],
+    ["minimize", "equilateral"],
+    ["minimize", "golden-bfc", "--method", "reflection"],
+    ["scan", "--resolution", "16"],
+    ["golden"],
+    ["render", "equilateral"],
+    ["render", "golden-figure"],
+    [],
+    ["-h"],
+    ["orthic", "-h"],
+    ["bogus"],
+    ["orth", "equilateral"],
+    ["--", "orthic", "equilateral"],
+    ["orthic", "--", NEGATIVE],
+    ["orthic", NEGATIVE],
+    ["orthic", "equilateral", "extra"],
+    ["orthic", "equilateral", "--bogus"],
+    ["minimize", "golden-bfc", "--meth", "reflection"],
+    ["render", "equilateral", "--out", "fig.svg"],
+    ["minimize", "equilateral", "--max-iter", "x"],
+    ["golden", "--json"],
+)
+
+
+def outcome(capsys, directory, argv):
+    """Exit code, stdout, stderr, any SystemExit code, and the files written."""
+    try:
+        code, exit_code = main(list(argv)), None
+    except SystemExit as raised:
+        code, exit_code = None, raised.code
+    captured = capsys.readouterr()
+    files = {}
+    for path in sorted(directory.iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return code, captured.out, captured.err, exit_code, files
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_subcommand_dispatch_matches_the_full_parse(capsys, monkeypatch, tmp_path, argv):
+    # main hands a request that starts with a subcommand's name to that
+    # subcommand's parser; with no names to match, every request takes the
+    # full parse.  argparse's handling of "--" differs between Pythons, so
+    # each runs both paths.
+    monkeypatch.chdir(tmp_path)
+    dispatched = outcome(capsys, tmp_path, argv)
+    monkeypatch.setattr(build_parser(), "subcommands", {})
+    assert dispatched == outcome(capsys, tmp_path, argv)
+
+
+def test_subcommand_request_skips_the_top_level_parse(capsys, monkeypatch):
+    parser = build_parser()
+    calls = []
+    parse_known_args = parser.parse_known_args
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting)
+    assert run(capsys, "orthic", "equilateral")[0] == 0
+    assert calls == []
+    run(capsys, "--", "orthic", "equilateral")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", (["orthic", "equilateral"], ["--", "orthic", "equilateral"], []),
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_main_reads_sys_argv_without_arguments(capsys, monkeypatch, argv):
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["fagnano", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
