@@ -67,6 +67,11 @@ class _Canvas:
         avail_w = spec.width_px - 2 * spec.margin_px
         avail_h = spec.height_px - 2 * spec.margin_px
         self.scale = min(avail_w / span_x, avail_h / span_y)
+        if math.isinf(self.scale):
+            # A drawable size near the float maximum over a span below 1.
+            raise ValueError(
+                f"viewport {spec.width_px}x{spec.height_px} px is too large to lay out"
+            )
         self.ox = spec.margin_px + (avail_w - self.scale * span_x) / 2.0
         self.oy = spec.margin_px + (avail_h - self.scale * span_y) / 2.0
         self.xmin, self.ymin = xmin, ymin
