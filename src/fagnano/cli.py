@@ -145,8 +145,9 @@ def _deliver(text: str, output: str | None) -> None:
     An existing file is written over in place and cut at the new length only
     when it was longer, so a rewrite of the same length, ``/dev/null`` and a
     FIFO never see ``ftruncate``.  Truncating to zero and writing again (what
-    ``open(output, "w")`` does) measured 50-150 us a write on ext4, against
-    about 12 us in place.  A new file gets the mode ``open`` would give it.
+    ``open(output, "w")`` does) took 125 us for a same-length rewrite of a
+    2 390-byte figure on an ext4 root mounted with ``discard`` (2-vCPU Xeon),
+    against 19 us in place.  A new file gets the mode ``open`` would give it.
     """
     if output is None:
         sys.stdout.write(text)
