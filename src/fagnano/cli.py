@@ -77,6 +77,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _solver_tolerance(text: str) -> float:
+    """argparse type of minimize --tol: a finite float > 0, as the solvers
+    require."""
+    value = _tolerance(text)
+    if value == 0.0:
+        raise argparse.ArgumentTypeError(f"solver tolerance must be > 0, got {value!r}")
+    return value
+
+
 def _iterations(text: str) -> int:
     """argparse type of --max-iter: an integer >= 1."""
     try:
@@ -301,7 +310,9 @@ def build_parser() -> _Parser:
         "--method", choices=("grid-simplex", "reflection"), default="grid-simplex"
     )
     p.add_argument("--max-iter", type=_iterations, default=DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=_tolerance, default=None, help="per-method default when omitted")
+    p.add_argument(
+        "--tol", type=_solver_tolerance, default=None, help="per-method default when omitted"
+    )
     p.add_argument("--start", help="reflection start parameters (default 0.5,0.5,0.5)")
     p.set_defaults(func=_cmd_minimize)
 

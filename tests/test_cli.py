@@ -89,6 +89,8 @@ HUGE = "1" + "0" * 400
         ["minimize", "golden-bfc", "--tol", "nan"],
         ["minimize", "golden-bfc", "--tol", "inf"],
         ["minimize", "golden-bfc", "--method", "reflection", "--tol", "nan"],
+        ["minimize", "golden-bfc", "--tol", "0"],
+        ["minimize", "golden-bfc", "--method", "reflection", "--tol", "0"],
         ["golden", "--tol", "inf"],
         ["scan", "--resolution", "8", "--tol-angle", "inf"],
         ["scan", "--resolution", "8", "--tol-angle", "nan"],
@@ -118,6 +120,9 @@ def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
         return
     if argv[-2] == "--max-iter":
         reason = f"iteration limit must be >= 1, got {int(argv[-1])!r}"
+    elif argv[0] == "minimize" and argv[-1] == "0":
+        # The solvers need tol > 0: refused at parse time, naming the option.
+        reason = "solver tolerance must be > 0, got 0.0"
     elif argv[-1] == "abc":
         reason = "invalid float value: 'abc'"
     elif argv[-1] == "0.6":

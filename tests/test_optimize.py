@@ -3,6 +3,7 @@ import io
 import math
 import random
 from contextlib import redirect_stdout
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,15 +163,31 @@ def test_result_perimeter_equals_objective(golden_bfc):
         )
 
 
+def near_right_triangles(count, seed):
+    """Parents from_angles(pi/2 - m, beta) with m log-uniform in [1e-3, 1e-2],
+    the near-right margins of the oracle benchmark."""
+    rng = random.Random(seed)
+    return [
+        Triangle.from_angles(
+            math.pi / 2 - 10.0 ** rng.uniform(-3.0, -2.0), rng.uniform(0.05, math.pi / 2 - 0.05)
+        )
+        for _ in range(count)
+    ]
+
+
 def test_objective_is_the_reported_perimeter_bit_for_bit():
-    # objective() and both searches evaluate one perimeter formula, so the
-    # perimeter a search reports is objective() of its config, to the bit.
+    # objective() and both searches evaluate one perimeter formula, written
+    # out in the searches' loops, so the perimeter a search reports is
+    # objective() of its config, to the bit.  On the slivers and near-right
+    # parents some simplex trial points leave the cube and read +inf.
     rng = random.Random(1608)
-    for _ in range(20):
-        t = random_acute_triangle(rng)
+    acute = (random_acute_triangle(rng) for _ in range(20))
+    for t in chain(acute, sliver_triangles(200, 20161001), near_right_triangles(20, 1608)):
         start = InscribedConfig(*(rng.uniform(0.05, 0.95) for _ in range(3)))
         for result in (minimize_grid_then_simplex(t), minimize_reflection_descent(t, start)):
             assert objective(t, result.config).hex() == result.perimeter.hex()
+            values = [p for _, p in result.history]
+            assert all(later < earlier for earlier, later in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------- reflection descent
@@ -247,10 +264,11 @@ def test_reflection_validation(equilateral):
         )
 
 
-@pytest.mark.parametrize("bad", (0, -5, 2.5))
+@pytest.mark.parametrize("bad", (0, -5, 2.5, True, False))
 def test_max_iter_must_be_an_int_of_at_least_one(equilateral, bad):
     # One rule for both searches, the CLI's --max-iter rule, so no limit
     # below 1 reads as a non-convergence and no fraction is rounded up.
+    # A bool is an int to isinstance, but True is no iteration limit.
     with pytest.raises(ValueError, match=r"max_iter must be an int >= 1, got"):
         minimize_grid_then_simplex(equilateral, max_iter=bad)
     with pytest.raises(ValueError, match=r"max_iter must be an int >= 1, got"):
