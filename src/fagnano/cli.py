@@ -64,12 +64,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of the tolerance options: a finite float >= 0."""
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the tolerance options: a finite float >= 0."""
+    value = _float(text)
     try:
         check_tolerance("tolerance", value)
     except ValueError as exc:
@@ -80,9 +84,11 @@ def _tolerance(text: str) -> float:
 def _solver_tolerance(text: str) -> float:
     """argparse type of minimize --tol: a finite float > 0, as the solvers
     require."""
-    value = _tolerance(text)
-    if value == 0.0:
-        raise argparse.ArgumentTypeError(f"solver tolerance must be > 0, got {value!r}")
+    value = _float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"solver tolerance must be finite and > 0, got {value!r}"
+        )
     return value
 
 

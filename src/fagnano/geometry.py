@@ -125,21 +125,17 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
-    """Unsigned angle between the vectors (ux, uy) and (vx, vy), in [0, pi]."""
-    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-
-
 def _vertex_angles(
     ax: float, ay: float, bx: float, by: float, cx: float, cy: float
 ) -> tuple[float, float, float]:
     """Interior angles at a, b and c of the triangle with these vertices.
 
-    ``_angle`` of each apex's two edge vectors, computed on the three
-    shared edge differences: q - p is exactly -(p - q), so each angle has
-    ``_angle``'s bits wherever its cross and dot products are not both
-    zero, as on every frame and its feet (a zero edge reads the sign of a
-    zero there)."""
+    Each is atan2(|u x v|, u . v) of its apex's two edge vectors u and v,
+    computed on the three shared edge differences: q - p is exactly
+    -(p - q), so each angle has the bits of that formula on its own edge
+    vectors wherever its cross and dot products are not both zero, as on
+    every frame and its feet (a zero edge reads the sign of a zero
+    there)."""
     abx, aby = bx - ax, by - ay
     bcx, bcy = cx - bx, cy - by
     cax, cay = ax - cx, ay - cy

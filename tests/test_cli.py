@@ -114,15 +114,16 @@ def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
             "--width": f"fagnano: error: width {HUGE} px less both margins is beyond the"
             " float range\n",
             "--height": f"fagnano: error: height {HUGE} px is beyond the float range\n",
-            "--resolution": "fagnano: error: tol_angle (1e-09) is below inf, the angle law's"
-            f" rounding bound at resolution {HUGE}\n",
+            "--resolution": f"fagnano: error: grid_resolution {HUGE} is beyond the float"
+            " range\n",
         }[argv[-2]]
         return
     if argv[-2] == "--max-iter":
         reason = f"iteration limit must be >= 1, got {int(argv[-1])!r}"
-    elif argv[0] == "minimize" and argv[-1] == "0":
-        # The solvers need tol > 0: refused at parse time, naming the option.
-        reason = "solver tolerance must be > 0, got 0.0"
+    elif argv[0] == "minimize":
+        # The solvers need a finite tol > 0: refused at parse time, naming
+        # the option and that rule.
+        reason = f"solver tolerance must be finite and > 0, got {float(argv[-1])!r}"
     elif argv[-1] == "abc":
         reason = "invalid float value: 'abc'"
     elif argv[-1] == "0.6":

@@ -314,6 +314,8 @@ def test_scan_validation():
     for bad in (7, 8.5, math.nan, 1e9, "16"):
         with pytest.raises(ValueError, match="grid_resolution must be an int >= 8"):
             scan_angle_space(bad)
+    with pytest.raises(ValueError, match=r"grid_resolution 10* is beyond the float range"):
+        scan_angle_space(10**400)
     for bad in (math.nan, math.inf, -1e-9):
         with pytest.raises(ValueError, match="tol_angle must be finite"):
             scan_angle_space(16, tol_angle=bad)
@@ -339,6 +341,31 @@ def test_grid_nodes_are_strictly_acute():
     for alpha, beta in acute_grid_nodes(16):
         gamma = math.pi - alpha - beta
         assert 0 < alpha < HALF_PI and 0 < beta < HALF_PI and 0 < gamma < HALF_PI
+
+
+@pytest.mark.parametrize("n", (*range(8, 65), 200, 400))
+def test_grid_nodes_match_the_filtered_double_loop(n):
+    # The grid starts j at n - i + 1 instead of filtering i + j > n: the
+    # same nodes in the same order, (n - 1)(n - 2)/2 of them, which the
+    # bench's verify node count assumes.
+    h = HALF_PI / n
+    filtered = [
+        (i * h, j * h) for i in range(1, n) for j in range(1, n) if i + j > n
+    ]
+    nodes = list(acute_grid_nodes(n))
+    assert nodes == filtered
+    assert len(nodes) == (n - 1) * (n - 2) // 2
+
+
+@pytest.mark.parametrize("node", ((HALF_PI, QUARTER_PI), (2.0, 0.5)), ids=("right", "obtuse"))
+def test_scan_node_gate_still_fires(node):
+    # The scan node calls the acute gate only when its margin fails, and
+    # then raises what require_acute raises on the same shape.
+    with pytest.raises(NotAcuteError) as want:
+        geometry.require_acute(Triangle.from_angles(*node))
+    with pytest.raises(NotAcuteError) as got:
+        theorem._node_angles(*node)
+    assert str(got.value) == str(want.value)
 
 
 def test_scan_report_serialization_is_deterministic():
