@@ -65,6 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float(text: str) -> float:
+    """A float option's value, or an argparse error naming the text."""
     try:
         return float(text)
     except ValueError:
