@@ -327,23 +327,13 @@ def _acute_gate(vertex_angles: tuple[float, float, float], margin: float, tol: f
         )
 
 
-def projection_param(
-    px: float, py: float, qx: float, qy: float, rx: float, ry: float
-) -> float:
-    """Parameter s of the orthogonal projection of p onto the line q + s*(r - q).
-
-    Unchecked: the callers pass frame coordinates, where |r - q|^2 is a
-    normal double.
-    """
-    dx, dy = rx - qx, ry - qy
-    return ((px - qx) * dx + (py - qy) * dy) / (dx * dx + dy * dy)
-
-
 def _feet(t: Triangle, tol: float = ANGLE_TOL) -> tuple[float, float, float, float, float, float]:
     """Frame coordinates of the altitude feet from a, b and c: each vertex
     projected orthogonally onto the line through the other two.  Only an
-    acute triangle has them: ``require_acute(t, tol)`` is called first."""
-    require_acute(t, tol)
+    acute triangle has them: ``require_acute(t, tol)`` runs at any other
+    tol, and at ``ANGLE_TOL`` only to raise, when t's stored margin fails."""
+    if not (tol == ANGLE_TOL and t.classification.margin > tol):
+        require_acute(t, tol)
     # Unpacked, not *t.frame[1:]: the slice and star-call were measurably slower.
     _, ax, ay, bx, by, cx, cy = t.frame
     return _frame_feet(ax, ay, bx, by, cx, cy)
@@ -351,14 +341,19 @@ def _feet(t: Triangle, tol: float = ANGLE_TOL) -> tuple[float, float, float, flo
 
 def _frame_feet(ax, ay, bx, by, cx, cy) -> tuple[float, float, float, float, float, float]:
     """The altitude feet of the triangle with these vertices, unchecked: the
-    caller has passed the acute gate."""
-    sa = projection_param(ax, ay, bx, by, cx, cy)
-    sb = projection_param(bx, by, cx, cy, ax, ay)
-    sc = projection_param(cx, cy, ax, ay, bx, by)
+    caller has passed the acute gate.  The foot from p on line qr is at
+    s = (p - q) . (r - q) / |r - q|^2, written on the shared edge
+    differences, where p - q is exactly -(q - p): the same bits."""
+    abx, aby = bx - ax, by - ay
+    bcx, bcy = cx - bx, cy - by
+    cax, cay = ax - cx, ay - cy
+    sa = -(abx * bcx + aby * bcy) / (bcx * bcx + bcy * bcy)
+    sb = -(bcx * cax + bcy * cay) / (cax * cax + cay * cay)
+    sc = -(cax * abx + cay * aby) / (abx * abx + aby * aby)
     return (
-        bx + sa * (cx - bx), by + sa * (cy - by),
-        cx + sb * (ax - cx), cy + sb * (ay - cy),
-        ax + sc * (bx - ax), ay + sc * (by - ay),
+        bx + sa * bcx, by + sa * bcy,
+        cx + sb * cax, cy + sb * cay,
+        ax + sc * abx, ay + sc * aby,
     )
 
 

@@ -7,13 +7,12 @@ This module evaluates both directions of that biconditional on individual
 triangles, re-derives every intermediate angle identity of the underlying
 argument from explicit coordinates, and sweeps triangle shape space for
 counterexamples.  Both directions rest on the orthic-angle law, orthic
-angle at the foot from x = pi - 2 * (parent angle at x): the scan measures
-each node on its unit-circle vertex floats, with no ``Triangle``, in one pass
-over its edges whose dot products give both the parent angles and the
-altitude feet, about 2.0 us a node (2-vCPU Xeon, Python 3.11).  It checks
-the law at every node and decides its pi/4-locus nodes on the verdict's
-fields as a plain tuple, building a ``TheoremVerdict`` only for a
-counterexample.
+angle at the foot from x = pi - 2 * (parent angle at x): one batch kernel
+(``_scan_nodes``) measures every node inline on its unit-circle vertex
+floats, with no ``Triangle`` and no call of its own, about 1.9 us a node
+(2-vCPU Xeon, Python 3.11).  The scan checks the law at every node and
+decides the pi/4-locus nodes on the verdict's fields as a plain tuple,
+building a ``TheoremVerdict`` only for a counterexample.
 
 Tolerance coupling: the orthic-angle test at pi/2 uses a tolerance tol while
 the parent-angle test at pi/4 uses ``tol / 2``, because the exact relation
@@ -26,7 +25,7 @@ bound on the pi/4 locus.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .geometry import (
     ANGLE_TOL,
@@ -49,6 +48,10 @@ HALF_PI = math.pi / 2.0
 # (see scan_angle_space); over the acute region r * m stays near 2 eps.
 ANGLE_LAW_BOUND = 8
 _EPS = math.ulp(1.0)
+# The largest grid_resolution n the scan takes: its last locus node keeps a
+# margin pi / (4 * n) of 2 * ANGLE_TOL, and its grid corners, slivers of
+# margin pi / (2 * n), lose at most about a quarter of it to rounding.
+_MAX_RESOLUTION = int(QUARTER_PI / (2.0 * ANGLE_TOL))
 
 
 class TheoremVerdict(_Record):
@@ -257,65 +260,73 @@ def quarter_pi_locus_nodes(grid_resolution: int) -> Iterator[tuple[float, float]
         yield (QUARTER_PI + k * h, QUARTER_PI)
 
 
-def _node_angles(
-    alpha: float, beta: float
-) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
-    """Parent and orthic angles of the scan node (alpha, beta), measured on
-    the vertex floats of ``Triangle.from_angles(alpha, beta)`` after the
-    acute gate at ``ANGLE_TOL``, with the node's angle-law residual times
-    its margin, r * m.  A unit-circle node needs none of ``Triangle``'s
-    checks, and its frame, these floats times 1/2, gives the same angles.
+def _scan_nodes(nodes: Iterable[tuple[float, float]], limit: float) -> tuple[float, list]:
+    """Measure each scan node (alpha, beta) on the vertex floats of
+    ``Triangle.from_angles(alpha, beta)``, after the acute gate at
+    ``ANGLE_TOL``: parent angles p, orthic angles o, and law residual times
+    margin, r * m.  Return the largest r * m (0.0 for no node) and, in node
+    order, (alpha, beta, p, o, r * m) of each node whose r * m exceeds
+    ``limit`` (every node at -inf).
 
-    One pass over the three edges: the dot product at each vertex gives
-    both its parent angle (``_vertex_angles``' formula) and a foot
-    parameter, since the foot from a lies |ab| cos B from b along bc.
-    Rounding is sign-symmetric, so -dot_b / |bc|^2 is bit for bit the
-    ``projection_param`` that ``_frame_feet`` computes.  The scan keeps this
-    inline copy of the projection: through ``_frame_feet`` a node takes
-    2.5 us, not 2.0 (best of 15 passes over resolutions 40-60, 2-vCPU
-    Xeon, Python 3.11)."""
-    ax, ay, bx, by, cx, cy = _unit_circle(alpha, beta)
-    abx, aby = bx - ax, by - ay
-    bcx, bcy = cx - bx, cy - by
-    cax, cay = ax - cx, ay - cy
-    dot_a = abx * cax + aby * cay
-    dot_b = bcx * abx + bcy * aby
-    dot_c = cax * bcx + cay * bcy
-    atan2 = math.atan2
-    p0 = atan2(abs(abx * cay - aby * cax), -dot_a)
-    p1 = atan2(abs(bcx * aby - bcy * abx), -dot_b)
-    p2 = atan2(abs(cax * bcy - cay * bcx), -dot_c)
-    # max() by two comparisons, and _acute_gate called only to raise: every
-    # scan node is acute, so the margin test alone passes it.
-    largest = p0
-    if p1 > largest:
-        largest = p1
-    if p2 > largest:
-        largest = p2
-    margin = HALF_PI - largest
-    if not margin > ANGLE_TOL:
-        _acute_gate((p0, p1, p2), margin, ANGLE_TOL)
-    sa = -dot_b / (bcx * bcx + bcy * bcy)
-    sb = -dot_c / (cax * cax + cay * cay)
-    sc = -dot_a / (abx * abx + aby * aby)
-    orth = _vertex_angles(
-        bx + sa * bcx, by + sa * bcy, cx + sb * cax, cy + sb * cay, ax + sc * abx, ay + sc * aby
-    )
-    (o0, o1, o2), pi = orth, math.pi
-    r, r1, r2 = abs(o0 + 2.0 * p0 - pi), abs(o1 + 2.0 * p1 - pi), abs(o2 + 2.0 * p2 - pi)
-    # Two comparisons, not max(): its call costs about 3% of a node (0.14 us).
-    if r1 > r:
-        r = r1
-    if r2 > r:
-        r = r2
-    return (p0, p1, p2), orth, r * margin
+    A unit-circle node needs none of ``Triangle``'s checks, and its frame,
+    the same floats times 1/2, gives the same angles.  The dot product at
+    each vertex gives its parent angle and a foot parameter (the foot from
+    a lies |ab| cos B from b along bc).  Every angle is ``_vertex_angles``'
+    expression and every foot ``_frame_feet``'s, bit for bit (rounding is
+    sign-symmetric), and a node calls only ``_unit_circle`` and six atan2."""
+    worst, flagged = 0.0, []
+    atan2, pi = math.atan2, math.pi
+    for alpha, beta in nodes:
+        ax, ay, bx, by, cx, cy = _unit_circle(alpha, beta)
+        abx, aby = bx - ax, by - ay
+        bcx, bcy = cx - bx, cy - by
+        cax, cay = ax - cx, ay - cy
+        dot_a = abx * cax + aby * cay
+        dot_b = bcx * abx + bcy * aby
+        dot_c = cax * bcx + cay * bcy
+        p0 = atan2(abs(abx * cay - aby * cax), -dot_a)
+        p1 = atan2(abs(bcx * aby - bcy * abx), -dot_b)
+        p2 = atan2(abs(cax * bcy - cay * bcx), -dot_c)
+        # max() by two comparisons, and _acute_gate called only to raise:
+        # every scan node is acute, so the margin test alone passes it.
+        largest = p1 if p1 > p0 else p0
+        if p2 > largest:
+            largest = p2
+        margin = HALF_PI - largest
+        if not margin > ANGLE_TOL:
+            _acute_gate((p0, p1, p2), margin, ANGLE_TOL)
+        sa = -dot_b / (bcx * bcx + bcy * bcy)
+        sb = -dot_c / (cax * cax + cay * cay)
+        sc = -dot_a / (abx * abx + aby * aby)
+        # The feet d, e, f from a, b, c, and the orthic angles at them.
+        dx, dy = bx + sa * bcx, by + sa * bcy
+        ex, ey = cx + sb * cax, cy + sb * cay
+        fx, fy = ax + sc * abx, ay + sc * aby
+        dex, dey = ex - dx, ey - dy
+        efx, efy = fx - ex, fy - ey
+        fdx, fdy = dx - fx, dy - fy
+        o0 = atan2(abs(dex * fdy - dey * fdx), -(dex * fdx + dey * fdy))
+        o1 = atan2(abs(efx * dey - efy * dex), -(efx * dex + efy * dey))
+        o2 = atan2(abs(fdx * efy - fdy * efx), -(fdx * efx + fdy * efy))
+        r, r1, r2 = abs(o0 + 2.0 * p0 - pi), abs(o1 + 2.0 * p1 - pi), abs(o2 + 2.0 * p2 - pi)
+        # Two comparisons, not max(): its call costs about 3% of a node.
+        if r1 > r:
+            r = r1
+        if r2 > r:
+            r = r2
+        law = r * margin
+        if law > worst:
+            worst = law
+        if law > limit:
+            flagged.append((alpha, beta, (p0, p1, p2), (o0, o1, o2), law))
+    return worst, flagged
 
 
 def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> ScanReport:
     """Sweep acute shape space for violations of either direction.
 
     Each node is measured on the bare floats of its vertices on the unit
-    circle (``_node_angles``): the scan builds no ``Point`` or ``Triangle``
+    circle (``_scan_nodes``): the scan builds no ``Point`` or ``Triangle``
     and runs none of ``Triangle``'s checks.  Every grid and beta = pi/4
     locus node is tested against the orthic-angle law: with
     r = max over x of |o_x + 2 * p_x - pi| and m = pi/2 - max(p), a node
@@ -332,7 +343,8 @@ def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> Scan
     the law puts the orthic angle at b within ``ANGLE_LAW_BOUND`` * eps / m
     of pi/2, and m falls to pi / (4 * grid_resolution): a ``tol_angle``
     below that bound would decide on rounding and raises ValueError, as
-    does a ``grid_resolution`` beyond the float range.
+    does a ``grid_resolution`` beyond the float range or above about 3.9e8
+    (``_MAX_RESOLUTION``), whose last nodes would near the acute gate.
     """
     if not (isinstance(grid_resolution, int) and grid_resolution >= 8):
         raise ValueError(f"grid_resolution must be an int >= 8, got {grid_resolution!r}")
@@ -341,38 +353,31 @@ def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> Scan
     try:
         floor = limit / (QUARTER_PI / grid_resolution)
     except OverflowError:
+        raise ValueError(f"grid_resolution {grid_resolution} is beyond the float range") from None
+    if grid_resolution > _MAX_RESOLUTION:
         raise ValueError(
-            f"grid_resolution {grid_resolution} is beyond the float range"
-        ) from None
+            f"grid_resolution {grid_resolution} is above {_MAX_RESOLUTION}, the largest whose"
+            f" nodes all stay more than 2 * ANGLE_TOL ({2 * ANGLE_TOL:g}) from a right angle"
+        )
     if tol_angle < floor:
         raise ValueError(
             f"tol_angle ({tol_angle!r}) is below {floor:.3g}, the angle law's"
             f" rounding bound at resolution {grid_resolution}"
         )
-    worst = 0.0
-    counterexamples: list[tuple[AngleTriple, TheoremVerdict]] = []
-    for alpha, beta in acute_grid_nodes(grid_resolution):
-        parent, orth, law = _node_angles(alpha, beta)
-        if law > worst:
-            worst = law
-        if law > limit:
-            fields = _verdict_core(parent, orth, tol_angle)
-            counterexamples.append((AngleTriple(*parent), TheoremVerdict(*fields)))
-
-    for alpha, beta in quarter_pi_locus_nodes(grid_resolution):
-        parent, orth, law = _node_angles(alpha, beta)
-        if law > worst:
-            worst = law
+    worst, grid = _scan_nodes(acute_grid_nodes(grid_resolution), limit)
+    counterexamples: list[tuple[AngleTriple, TheoremVerdict]] = [
+        (AngleTriple(*parent), TheoremVerdict(*_verdict_core(parent, orth, tol_angle)))
+        for _, _, parent, orth, _ in grid
+    ]
+    locus_worst, locus = _scan_nodes(quarter_pi_locus_nodes(grid_resolution), -math.inf)
+    worst = max(worst, locus_worst)
+    for _, _, parent, orth, law in locus:
         fields = _verdict_core(parent, orth, tol_angle)
         orthic_is_right, right_vertex, _, _, _, pairing_holds, biconditional_holds = fields
         # Both directions, and the forward one at the matching foot: the
         # pi/4 angle at b must give a right orthic angle at the foot from b.
-        if law > limit or not (
-            biconditional_holds
-            and pairing_holds is not False
-            and orthic_is_right
-            and right_vertex == 1
-        ):
+        holds = biconditional_holds and pairing_holds is not False
+        if law > limit or not (holds and orthic_is_right and right_vertex == 1):
             counterexamples.append((AngleTriple(*parent), TheoremVerdict(*fields)))
 
     return ScanReport(

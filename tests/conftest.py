@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, settings, strategies as st
 
-from fagnano.geometry import Point, Triangle, _incenter, _orthocenter, _unframed, projection_param
+from fagnano.geometry import Point, Triangle, _incenter, _orthocenter, _unframed
 from fagnano.optimize import InscribedConfig
 
 settings.register_profile("numeric", deadline=None)
@@ -74,14 +74,21 @@ def incenter(t: Triangle) -> Point:
     return _unframed(t.frame[0], *_incenter(*t.frame[1:]))
 
 
+def projection(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> float:
+    """Parameter s of the orthogonal projection of p onto the line
+    q + s*(r - q): the tests' reference for the library's feet."""
+    dx, dy = rx - qx, ry - qy
+    return ((px - qx) * dx + (py - qy) * dy) / (dx * dx + dy * dy)
+
+
 def orthic_config(t: Triangle) -> InscribedConfig:
     """Side parameters of the altitude feet: each vertex's projection
     parameter on the opposite side, in the frame."""
     _, ax, ay, bx, by, cx, cy = t.frame
     return InscribedConfig(
-        t_on_bc=projection_param(ax, ay, bx, by, cx, cy),
-        t_on_ca=projection_param(bx, by, cx, cy, ax, ay),
-        t_on_ab=projection_param(cx, cy, ax, ay, bx, by),
+        t_on_bc=projection(ax, ay, bx, by, cx, cy),
+        t_on_ca=projection(bx, by, cx, cy, ax, ay),
+        t_on_ab=projection(cx, cy, ax, ay, bx, by),
     )
 
 

@@ -101,6 +101,7 @@ HUGE = "1" + "0" * 400
         pytest.param(["render", "equilateral", "--width", HUGE], id="render --width HUGE"),
         pytest.param(["render", "equilateral", "--height", HUGE], id="render --height HUGE"),
         pytest.param(["scan", "--resolution", HUGE], id="scan --resolution HUGE"),
+        ["scan", "--resolution", "100000000000", "--tol-angle", "1"],
     ),
     ids=lambda argv: " ".join(argv),
 )
@@ -117,6 +118,16 @@ def test_bad_tolerance_exits_1_naming_the_option(capsys, argv):
             "--resolution": f"fagnano: error: grid_resolution {HUGE} is beyond the float"
             " range\n",
         }[argv[-2]]
+        return
+    if argv[:3] == ["scan", "--resolution", "100000000000"]:
+        # A resolution whose last nodes would reach the acute gate is
+        # refused before the first node, naming the resolution, not a
+        # right triangle the user never gave.
+        assert err == (
+            "fagnano: error: grid_resolution 100000000000 is above 392699081, the"
+            " largest whose nodes all stay more than 2 * ANGLE_TOL (2e-09) from a"
+            " right angle\n"
+        )
         return
     if argv[-2] == "--max-iter":
         reason = f"iteration limit must be >= 1, got {int(argv[-1])!r}"

@@ -10,6 +10,7 @@ from conftest import (
     acute_triangles,
     incenter,
     orthocenter,
+    projection,
     random_acute_triangle,
     scaled,
     similarity,
@@ -32,9 +33,9 @@ from fagnano.geometry import (
     classify,
     dist,
     orthic_triangle,
-    projection_param,
     require_acute,
 )
+from fagnano import geometry
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -483,9 +484,79 @@ def test_foot_projection_residual(t):
         assert residual <= 1e-12
 
 
-def test_projection_param_on_axis_line():
-    assert projection_param(0.25, 7.0, 0.0, 0.0, 2.0, 0.0) == 0.125
-    assert projection_param(-3.0, 1.0, 1.0, 0.0, 2.0, 0.0) == -4.0  # beyond q
+def test_reference_projection_on_axis_line():
+    assert projection(0.25, 7.0, 0.0, 0.0, 2.0, 0.0) == 0.125
+    assert projection(-3.0, 1.0, 1.0, 0.0, 2.0, 0.0) == -4.0  # beyond q
+
+
+@given(
+    acute_angle_pairs(margin=0.01),
+    st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.integers(min_value=-1000, max_value=1000),
+)
+def test_frame_feet_match_the_reference_projection(node, mantissa, angle, dx, dy, k):
+    # The written-out feet, on shared edge differences, are bit for bit
+    # each vertex projected with the reference formula onto the line
+    # through the other two, on frames of acute triangles from 2^-1000 to
+    # 2^1000 in size, rotated and moved off the origin.
+    try:
+        t = similarity(
+            Triangle.from_angles(*node), math.ldexp(mantissa, k), angle,
+            math.ldexp(dx, k), math.ldexp(dy, k),
+        )
+    except GeometryError:
+        assume(False)
+    assume(classify(t).kind is TriangleKind.ACUTE)
+    _, ax, ay, bx, by, cx, cy = t.frame
+    sa = projection(ax, ay, bx, by, cx, cy)
+    sb = projection(bx, by, cx, cy, ax, ay)
+    sc = projection(cx, cy, ax, ay, bx, by)
+    want = (
+        bx + sa * (cx - bx), by + sa * (cy - by),
+        cx + sb * (ax - cx), cy + sb * (ay - cy),
+        ax + sc * (bx - ax), ay + sc * (by - ay),
+    )
+    assert repr(geometry._frame_feet(ax, ay, bx, by, cx, cy)) == repr(want)
+    assert repr(geometry._feet(t)) == repr(want)
+
+
+def raised(f, *args):
+    """The class and text of what ``f(*args)`` raises, or None."""
+    try:
+        f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+def test_feet_gate_raises_what_require_acute_raises():
+    # At the default tolerance _feet reads the stored margin and calls
+    # require_acute only to raise: right and obtuse triangles get its
+    # NotAcuteError text, at every scale.  Any other tol takes the full
+    # check, so a bad or too loose tol raises what require_acute raises.
+    right = Triangle(Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 0.5))
+    obtuse = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.1))
+    near_right = Triangle(Point(0, 0), Point(1, 0), Point(0.5, 0.5000000001))
+    for parent in (right, obtuse, near_right):
+        for k in (-1000, 0, 1000):
+            t = scaled(parent, k)
+            want = raised(require_acute, t)
+            assert want is not None and want[0] is NotAcuteError
+            assert raised(geometry._feet, t) == want
+            assert raised(geometry._feet, t, ANGLE_TOL) == want
+    acute = Triangle.from_angles(1.2, 1.1)  # margin about 0.37
+    for t in (acute, right, obtuse, near_right):
+        for tol in (0.5, math.nan, -1.0, math.pi / 6):
+            want = raised(require_acute, t, tol)
+            assert want is not None and want[0] in (NotAcuteError, ValueError), tol
+            assert raised(geometry._feet, t, tol) == want, tol
+    # An acute triangle passes at the default and at any tol it clears.
+    assert raised(geometry._feet, acute) is None
+    assert raised(geometry._feet, acute, 0.0) is None
+    assert raised(geometry._feet, Triangle.from_angles(1.04, 1.05), 0.5) is None
 
 
 def test_points_of_an_obtuse_triangle_past_the_double_range():

@@ -33,7 +33,7 @@ SURFACE = {
         "AngleTriple", "AngleTriple.__init__", "AngleTriple.as_tuple",
         "Triangle", "Triangle.__init__", "Triangle.from_angles",
         "Triangle.vertices", "Triangle.diameter",
-        "angles", "classify", "check_tolerance", "require_acute", "projection_param",
+        "angles", "classify", "check_tolerance", "require_acute",
         "OrthicResult", "OrthicResult.feet", "OrthicResult.side_lengths",
         "orthic_triangle",
     },

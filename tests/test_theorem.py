@@ -359,13 +359,53 @@ def test_grid_nodes_match_the_filtered_double_loop(n):
 
 @pytest.mark.parametrize("node", ((HALF_PI, QUARTER_PI), (2.0, 0.5)), ids=("right", "obtuse"))
 def test_scan_node_gate_still_fires(node):
-    # The scan node calls the acute gate only when its margin fails, and
-    # then raises what require_acute raises on the same shape.
+    # The scan kernel calls the acute gate only when a node's margin fails,
+    # and then raises what require_acute raises on the same shape, also
+    # after nodes that pass.
     with pytest.raises(NotAcuteError) as want:
         geometry.require_acute(Triangle.from_angles(*node))
-    with pytest.raises(NotAcuteError) as got:
-        theorem._node_angles(*node)
-    assert str(got.value) == str(want.value)
+    for nodes in ([node], [(1.0, 1.1), node]):
+        with pytest.raises(NotAcuteError) as got:
+            theorem._scan_nodes(nodes, -math.inf)
+        assert str(got.value) == str(want.value)
+
+
+def test_scan_refuses_a_resolution_whose_nodes_reach_the_gate(monkeypatch):
+    # Past _MAX_RESOLUTION the last nodes come within 2 * ANGLE_TOL of a
+    # right angle, and from about 7.9e8 on the acute gate would refuse
+    # them: the scan names grid_resolution before its first node, even at
+    # a tol_angle above the law's rounding bound.
+    top = theorem._MAX_RESOLUTION
+    assert HALF_PI / 2 / top > 2 * ANGLE_TOL >= HALF_PI / 2 / (top + 1)
+
+    def forbidden(nodes, limit):
+        raise AssertionError("a node was measured")
+
+    monkeypatch.setattr(theorem, "_scan_nodes", forbidden)
+    for n, tol in ((top + 1, 1.0), (2 * 10**9, 1.0), (2 * 10**9, ANGLE_TOL), (10**11, 1.0)):
+        with pytest.raises(ValueError, match=f"^grid_resolution {n} is above {top},"):
+            scan_angle_space(n, tol)
+
+
+def test_largest_scan_resolution_passes_the_gate():
+    # The nodes of the largest accepted resolution nearest a right angle,
+    # the last locus node (margin pi / (4 n)) and the grid's three corners
+    # (pi / (2 n)), pass the acute gate through Triangle.from_angles.  The
+    # corners are slivers whose short side is about 4 pi / (2 n): rounding
+    # of their unit-circle vertices takes about a quarter of their margin,
+    # which still clears 2 * ANGLE_TOL.
+    n = theorem._MAX_RESOLUTION
+    h = HALF_PI / n
+    locus = list(itertools.islice(quarter_pi_locus_nodes(n), n - 3, None))
+    grid = [(2 * h, (n - 1) * h), ((n - 1) * h, 2 * h), ((n - 1) * h, (n - 1) * h)]
+    assert len(locus) == 2 and locus[-1] == (QUARTER_PI + (n - 1) * (QUARTER_PI / n), QUARTER_PI)
+    for node, margin in ((locus[-1], h / 2), *((g, h) for g in grid)):
+        t = Triangle.from_angles(*node)
+        measured = geometry.require_acute(t).margin
+        assert 0.7 * margin < measured < (1 + 1e-6) * margin, node
+        assert measured > 2 * ANGLE_TOL * (1 - 1e-6), node
+    _, flagged = theorem._scan_nodes([*locus, *grid], -math.inf)
+    assert len(flagged) == 5
 
 
 def test_scan_report_serialization_is_deterministic():
@@ -421,11 +461,39 @@ def test_scan_builds_no_triangle(monkeypatch):
         assert jsonio.dumps(scan_angle_space(*a).to_document()) == want[a], a
 
 
+def reference_nodes(nodes, limit, vertex_angles=geometry._vertex_angles):
+    """``theorem._scan_nodes``' contract on the reference route: each node's
+    Triangle.from_angles, the parent angles it stores, the orthic angles
+    ``vertex_angles`` measures on its ``_feet``, and r * m from them."""
+    worst, flagged = 0.0, []
+    for alpha, beta in nodes:
+        t = Triangle.from_angles(alpha, beta)
+        parent = t.vertex_angles
+        orth = vertex_angles(*geometry._feet(t))
+        r = max(abs(o + 2.0 * p - math.pi) for o, p in zip(orth, parent))
+        law = r * (HALF_PI - max(parent))
+        worst = max(worst, law)
+        if law > limit:
+            flagged.append((alpha, beta, parent, orth, law))
+    return worst, flagged
+
+
+def assert_kernel_is_the_reference(nodes):
+    """The kernel at limit -inf gives every node's values, in node order,
+    repr-equal to the reference route's."""
+    worst, flagged = theorem._scan_nodes(nodes, -math.inf)
+    want_worst, want = reference_nodes(nodes, -math.inf)
+    assert len(flagged) == len(want) == len(nodes)
+    for got, node_want in zip(flagged, want):
+        assert repr(got) == repr(node_want), got[:2]
+    assert repr(worst) == repr(want_worst)
+
+
 def test_scan_nodes_share_from_angles_frame():
     # The scan measures a node on the unit-circle floats that
     # Triangle.from_angles takes, with no Triangle: Triangle keeps their
     # order (no swap), and its frame, those floats times 1/2, gives the
-    # same parent and orthic angles bit for bit.
+    # same parent angles, orthic angles and r * m bit for bit.
     nodes = [
         node
         for n in (40, 200)
@@ -439,10 +507,7 @@ def test_scan_nodes_share_from_angles_frame():
             (coords[0:2], coords[2:4], coords[4:6])
         )
         assert repr(t.frame) == repr((-1, *(x / 2 for x in coords)))
-        parent, orth, _ = theorem._node_angles(alpha, beta)
-        assert repr((parent, orth)) == repr(
-            (t.vertex_angles, geometry._vertex_angles(*geometry._feet(t)))
-        ), (alpha, beta)
+    assert_kernel_is_the_reference(nodes)
 
 
 @settings(deadline=None)
@@ -451,32 +516,35 @@ def test_off_grid_nodes_share_from_angles_frame(node):
     # Off the grid too, down to margins of 1e-6 from 0 and from pi/2: the
     # scan's one pass over a node's edges gives the parent angles of
     # Triangle.from_angles and the orthic angles of its frame feet.
-    t = Triangle.from_angles(*node)
-    parent, orth, _ = theorem._node_angles(*node)
-    assert repr((parent, orth)) == repr(
-        (t.vertex_angles, geometry._vertex_angles(*geometry._feet(t)))
-    )
+    assert_kernel_is_the_reference([node])
 
 
 def test_scan_measures_each_node_in_one_pass(monkeypatch):
-    # The scan measures a node's parent angles and foot parameters on the
-    # same edge products: _vertex_angles runs once per node, on its feet,
-    # and neither the feet kernel nor the projection primitive runs.
+    # The scan measures a node's parent angles, foot parameters and orthic
+    # angles in one kernel pass: the kernel runs once on the grid at the
+    # law's bound and once on the locus at -inf, each node once and in
+    # order, and neither _vertex_angles nor the feet kernels run.
     want = jsonio.dumps(scan_angle_space(16).to_document())
-    vertex_angles, calls = theorem._vertex_angles, []
+    scan_nodes, calls = theorem._scan_nodes, []
 
-    def counting(*points):
-        calls.append(points)
-        return vertex_angles(*points)
+    def recording(nodes, limit):
+        nodes = list(nodes)
+        calls.append((nodes, limit))
+        return scan_nodes(nodes, limit)
 
     def forbidden(*args):
-        raise AssertionError("a foot was projected outside the scan")
+        raise AssertionError("a node was measured outside the kernel")
 
-    monkeypatch.setattr(theorem, "_vertex_angles", counting)
-    monkeypatch.setattr(geometry, "_frame_feet", forbidden)
-    monkeypatch.setattr(geometry, "projection_param", forbidden)
+    monkeypatch.setattr(theorem, "_scan_nodes", recording)
+    for module, name in ((theorem, "_vertex_angles"), (theorem, "_feet"),
+                         (geometry, "_feet"), (geometry, "_frame_feet")):
+        monkeypatch.setattr(module, name, forbidden)
     assert jsonio.dumps(scan_angle_space(16).to_document()) == want
-    assert len(calls) == 120
+    grid, locus = list(acute_grid_nodes(16)), list(quarter_pi_locus_nodes(16))
+    assert calls == [(grid, theorem.ANGLE_LAW_BOUND * 2.0**-52), (locus, -math.inf)]
+    _, flagged = scan_nodes(grid + locus, -math.inf)
+    assert [(alpha, beta) for alpha, beta, *_ in flagged] == grid + locus
+    assert len(flagged) == 120
 
 
 def test_checks_build_no_angle_triple(monkeypatch):
@@ -544,40 +612,45 @@ def test_scan_calls_the_verdict_on_the_locus_only(monkeypatch, args):
     # Grid nodes that pass the angle law build no verdict: the verdict core
     # runs once per locus node, in order, and the report is byte-identical.
     want = jsonio.dumps(scan_angle_space(*args).to_document())
-    node_angles, verdict_core = theorem._node_angles, theorem._verdict_core
-    last_node, verdict_nodes = [], []
-
-    def recording_node_angles(alpha, beta):
-        last_node[:] = [(alpha, beta)]
-        return node_angles(alpha, beta)
+    verdict_core, verdict_angles = theorem._verdict_core, []
 
     def recording_verdict_core(p, o, tol_angle):
-        verdict_nodes.append(last_node[0])
+        verdict_angles.append((p, o))
         return verdict_core(p, o, tol_angle)
 
-    monkeypatch.setattr(theorem, "_node_angles", recording_node_angles)
     monkeypatch.setattr(theorem, "_verdict_core", recording_verdict_core)
     assert jsonio.dumps(scan_angle_space(*args).to_document()) == want
     n = args[0]
-    assert len(verdict_nodes) == n - 1
-    assert all(beta == QUARTER_PI for _, beta in verdict_nodes)
-    assert verdict_nodes == list(quarter_pi_locus_nodes(n))
+    # The kernel at -inf gives the locus nodes' angles, in node order.
+    _, locus = theorem._scan_nodes(quarter_pi_locus_nodes(n), -math.inf)
+    assert [(alpha, beta) for alpha, beta, *_ in locus] == list(quarter_pi_locus_nodes(n))
+    assert all(beta == QUARTER_PI for _, beta, *_ in locus)
+    assert len(verdict_angles) == n - 1
+    assert verdict_angles == [(p, o) for _, _, p, o, _ in locus]
 
 
 def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
     # The first foot coordinate scaled by (1 + 1e-14) before the orthic
     # angles are measured breaks the angle law past its bound on 41 of the
     # 120 nodes at resolution 16, grid nodes among them; the band the scan
-    # once skipped on reported none.  The scan measures its parent angles
-    # inline, so _vertex_angles sees only the feet.
-    vertex_angles = theorem._vertex_angles
-
+    # once skipped on reported none.  The kernel's values are the reference
+    # route's bit for bit, so the perturbation goes into that route, and
+    # the scan, reading it through the kernel's contract, reports those 41.
     def perturbed(dx, *rest):
-        return vertex_angles(dx * (1 + 1e-14), *rest)
+        return geometry._vertex_angles(dx * (1 + 1e-14), *rest)
 
-    monkeypatch.setattr(theorem, "_vertex_angles", perturbed)
+    nodes = (*acute_grid_nodes(16), *quarter_pi_locus_nodes(16))
+    assert_kernel_is_the_reference(nodes)
+    limit = theorem.ANGLE_LAW_BOUND * 2.0**-52
+    worst, flagged = reference_nodes(nodes, limit, perturbed)
+    assert len(flagged) == 41
+    assert worst > limit
+    monkeypatch.setattr(
+        theorem, "_scan_nodes", lambda nodes, limit: reference_nodes(nodes, limit, perturbed)
+    )
     report = scan_angle_space(16)
     assert len(report.counterexamples) == 41
+    assert [tri.as_tuple() for tri, _ in report.counterexamples] == [p for _, _, p, _, _ in flagged]
     assert any(tri.beta != QUARTER_PI for tri, _ in report.counterexamples)
     assert report.worst_law_residual > theorem.ANGLE_LAW_BOUND
 
@@ -585,23 +658,48 @@ def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
 def test_scan_law_tests_each_measured_orthic_angle(monkeypatch):
     # Each of the three law residuals decides on its own: 1e-13 added to
     # one measured orthic angle makes grid counterexamples, with the worst
-    # residual past the bound.  The scan calls _vertex_angles on the feet
-    # alone, so every call is shifted.
+    # residual past the bound.  The shift goes into the reference route,
+    # whose values the kernel's are bit for bit, and the scan reads it
+    # through the kernel's contract.
     nodes = (*acute_grid_nodes(16), *quarter_pi_locus_nodes(16))
-    parents = {AngleTriple(*theorem._node_angles(*node)[0]) for node in nodes}
-    vertex_angles = theorem._vertex_angles
+    assert_kernel_is_the_reference(nodes)
+    _, measured = theorem._scan_nodes(nodes, -math.inf)
+    parents = {AngleTriple(*p) for _, _, p, _, _ in measured}
     for k in range(3):
 
         def shifted(*points, k=k):
-            measured = list(vertex_angles(*points))
+            measured = list(geometry._vertex_angles(*points))
             measured[k] += 1e-13
             return tuple(measured)
 
-        monkeypatch.setattr(theorem, "_vertex_angles", shifted)
+        monkeypatch.setattr(
+            theorem, "_scan_nodes", lambda nodes, limit, f=shifted: reference_nodes(nodes, limit, f)
+        )
         report = scan_angle_space(16)
         assert any(tri.beta != QUARTER_PI for tri, _ in report.counterexamples), k
         assert all(tri in parents for tri, _ in report.counterexamples), k
         assert report.worst_law_residual > theorem.ANGLE_LAW_BOUND, k
+
+
+@pytest.mark.parametrize("bound", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n", [16, 40])
+def test_scan_flags_the_nodes_past_a_patched_bound(monkeypatch, n, bound):
+    # The scan reports exactly the nodes whose kernel r * m exceeds
+    # ANGLE_LAW_BOUND * eps, in node order: the grid's past the bound, then
+    # the locus's, every one of which passes the biconditional here.
+    grid, locus = list(acute_grid_nodes(n)), list(quarter_pi_locus_nodes(n))
+    _, measured = theorem._scan_nodes(grid + locus, -math.inf)
+    limit = bound * 2.0**-52
+    want = [p for _, _, p, _, law in measured if law > limit]
+    flagged_grid = sum(law > limit for _, _, _, _, law in measured[: len(grid)])
+    if 0.0 < bound < 1.0:
+        assert 0 < flagged_grid < len(grid)
+    monkeypatch.setattr(theorem, "ANGLE_LAW_BOUND", bound)
+    report = scan_angle_space(n)
+    assert [tri.as_tuple() for tri, _ in report.counterexamples] == want
+    assert all(v.biconditional_holds for _, v in report.counterexamples)
+    worst = max(law for *_, law in measured)
+    assert report.worst_law_residual == worst / 2.0**-52
 
 
 # ----------------------------------------------------- biconditional directions
