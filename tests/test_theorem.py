@@ -394,11 +394,23 @@ def test_largest_scan_resolution_passes_the_gate():
     # corners are slivers whose short side is about 4 pi / (2 n): rounding
     # of their unit-circle vertices takes about a quarter of their margin,
     # which still clears 2 * ANGLE_TOL.
+    # The generators' own arithmetic, k * h, for the last two locus nodes
+    # and the corners (i, j) = (2, n - 1), (n - 1, 2) and (n - 1, n - 1).
+    def locus_node(n, k):
+        return (QUARTER_PI + k * (QUARTER_PI / n), QUARTER_PI)
+
+    def grid_node(n, i, j):
+        return (i * (HALF_PI / n), j * (HALF_PI / n))
+
+    def corners(n):
+        return [grid_node(n, 2, n - 1), grid_node(n, n - 1, 2), grid_node(n, n - 1, n - 1)]
+
+    assert list(quarter_pi_locus_nodes(16))[-2:] == [locus_node(16, 14), locus_node(16, 15)]
+    assert set(corners(16)) <= set(acute_grid_nodes(16))
     n = theorem._MAX_RESOLUTION
     h = HALF_PI / n
-    locus = list(itertools.islice(quarter_pi_locus_nodes(n), n - 3, None))
-    grid = [(2 * h, (n - 1) * h), ((n - 1) * h, 2 * h), ((n - 1) * h, (n - 1) * h)]
-    assert len(locus) == 2 and locus[-1] == (QUARTER_PI + (n - 1) * (QUARTER_PI / n), QUARTER_PI)
+    locus = [locus_node(n, n - 2), locus_node(n, n - 1)]
+    grid = corners(n)
     for node, margin in ((locus[-1], h / 2), *((g, h) for g in grid)):
         t = Triangle.from_angles(*node)
         measured = geometry.require_acute(t).margin
