@@ -818,7 +818,7 @@ PINS = {
         lambda key: check_bits(scaled(BIT_SHAPES[key[0]], key[1])),
     ),
     "RAISES": (list(raising_calls()), lambda key: raised_bits(*raising_calls()[key])),
-    "SCAN_SHA256": ([(8,), (16,), (40,), (200,), (400,), (16, 0.1)], scan_sha256),
+    "SCAN_SHA256": ([(8,), (16,), (40,), (60,), (200,), (400,), (16, 0.1)], scan_sha256),
 }
 
 
