@@ -148,7 +148,9 @@ def _vertex_angles(
 
 
 def _unit_circle(alpha: float, beta: float) -> tuple[float, ...]:
-    """The vertex floats of ``Triangle.from_angles(alpha, beta)``."""
+    """The vertex floats of ``Triangle.from_angles(alpha, beta)``.  The scan
+    kernel ``theorem._scan_nodes`` writes these expressions out in the same
+    order, so the two give the same floats."""
     gamma = math.pi - alpha - beta
     if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
         raise GeometryError(f"angles ({alpha}, {beta}, {gamma}) do not form a triangle")

@@ -9,10 +9,11 @@ argument from explicit coordinates, and sweeps triangle shape space for
 counterexamples.  Both directions rest on the orthic-angle law, orthic
 angle at the foot from x = pi - 2 * (parent angle at x): one batch kernel
 (``_scan_nodes``) measures every node inline on its unit-circle vertex
-floats, with no ``Triangle`` and no call of its own, about 1.9 us a node
-(2-vCPU Xeon, Python 3.11).  The scan checks the law at every node and
-decides the pi/4-locus nodes on the verdict's fields as a plain tuple,
-building a ``TheoremVerdict`` only for a counterexample.
+floats, a grid row at a time, with no ``Triangle`` and no call but the
+math functions, about 1.7-1.8 us a node against 1.8-2.0 us when each node
+called ``_unit_circle`` (2-vCPU Xeon, Python 3.11).  The scan checks the
+law at every node and decides the pi/4-locus nodes on the verdict's fields
+as a plain tuple, building a ``TheoremVerdict`` only for a counterexample.
 
 Tolerance coupling: the orthic-angle test at pi/2 uses a tolerance tol while
 the parent-angle test at pi/4 uses ``tol / 2``, because the exact relation
@@ -240,17 +241,24 @@ class ScanReport(_Record):
         return document
 
 
+def _grid_rows(grid_resolution: int) -> Iterator[tuple[float, list[float]]]:
+    """The grid's rows (alpha, [beta, ...]) = (i, [j, ...]) * (pi/2)/n over
+    the open acute simplex: row i holds the j from n - i + 1 to n - 1, so
+    that i + j > n and every angle is strictly inside (0, pi/2)."""
+    h = HALF_PI / grid_resolution
+    for i in range(1, grid_resolution):
+        yield i * h, [j * h for j in range(grid_resolution - i + 1, grid_resolution)]
+
+
 def acute_grid_nodes(grid_resolution: int) -> Iterator[tuple[float, float]]:
     """Angle pairs (alpha, beta) = (i, j) * (pi/2)/n over the open acute simplex.
 
     Admissible nodes have all three angles strictly inside (0, pi/2), which
-    for this grid is exactly i + j > n.
+    for this grid is exactly i + j > n: ``_grid_rows``, row by row.
     """
-    h = HALF_PI / grid_resolution
-    for i in range(1, grid_resolution):
-        alpha = i * h
-        for j in range(grid_resolution - i + 1, grid_resolution):
-            yield (alpha, j * h)
+    for alpha, betas in _grid_rows(grid_resolution):
+        for beta in betas:
+            yield (alpha, beta)
 
 
 def quarter_pi_locus_nodes(grid_resolution: int) -> Iterator[tuple[float, float]]:
@@ -260,65 +268,81 @@ def quarter_pi_locus_nodes(grid_resolution: int) -> Iterator[tuple[float, float]
         yield (QUARTER_PI + k * h, QUARTER_PI)
 
 
-def _scan_nodes(nodes: Iterable[tuple[float, float]], limit: float) -> tuple[float, list]:
-    """Measure each scan node (alpha, beta) on the vertex floats of
-    ``Triangle.from_angles(alpha, beta)``, after the acute gate at
-    ``ANGLE_TOL``: parent angles p, orthic angles o, and law residual times
-    margin, r * m.  Return the largest r * m (0.0 for no node) and, in node
-    order, (alpha, beta, p, o, r * m) of each node whose r * m exceeds
-    ``limit`` (every node at -inf).
+def _scan_nodes(
+    rows: Iterable[tuple[float, Iterable[float]]], limit: float
+) -> tuple[float, list]:
+    """Measure each scan node (alpha, beta) of the rows (alpha, betas) on
+    the vertex floats of ``Triangle.from_angles(alpha, beta)``, after the
+    acute gate at ``ANGLE_TOL``: parent angles p, orthic angles o, and law
+    residual times margin, r * m.  Return the largest r * m (0.0 for no
+    node) and, in node order, (alpha, beta, p, o, r * m) of each node whose
+    r * m exceeds ``limit`` (every node at -inf).
 
-    A unit-circle node needs none of ``Triangle``'s checks, and its frame,
-    the same floats times 1/2, gives the same angles.  The dot product at
-    each vertex gives its parent angle and a foot parameter (the foot from
-    a lies |ab| cos B from b along bc).  Every angle is ``_vertex_angles``'
-    expression and every foot ``_frame_feet``'s, bit for bit (rounding is
-    sign-symmetric), and a node calls only ``_unit_circle`` and six atan2."""
+    The vertex floats are ``_unit_circle``'s expressions, in its order, with
+    pi - alpha and 2 * alpha taken once a row; a node that is no triangle
+    raises its error through ``_unit_circle``.  A unit-circle node needs
+    none of ``Triangle``'s checks, and its frame, the same floats times
+    1/2, gives the same angles.  The dot product at each vertex gives its
+    parent angle and a foot parameter (the foot from a lies |ab| cos B from
+    b along bc).  Every angle is ``_vertex_angles``' expression and every
+    foot ``_frame_feet``'s, bit for bit (rounding is sign-symmetric), and a
+    node calls only two cos, two sin and six atan2."""
     worst, flagged = 0.0, []
-    atan2, pi = math.atan2, math.pi
-    for alpha, beta in nodes:
-        ax, ay, bx, by, cx, cy = _unit_circle(alpha, beta)
-        abx, aby = bx - ax, by - ay
-        bcx, bcy = cx - bx, cy - by
-        cax, cay = ax - cx, ay - cy
-        dot_a = abx * cax + aby * cay
-        dot_b = bcx * abx + bcy * aby
-        dot_c = cax * bcx + cay * bcy
-        p0 = atan2(abs(abx * cay - aby * cax), -dot_a)
-        p1 = atan2(abs(bcx * aby - bcy * abx), -dot_b)
-        p2 = atan2(abs(cax * bcy - cay * bcx), -dot_c)
-        # max() by two comparisons, and _acute_gate called only to raise:
-        # every scan node is acute, so the margin test alone passes it.
-        largest = p1 if p1 > p0 else p0
-        if p2 > largest:
-            largest = p2
-        margin = HALF_PI - largest
-        if not margin > ANGLE_TOL:
-            _acute_gate((p0, p1, p2), margin, ANGLE_TOL)
-        sa = -dot_b / (bcx * bcx + bcy * bcy)
-        sb = -dot_c / (cax * cax + cay * cay)
-        sc = -dot_a / (abx * abx + aby * aby)
-        # The feet d, e, f from a, b, c, and the orthic angles at them.
-        dx, dy = bx + sa * bcx, by + sa * bcy
-        ex, ey = cx + sb * cax, cy + sb * cay
-        fx, fy = ax + sc * abx, ay + sc * aby
-        dex, dey = ex - dx, ey - dy
-        efx, efy = fx - ex, fy - ey
-        fdx, fdy = dx - fx, dy - fy
-        o0 = atan2(abs(dex * fdy - dey * fdx), -(dex * fdx + dey * fdy))
-        o1 = atan2(abs(efx * dey - efy * dex), -(efx * dex + efy * dey))
-        o2 = atan2(abs(fdx * efy - fdy * efx), -(fdx * efx + fdy * efy))
-        r, r1, r2 = abs(o0 + 2.0 * p0 - pi), abs(o1 + 2.0 * p1 - pi), abs(o2 + 2.0 * p2 - pi)
-        # Two comparisons, not max(): its call costs about 3% of a node.
-        if r1 > r:
-            r = r1
-        if r2 > r:
-            r = r2
-        law = r * margin
-        if law > worst:
-            worst = law
-        if law > limit:
-            flagged.append((alpha, beta, (p0, p1, p2), (o0, o1, o2), law))
+    atan2, cos, sin, pi = math.atan2, math.cos, math.sin, math.pi
+    ax, ay = 1.0, 0.0
+    for alpha, betas in rows:
+        pa, a2 = pi - alpha, 2.0 * alpha
+        for beta in betas:
+            # _unit_circle written out; it raises for a node that is no triangle.
+            gamma = pa - beta
+            if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
+                _unit_circle(alpha, beta)
+            tb = 2.0 * gamma
+            tc = tb + a2
+            bx, by, cx, cy = cos(tb), sin(tb), cos(tc), sin(tc)
+            abx, aby = bx - ax, by - ay
+            bcx, bcy = cx - bx, cy - by
+            cax, cay = ax - cx, ay - cy
+            dot_a = abx * cax + aby * cay
+            dot_b = bcx * abx + bcy * aby
+            dot_c = cax * bcx + cay * bcy
+            p0 = atan2(abs(abx * cay - aby * cax), -dot_a)
+            p1 = atan2(abs(bcx * aby - bcy * abx), -dot_b)
+            p2 = atan2(abs(cax * bcy - cay * bcx), -dot_c)
+            # max() by two comparisons, and _acute_gate called only to raise:
+            # every scan node is acute, so the margin test alone passes it.
+            largest = p1 if p1 > p0 else p0
+            if p2 > largest:
+                largest = p2
+            margin = HALF_PI - largest
+            if not margin > ANGLE_TOL:
+                _acute_gate((p0, p1, p2), margin, ANGLE_TOL)
+            sa = -dot_b / (bcx * bcx + bcy * bcy)
+            sb = -dot_c / (cax * cax + cay * cay)
+            sc = -dot_a / (abx * abx + aby * aby)
+            # The feet d, e, f from a, b, c, and the orthic angles at them.
+            dx, dy = bx + sa * bcx, by + sa * bcy
+            ex, ey = cx + sb * cax, cy + sb * cay
+            fx, fy = ax + sc * abx, ay + sc * aby
+            dex, dey = ex - dx, ey - dy
+            efx, efy = fx - ex, fy - ey
+            fdx, fdy = dx - fx, dy - fy
+            o0 = atan2(abs(dex * fdy - dey * fdx), -(dex * fdx + dey * fdy))
+            o1 = atan2(abs(efx * dey - efy * dex), -(efx * dex + efy * dey))
+            o2 = atan2(abs(fdx * efy - fdy * efx), -(fdx * efx + fdy * efy))
+            r, r1, r2 = (
+                abs(o0 + 2.0 * p0 - pi), abs(o1 + 2.0 * p1 - pi), abs(o2 + 2.0 * p2 - pi)
+            )
+            # Two comparisons, not max(): its call costs about 3% of a node.
+            if r1 > r:
+                r = r1
+            if r2 > r:
+                r = r2
+            law = r * margin
+            if law > worst:
+                worst = law
+            if law > limit:
+                flagged.append((alpha, beta, (p0, p1, p2), (o0, o1, o2), law))
     return worst, flagged
 
 
@@ -364,12 +388,14 @@ def scan_angle_space(grid_resolution: int, tol_angle: float = ANGLE_TOL) -> Scan
             f"tol_angle ({tol_angle!r}) is below {floor:.3g}, the angle law's"
             f" rounding bound at resolution {grid_resolution}"
         )
-    worst, grid = _scan_nodes(acute_grid_nodes(grid_resolution), limit)
+    worst, grid = _scan_nodes(_grid_rows(grid_resolution), limit)
     counterexamples: list[tuple[AngleTriple, TheoremVerdict]] = [
         (AngleTriple(*parent), TheoremVerdict(*_verdict_core(parent, orth, tol_angle)))
         for _, _, parent, orth, _ in grid
     ]
-    locus_worst, locus = _scan_nodes(quarter_pi_locus_nodes(grid_resolution), -math.inf)
+    # The locus goes in as rows of one node.
+    locus_rows = ((alpha, (beta,)) for alpha, beta in quarter_pi_locus_nodes(grid_resolution))
+    locus_worst, locus = _scan_nodes(locus_rows, -math.inf)
     worst = max(worst, locus_worst)
     for _, _, parent, orth, law in locus:
         fields = _verdict_core(parent, orth, tol_angle)

@@ -355,6 +355,8 @@ def test_grid_nodes_match_the_filtered_double_loop(n):
     nodes = list(acute_grid_nodes(n))
     assert nodes == filtered
     assert len(nodes) == (n - 1) * (n - 2) // 2
+    # One grid definition: the public nodes are the kernel's rows, flattened.
+    assert nodes == [(alpha, beta) for alpha, betas in theorem._grid_rows(n) for beta in betas]
 
 
 @pytest.mark.parametrize("node", ((HALF_PI, QUARTER_PI), (2.0, 0.5)), ids=("right", "obtuse"))
@@ -366,7 +368,30 @@ def test_scan_node_gate_still_fires(node):
         geometry.require_acute(Triangle.from_angles(*node))
     for nodes in ([node], [(1.0, 1.1), node]):
         with pytest.raises(NotAcuteError) as got:
-            theorem._scan_nodes(nodes, -math.inf)
+            theorem._scan_nodes(as_rows(nodes), -math.inf)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ((1.0, (1.1, 2.5)), (2.0, (1.5,)), (0.0, (1.0, 1.2)), (-0.5, (1.0,)),
+     (1.0, (1.1, 0.0)), (math.nan, (1.0,)), (1.0, (1.1, math.nan))),
+    ids=("gamma-second", "gamma", "alpha-zero", "alpha-negative", "beta-zero",
+         "alpha-nan", "beta-nan"),
+)
+def test_scan_node_guard_is_unit_circles(row):
+    # The kernel writes _unit_circle's guard out per node, with pi - alpha
+    # taken once a row: a node that is no triangle raises _unit_circle's
+    # GeometryError, no subclass of it, naming that node, also after nodes
+    # and rows that pass.
+    alpha, betas = row
+    with pytest.raises(GeometryError) as want:
+        for beta in betas:
+            geometry._unit_circle(alpha, beta)
+    for rows in ([row], [(1.0, (1.1,)), row]):
+        with pytest.raises(GeometryError) as got:
+            theorem._scan_nodes(rows, -math.inf)
+        assert type(got.value) is GeometryError
         assert str(got.value) == str(want.value)
 
 
@@ -416,7 +441,7 @@ def test_largest_scan_resolution_passes_the_gate():
         measured = geometry.require_acute(t).margin
         assert 0.7 * margin < measured < (1 + 1e-6) * margin, node
         assert measured > 2 * ANGLE_TOL * (1 - 1e-6), node
-    _, flagged = theorem._scan_nodes([*locus, *grid], -math.inf)
+    _, flagged = theorem._scan_nodes(as_rows([*locus, *grid]), -math.inf)
     assert len(flagged) == 5
 
 
@@ -473,12 +498,21 @@ def test_scan_builds_no_triangle(monkeypatch):
         assert jsonio.dumps(scan_angle_space(*a).to_document()) == want[a], a
 
 
-def reference_nodes(nodes, limit, vertex_angles=geometry._vertex_angles):
+def as_rows(nodes):
+    """Nodes (alpha, beta) as the kernel's rows (alpha, [beta, ...]): each
+    run of consecutive nodes that share alpha is one row."""
+    return [
+        (alpha, [beta for _, beta in run])
+        for alpha, run in itertools.groupby(nodes, key=lambda node: node[0])
+    ]
+
+
+def reference_nodes(rows, limit, vertex_angles=geometry._vertex_angles):
     """``theorem._scan_nodes``' contract on the reference route: each node's
     Triangle.from_angles, the parent angles it stores, the orthic angles
     ``vertex_angles`` measures on its ``_feet``, and r * m from them."""
     worst, flagged = 0.0, []
-    for alpha, beta in nodes:
+    for alpha, beta in ((alpha, beta) for alpha, betas in rows for beta in betas):
         t = Triangle.from_angles(alpha, beta)
         parent = t.vertex_angles
         orth = vertex_angles(*geometry._feet(t))
@@ -490,12 +524,12 @@ def reference_nodes(nodes, limit, vertex_angles=geometry._vertex_angles):
     return worst, flagged
 
 
-def assert_kernel_is_the_reference(nodes):
-    """The kernel at limit -inf gives every node's values, in node order,
-    repr-equal to the reference route's."""
-    worst, flagged = theorem._scan_nodes(nodes, -math.inf)
-    want_worst, want = reference_nodes(nodes, -math.inf)
-    assert len(flagged) == len(want) == len(nodes)
+def assert_kernel_is_the_reference(rows):
+    """The kernel at limit -inf gives every node of the rows its values, in
+    node order, repr-equal to the reference route's."""
+    worst, flagged = theorem._scan_nodes(rows, -math.inf)
+    want_worst, want = reference_nodes(rows, -math.inf)
+    assert len(flagged) == len(want) == sum(len(betas) for _, betas in rows)
     for got, node_want in zip(flagged, want):
         assert repr(got) == repr(node_want), got[:2]
     assert repr(worst) == repr(want_worst)
@@ -519,7 +553,7 @@ def test_scan_nodes_share_from_angles_frame():
             (coords[0:2], coords[2:4], coords[4:6])
         )
         assert repr(t.frame) == repr((-1, *(x / 2 for x in coords)))
-    assert_kernel_is_the_reference(nodes)
+    assert_kernel_is_the_reference(as_rows(nodes))
 
 
 @settings(deadline=None)
@@ -528,7 +562,23 @@ def test_off_grid_nodes_share_from_angles_frame(node):
     # Off the grid too, down to margins of 1e-6 from 0 and from pi/2: the
     # scan's one pass over a node's edges gives the parent angles of
     # Triangle.from_angles and the orthic angles of its frame feet.
-    assert_kernel_is_the_reference([node])
+    assert_kernel_is_the_reference(as_rows([node]))
+
+
+def test_rows_carry_no_state():
+    # The kernel takes pi - alpha and 2 * alpha once a row: seeded off-grid
+    # acute nodes in rows of no, one and many nodes, in mixed order, give
+    # the reference route's values node by node, which measures each node
+    # on its own.
+    rng = random.Random(36)
+    rows = []
+    for k in (0, 1, 25, 0, 0, 1, 1, 40, 1, 0, 7):
+        alpha = sample_acute_angles(rng, 1e-4)[0]
+        # beta in (pi/2 - alpha, pi/2) keeps all three angles acute.
+        lo, hi = HALF_PI - alpha + 1e-4, HALF_PI - 1e-4
+        rows.append((alpha, [rng.uniform(lo, hi) for _ in range(k)]))
+    assert sum(len(betas) for _, betas in rows) == 76
+    assert_kernel_is_the_reference(rows)
 
 
 def test_scan_measures_each_node_in_one_pass(monkeypatch):
@@ -539,10 +589,10 @@ def test_scan_measures_each_node_in_one_pass(monkeypatch):
     want = jsonio.dumps(scan_angle_space(16).to_document())
     scan_nodes, calls = theorem._scan_nodes, []
 
-    def recording(nodes, limit):
-        nodes = list(nodes)
-        calls.append((nodes, limit))
-        return scan_nodes(nodes, limit)
+    def recording(rows, limit):
+        rows = [(alpha, list(betas)) for alpha, betas in rows]
+        calls.append((rows, limit))
+        return scan_nodes(rows, limit)
 
     def forbidden(*args):
         raise AssertionError("a node was measured outside the kernel")
@@ -553,8 +603,13 @@ def test_scan_measures_each_node_in_one_pass(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     assert jsonio.dumps(scan_angle_space(16).to_document()) == want
     grid, locus = list(acute_grid_nodes(16)), list(quarter_pi_locus_nodes(16))
-    assert calls == [(grid, theorem.ANGLE_LAW_BOUND * 2.0**-52), (locus, -math.inf)]
-    _, flagged = scan_nodes(grid + locus, -math.inf)
+    # The grid goes in as its rows, the first of them empty, and the locus
+    # as rows of one.
+    grid_rows = list(theorem._grid_rows(16))
+    assert grid_rows[0] == (HALF_PI / 16, []) and as_rows(grid) == grid_rows[1:]
+    locus_rows = [(alpha, [beta]) for alpha, beta in locus]
+    assert calls == [(grid_rows, theorem.ANGLE_LAW_BOUND * 2.0**-52), (locus_rows, -math.inf)]
+    _, flagged = scan_nodes(as_rows(grid + locus), -math.inf)
     assert [(alpha, beta) for alpha, beta, *_ in flagged] == grid + locus
     assert len(flagged) == 120
 
@@ -634,7 +689,7 @@ def test_scan_calls_the_verdict_on_the_locus_only(monkeypatch, args):
     assert jsonio.dumps(scan_angle_space(*args).to_document()) == want
     n = args[0]
     # The kernel at -inf gives the locus nodes' angles, in node order.
-    _, locus = theorem._scan_nodes(quarter_pi_locus_nodes(n), -math.inf)
+    _, locus = theorem._scan_nodes(as_rows(quarter_pi_locus_nodes(n)), -math.inf)
     assert [(alpha, beta) for alpha, beta, *_ in locus] == list(quarter_pi_locus_nodes(n))
     assert all(beta == QUARTER_PI for _, beta, *_ in locus)
     assert len(verdict_angles) == n - 1
@@ -651,14 +706,14 @@ def test_scan_fails_on_a_foot_off_by_1e_14(monkeypatch):
     def perturbed(dx, *rest):
         return geometry._vertex_angles(dx * (1 + 1e-14), *rest)
 
-    nodes = (*acute_grid_nodes(16), *quarter_pi_locus_nodes(16))
-    assert_kernel_is_the_reference(nodes)
+    rows = as_rows((*acute_grid_nodes(16), *quarter_pi_locus_nodes(16)))
+    assert_kernel_is_the_reference(rows)
     limit = theorem.ANGLE_LAW_BOUND * 2.0**-52
-    worst, flagged = reference_nodes(nodes, limit, perturbed)
+    worst, flagged = reference_nodes(rows, limit, perturbed)
     assert len(flagged) == 41
     assert worst > limit
     monkeypatch.setattr(
-        theorem, "_scan_nodes", lambda nodes, limit: reference_nodes(nodes, limit, perturbed)
+        theorem, "_scan_nodes", lambda rows, limit: reference_nodes(rows, limit, perturbed)
     )
     report = scan_angle_space(16)
     assert len(report.counterexamples) == 41
@@ -673,9 +728,9 @@ def test_scan_law_tests_each_measured_orthic_angle(monkeypatch):
     # residual past the bound.  The shift goes into the reference route,
     # whose values the kernel's are bit for bit, and the scan reads it
     # through the kernel's contract.
-    nodes = (*acute_grid_nodes(16), *quarter_pi_locus_nodes(16))
-    assert_kernel_is_the_reference(nodes)
-    _, measured = theorem._scan_nodes(nodes, -math.inf)
+    rows = as_rows((*acute_grid_nodes(16), *quarter_pi_locus_nodes(16)))
+    assert_kernel_is_the_reference(rows)
+    _, measured = theorem._scan_nodes(rows, -math.inf)
     parents = {AngleTriple(*p) for _, _, p, _, _ in measured}
     for k in range(3):
 
@@ -685,7 +740,7 @@ def test_scan_law_tests_each_measured_orthic_angle(monkeypatch):
             return tuple(measured)
 
         monkeypatch.setattr(
-            theorem, "_scan_nodes", lambda nodes, limit, f=shifted: reference_nodes(nodes, limit, f)
+            theorem, "_scan_nodes", lambda rows, limit, f=shifted: reference_nodes(rows, limit, f)
         )
         report = scan_angle_space(16)
         assert any(tri.beta != QUARTER_PI for tri, _ in report.counterexamples), k
@@ -700,7 +755,7 @@ def test_scan_flags_the_nodes_past_a_patched_bound(monkeypatch, n, bound):
     # ANGLE_LAW_BOUND * eps, in node order: the grid's past the bound, then
     # the locus's, every one of which passes the biconditional here.
     grid, locus = list(acute_grid_nodes(n)), list(quarter_pi_locus_nodes(n))
-    _, measured = theorem._scan_nodes(grid + locus, -math.inf)
+    _, measured = theorem._scan_nodes(as_rows(grid + locus), -math.inf)
     limit = bound * 2.0**-52
     want = [p for _, _, p, _, law in measured if law > limit]
     flagged_grid = sum(law > limit for _, _, _, _, law in measured[: len(grid)])
