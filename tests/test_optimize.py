@@ -512,9 +512,18 @@ def cli_stdout_digest(argv):
     return code, len(data), hashlib.sha256(data).hexdigest()
 
 
+# A near-right parent, from_angles(pi/2 - 1e-3, pi/4), as the CLI's
+# coordinate argument: each run is among the longest and prints the warning.
+NEAR_RIGHT_ARG = ",".join(
+    repr(v)
+    for p in Triangle.from_angles(math.pi / 2 - 1e-3, math.pi / 4).vertices
+    for v in (p.x, p.y)
+)
 BIT_CLI_COMMANDS = {
     "grid-simplex": ["minimize", "golden-bfc"],
     "reflection": ["minimize", "golden-bfc", "--method", "reflection"],
+    "grid-simplex near-right": ["minimize", NEAR_RIGHT_ARG],
+    "reflection near-right": ["minimize", NEAR_RIGHT_ARG, "--method", "reflection"],
 }
 
 # Shapes of SIMPLEX_TIES: symmetric ones, where simplex vertices tie on
@@ -563,7 +572,7 @@ PINS = {
         lambda key: result_bits(minimize_grid_then_simplex(TIE_SHAPES[key[0]], max_iter=key[1])),
     ),
     "DESCENT": (INDICES, lambda i: result_bits(descent(i))),
-    "CLI_STDOUT": (BIT_CLI_COMMANDS, lambda method: cli_stdout_digest(BIT_CLI_COMMANDS[method])),
+    "CLI_STDOUT": (BIT_CLI_COMMANDS, lambda key: cli_stdout_digest(BIT_CLI_COMMANDS[key])),
     "DESCENT_EXTRAPOLATIONS": (INDICES, lambda i: descent(i).extrapolations),
     "DESCENT_CUT": (
         [(i, m) for i in INDICES for m in (1, 2, 5)], lambda key: descent_bits(descent(*key))
