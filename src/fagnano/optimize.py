@@ -18,17 +18,25 @@ parameter picks an affine point on one side of an acute triangle:
 Both exist to be checked against the closed-form answer, the orthic triangle's
 perimeter, so neither route is allowed to peek at altitude feet.
 
-Inputs are validated once at entry; the inner loops run on bare floats in the
-triangle's power-of-two frame (see ``Triangle.frame``), so every decision is
-the same at any scale, and the perimeters are mapped back with ``math.ldexp``.
-Those floats live in locals, not in lists: the simplex keeps its four sorted
-vertices and their values in eight names, and the descent unrolls its
-three-axis sweep over three parameters and the three sides.  The loops also
-write out ``_raw_objective``'s expressions, in its order, instead of calling
-its closure (the simplex at its reflected and second trial points, the
-descent after a sweep and at its extrapolated point): every float rounds as
-before, and the simplex took 194 instead of 228 us per benchmark shape
-(2-core Xeon, Python 3.11).
+Inputs are validated once at entry: each solver reads the margin its
+``Triangle`` stored, as ``_feet`` does, and calls ``require_acute`` only to
+raise.  The inner loops run on bare floats in the triangle's power-of-two
+frame (see ``Triangle.frame``), so every decision is the same at any scale,
+and the perimeters are mapped back with ``math.ldexp``.  Those floats live in
+locals, not in lists: the simplex keeps its four sorted vertices and their
+values in eight names, and the descent unrolls its three-axis sweep over
+three parameters and the three sides.  The loops also write out
+``_raw_objective``'s expressions, in its order, instead of calling its
+closure, at six sites: the descent's start, the simplex's reflected point,
+its second trial point and its three shrunk vertices (inserted by
+comparisons, in the order a stable sort gives), the descent after each
+sweep and at its extrapolated candidate.  The descent also writes out its
+reflection step, the best point on one side, at each side of a sweep.
+Every float rounds as before, bit for bit.  Per shape of the oracle
+benchmark (seed 1, best of 20 interleaved passes, 2-core Xeon, Python
+3.11), the simplex takes 163 us, against 173 us with a called shrink and
+203 us with every evaluation called; a descent takes 32 us, against 37 us
+with called steps and start and 42 us with every evaluation called.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import math
 from operator import itemgetter
 
 from .geometry import (
+    ANGLE_TOL,
     GeometryError,
     Point,
     Triangle,
@@ -77,9 +86,11 @@ class InscribedConfig(_Record):
     _fields = ("t_on_bc", "t_on_ca", "t_on_ab")
 
     def __init__(self, t_on_bc: float, t_on_ca: float, t_on_ab: float):
-        for name, value in zip(self._fields, (t_on_bc, t_on_ca, t_on_ab)):
-            if not (0.0 < value < 1.0):
-                raise InvalidConfigError(f"{name}={value} outside the open interval (0, 1)")
+        if not (0.0 < t_on_bc < 1.0 and 0.0 < t_on_ca < 1.0 and 0.0 < t_on_ab < 1.0):
+            # Only a failed test names the parameter, the first bad one.
+            for name, value in zip(self._fields, (t_on_bc, t_on_ca, t_on_ab)):
+                if not (0.0 < value < 1.0):
+                    raise InvalidConfigError(f"{name}={value} outside the open interval (0, 1)")
         _set(self, "t_on_bc", t_on_bc)
         _set(self, "t_on_ca", t_on_ca)
         _set(self, "t_on_ab", t_on_ab)
@@ -131,8 +142,12 @@ def _raw_objective(t: Triangle):
 
     Used by the searches, which probe outside the feasible cube.  The
     perimeter is that of the frame: times 2^e, see ``Triangle.frame``.
-    The searches' loops repeat the body of ``f`` (see the module docstring);
-    an edit here must be made there too, or the bit pins change.
+    The searches repeat the body of ``f`` at their written-out sites (the
+    descent's start, the simplex's reflected point, second trial point and
+    shrunk vertices, the descent after each sweep and at its extrapolated
+    candidate; see the module docstring); an edit here must be made there
+    too, or the bit pins change.  Only the simplex's start still calls
+    ``f``.
     """
     _, ax, ay, bx, by, cx, cy = t.frame
     ubc_x, ubc_y = cx - bx, cy - by
@@ -193,7 +208,10 @@ def minimize_grid_then_simplex(
     ``tol``.  The returned perimeter never exceeds the medial configuration's
     perimeter.
     """
-    margin = require_acute(t).margin
+    # The stored margin, as _feet reads it: require_acute only raises.
+    margin = t.classification.margin
+    if not margin > ANGLE_TOL:
+        require_acute(t)
     _check_limits(max_iter, tol)
     f = _raw_objective(t)
     dist = math.dist
@@ -243,10 +261,14 @@ def minimize_grid_then_simplex(
         c1 = (b1 + s1 + h1) / 3.0
         c2 = (b2 + s2 + h2) / 3.0
         # Reflect the worst vertex through the centroid c of the other three
-        # (coefficient 1), expand by 2, contract and shrink by 1/2.
-        r0 = c0 + (c0 - w0)
-        r1 = c1 + (c1 - w1)
-        r2 = c2 + (c2 - w2)
+        # (coefficient 1), expand by 2, contract and shrink by 1/2.  The
+        # reflection, the expansion and the inside contraction share
+        # d = c - w: c + 0.5 * (w - c) is c - 0.5 * d bit for bit, as
+        # rounding is sign-symmetric.
+        d0, d1, d2 = c0 - w0, c1 - w1, c2 - w2
+        r0 = c0 + d0
+        r1 = c1 + d1
+        r2 = c2 + d2
         # fr = f(r0, r1, r2) and, below, fx = f(x0, x1, x2), written out
         # with _raw_objective's expressions: see the module docstring.
         if 0.0 < r0 < 1.0 and 0.0 < r1 < 1.0 and 0.0 < r2 < 1.0:
@@ -262,17 +284,17 @@ def minimize_grid_then_simplex(
             # Expansion, outside and inside contraction exclude each other,
             # so each only picks the one second trial point x.
             if fr < v0:
-                x0 = c0 + 2.0 * (c0 - w0)
-                x1 = c1 + 2.0 * (c1 - w1)
-                x2 = c2 + 2.0 * (c2 - w2)
+                x0 = c0 + 2.0 * d0
+                x1 = c1 + 2.0 * d1
+                x2 = c2 + 2.0 * d2
             elif fr < v3:
                 x0 = c0 + 0.5 * (r0 - c0)
                 x1 = c1 + 0.5 * (r1 - c1)
                 x2 = c2 + 0.5 * (r2 - c2)
             else:
-                x0 = c0 + 0.5 * (w0 - c0)
-                x1 = c1 + 0.5 * (w1 - c1)
-                x2 = c2 + 0.5 * (w2 - c2)
+                x0 = c0 - 0.5 * d0
+                x1 = c1 - 0.5 * d1
+                x2 = c2 - 0.5 * d2
             if 0.0 < x0 < 1.0 and 0.0 < x1 < 1.0 and 0.0 < x2 < 1.0:
                 px, py = bx + x0 * ubc_x, by + x0 * ubc_y
                 qx, qy = cx + x1 * uca_x, cy + x1 * uca_y
@@ -288,63 +310,71 @@ def minimize_grid_then_simplex(
             elif fx < fr and fx < v3:
                 new, fnew = (x0, x1, x2), fx
             else:
-                # Shrink toward the best vertex: the only step that replaces
-                # more than one vertex, and the only one that re-sorts.
-                new = None
-                Q1 = (b0 + 0.5 * (s0 - b0), b1 + 0.5 * (s1 - b1), b2 + 0.5 * (s2 - b2))
-                Q2 = (b0 + 0.5 * (h0 - b0), b1 + 0.5 * (h1 - b1), b2 + 0.5 * (h2 - b2))
-                Q3 = (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1), b2 + 0.5 * (w2 - b2))
-                (v0, P0), (v1, P1), (v2, P2), (v3, P3) = sorted(
-                    ((v0, P0), (f(*Q1), Q1), (f(*Q2), Q2), (f(*Q3), Q3)),
-                    key=itemgetter(0),
-                )
-        if new is not None:
-            # The worst vertex goes; its replacement lands after the kept
-            # vertices of equal value, where a stable sort would put it.
-            if fnew < v1:
-                if fnew < v0:
-                    P0, P1, P2, P3 = new, P0, P1, P2
-                    v0, v1, v2, v3 = fnew, v0, v1, v2
+                # Shrink toward the best vertex: Q1, Q2 and Q3 replace P1, P2
+                # and P3, each evaluated in place and inserted after P0 and
+                # the earlier Qs of equal value, the order a stable sort of
+                # (P0, Q1, Q2, Q3) gives; Q3 goes in below, as ``new``.
+                x0, x1, x2 = b0 + 0.5 * (s0 - b0), b1 + 0.5 * (s1 - b1), b2 + 0.5 * (s2 - b2)
+                if 0.0 < x0 < 1.0 and 0.0 < x1 < 1.0 and 0.0 < x2 < 1.0:
+                    px, py = bx + x0 * ubc_x, by + x0 * ubc_y
+                    qx, qy = cx + x1 * uca_x, cy + x1 * uca_y
+                    rx, ry = ax + x2 * uab_x, ay + x2 * uab_y
+                    fx = hypot(px - qx, py - qy) + hypot(qx - rx, qy - ry) + hypot(rx - px, ry - py)
                 else:
-                    P1, P2, P3 = new, P1, P2
-                    v1, v2, v3 = fnew, v1, v2
-            elif fnew < v2:
-                P2, P3 = new, P2
-                v2, v3 = fnew, v2
+                    fx = math.inf
+                if fx < v0:
+                    P0, P1, v0, v1 = (x0, x1, x2), P0, fx, v0
+                else:
+                    P1, v1 = (x0, x1, x2), fx
+                x0, x1, x2 = b0 + 0.5 * (h0 - b0), b1 + 0.5 * (h1 - b1), b2 + 0.5 * (h2 - b2)
+                if 0.0 < x0 < 1.0 and 0.0 < x1 < 1.0 and 0.0 < x2 < 1.0:
+                    px, py = bx + x0 * ubc_x, by + x0 * ubc_y
+                    qx, qy = cx + x1 * uca_x, cy + x1 * uca_y
+                    rx, ry = ax + x2 * uab_x, ay + x2 * uab_y
+                    fx = hypot(px - qx, py - qy) + hypot(qx - rx, qy - ry) + hypot(rx - px, ry - py)
+                else:
+                    fx = math.inf
+                if fx < v1:
+                    if fx < v0:
+                        P0, P1, P2, v0, v1, v2 = (x0, x1, x2), P0, P1, fx, v0, v1
+                    else:
+                        P1, P2, v1, v2 = (x0, x1, x2), P1, fx, v1
+                else:
+                    P2, v2 = (x0, x1, x2), fx
+                x0, x1, x2 = b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1), b2 + 0.5 * (w2 - b2)
+                if 0.0 < x0 < 1.0 and 0.0 < x1 < 1.0 and 0.0 < x2 < 1.0:
+                    px, py = bx + x0 * ubc_x, by + x0 * ubc_y
+                    qx, qy = cx + x1 * uca_x, cy + x1 * uca_y
+                    rx, ry = ax + x2 * uab_x, ay + x2 * uab_y
+                    fx = hypot(px - qx, py - qy) + hypot(qx - rx, qy - ry) + hypot(rx - px, ry - py)
+                else:
+                    fx = math.inf
+                new, fnew = (x0, x1, x2), fx
+        # The worst vertex goes (after a shrink, the old P3); its replacement
+        # lands after the kept vertices of equal value, where a stable sort
+        # would put it.
+        if fnew < v1:
+            if fnew < v0:
+                P0, P1, P2, P3 = new, P0, P1, P2
+                v0, v1, v2, v3 = fnew, v0, v1, v2
             else:
-                P3, v3 = new, fnew
+                P1, P2, P3 = new, P1, P2
+                v1, v2, v3 = fnew, v1, v2
+        elif fnew < v2:
+            P2, P3 = new, P2
+            v2, v3 = fnew, v2
+        else:
+            P3, v3 = new, fnew
         if v0 < recorded:
             recorded = v0
             history.append((iterations, math.ldexp(recorded, -e)))
 
-    # v0 is f(*P0), the value objective() maps back.
+    # v0 is f(*P0), the value objective() maps back.  The fields in order:
+    # config, perimeter, iterations, converged, history, clamped, warning.
     return MinimizeResult(
-        config=InscribedConfig(*P0),
-        perimeter=math.ldexp(v0, -e),
-        iterations=iterations,
-        converged=converged,
-        history=tuple(history),
-        warning=_near_right_warning(margin),
+        InscribedConfig(*P0), math.ldexp(v0, -e), iterations, converged, tuple(history),
+        False, _near_right_warning(margin),
     )
-
-
-def _best_on_side(qx, qy, ux, uy, uu, px, py, fx, fy) -> float:
-    """Parameter on the side q -> q + u minimizing the broken path
-    |p - X| + |X - f| over the side line; ``uu`` is u . u.
-
-    Reflects p across the side and intersects the straightened segment with
-    it; the result is exactly optimal for this one-dimensional subproblem.
-    """
-    s = ((px - qx) * ux + (py - qy) * uy) / uu
-    mx = 2.0 * (qx + s * ux) - px
-    my = 2.0 * (qy + s * uy) - py
-    wx, wy = fx - mx, fy - my
-    denom = ux * wy - uy * wx
-    if denom == 0.0:
-        # Straightened chord parallel to the side: every point ties; keep
-        # the projection of the chord midpoint.
-        return (((mx + fx) / 2.0 - qx) * ux + ((my + fy) / 2.0 - qy) * uy) / uu
-    return ((mx - qx) * wy - (my - qy) * wx) / denom
 
 
 def minimize_reflection_descent(
@@ -377,23 +407,31 @@ def minimize_reflection_descent(
     that lowered the perimeter by at least ``tol * perimeter`` are recorded
     in the history, which is therefore strictly decreasing.
     """
-    margin = require_acute(t).margin
+    # The stored margin, as _feet reads it: require_acute only raises.
+    margin = t.classification.margin
+    if not margin > ANGLE_TOL:
+        require_acute(t)
     _check_limits(max_iter, tol)
-    f = _raw_objective(t)
-    p0, p1, p2 = start.as_tuple()
-    current = f(p0, p1, p2)
     e, ax, ay, bx, by, cx, cy = t.frame
-    history: list[tuple[int, float]] = [(0, math.ldexp(current, -e))]
     # Parameter pk picks the frame point q + pk * u on side k: bc from b,
     # ca from c and ab from a; uuk is u . u.
     u0x, u0y = cx - bx, cy - by
     u1x, u1y = ax - cx, ay - cy
     u2x, u2y = bx - ax, by - ay
+    hypot = math.hypot
+    # current = f(p0, p1, p2) at the start, written out with
+    # _raw_objective's expressions (see the module docstring); the start is
+    # an InscribedConfig, inside the open cube, so the guard cannot fire.
+    p0, p1, p2 = start.as_tuple()
+    px, py = bx + p0 * u0x, by + p0 * u0y
+    qx, qy = cx + p1 * u1x, cy + p1 * u1y
+    rx, ry = ax + p2 * u2x, ay + p2 * u2y
+    current = hypot(px - qx, py - qy) + hypot(qx - rx, qy - ry) + hypot(rx - px, ry - py)
+    history: list[tuple[int, float]] = [(0, math.ldexp(current, -e))]
     uu0 = u0x * u0x + u0y * u0y
     uu1 = u1x * u1x + u1y * u1y
     uu2 = u2x * u2x + u2y * u2y
     lo, hi = CLAMP_MARGIN, 1.0 - CLAMP_MARGIN
-    hypot = math.hypot
     ever_clamped = False
     converged = False
     decided = False
@@ -406,23 +444,54 @@ def minimize_reflection_descent(
         iterations = sweep
         x0, x1, x2 = p0, p1, p2
         sweep_clamped = False
-        # Each side's best point between the points on the other two sides,
-        # the later sides seeing the earlier sides' new points.
-        p0 = _best_on_side(
-            bx, by, u0x, u0y, uu0, cx + p1 * u1x, cy + p1 * u1y, ax + p2 * u2x, ay + p2 * u2y
-        )
+        # Each side's best point X between the points on the other two
+        # sides, the later sides seeing the earlier sides' new points: for
+        # side q -> q + u between p and f, the X on the side line with the
+        # least |p - X| + |X - f|, exactly.  p is reflected across the side
+        # line to m (s is its projection parameter), and the chord m -> f
+        # cuts the line at X; a chord parallel to the side (denom == 0)
+        # makes every point tie, and X is the projection of its midpoint.
+        # px, py is always the point on bc, qx, qy on ca and rx, ry on ab.
+        qx, qy = cx + p1 * u1x, cy + p1 * u1y
+        rx, ry = ax + p2 * u2x, ay + p2 * u2y
+        # Side bc from b, between q and r.
+        s = ((qx - bx) * u0x + (qy - by) * u0y) / uu0
+        mx = 2.0 * (bx + s * u0x) - qx
+        my = 2.0 * (by + s * u0y) - qy
+        wx, wy = rx - mx, ry - my
+        denom = u0x * wy - u0y * wx
+        if denom == 0.0:
+            p0 = (((mx + rx) / 2.0 - bx) * u0x + ((my + ry) / 2.0 - by) * u0y) / uu0
+        else:
+            p0 = ((mx - bx) * wy - (my - by) * wx) / denom
         if not (lo <= p0 <= hi):
             p0 = min(max(p0, lo), hi)
             sweep_clamped = True
-        p1 = _best_on_side(
-            cx, cy, u1x, u1y, uu1, ax + p2 * u2x, ay + p2 * u2y, bx + p0 * u0x, by + p0 * u0y
-        )
+        px, py = bx + p0 * u0x, by + p0 * u0y
+        # Side ca from c, between r and the new p.
+        s = ((rx - cx) * u1x + (ry - cy) * u1y) / uu1
+        mx = 2.0 * (cx + s * u1x) - rx
+        my = 2.0 * (cy + s * u1y) - ry
+        wx, wy = px - mx, py - my
+        denom = u1x * wy - u1y * wx
+        if denom == 0.0:
+            p1 = (((mx + px) / 2.0 - cx) * u1x + ((my + py) / 2.0 - cy) * u1y) / uu1
+        else:
+            p1 = ((mx - cx) * wy - (my - cy) * wx) / denom
         if not (lo <= p1 <= hi):
             p1 = min(max(p1, lo), hi)
             sweep_clamped = True
-        px, py = bx + p0 * u0x, by + p0 * u0y
         qx, qy = cx + p1 * u1x, cy + p1 * u1y
-        p2 = _best_on_side(ax, ay, u2x, u2y, uu2, px, py, qx, qy)
+        # Side ab from a, between the new p and the new q.
+        s = ((px - ax) * u2x + (py - ay) * u2y) / uu2
+        mx = 2.0 * (ax + s * u2x) - px
+        my = 2.0 * (ay + s * u2y) - py
+        wx, wy = qx - mx, qy - my
+        denom = u2x * wy - u2y * wx
+        if denom == 0.0:
+            p2 = (((mx + qx) / 2.0 - ax) * u2x + ((my + qy) / 2.0 - ay) * u2y) / uu2
+        else:
+            p2 = ((mx - ax) * wy - (my - ay) * wx) / denom
         if not (lo <= p2 <= hi):
             p2 = min(max(p2, lo), hi)
             sweep_clamped = True
@@ -481,14 +550,8 @@ def minimize_reflection_descent(
             break
     # current is f(p0, p1, p2), the value objective() maps back.
     return MinimizeResult(
-        config=InscribedConfig(p0, p1, p2),
-        perimeter=math.ldexp(current, -e),
-        iterations=iterations,
-        converged=converged,
-        history=tuple(history),
-        clamped=ever_clamped,
-        warning=_near_right_warning(margin),
-        extrapolations=extrapolations,
+        InscribedConfig(p0, p1, p2), math.ldexp(current, -e), iterations, converged,
+        tuple(history), ever_clamped, _near_right_warning(margin), extrapolations,
     )
 
 

@@ -81,6 +81,23 @@ def projection(px: float, py: float, qx: float, qy: float, rx: float, ry: float)
     return ((px - qx) * dx + (py - qy) * dy) / (dx * dx + dy * dy)
 
 
+def best_on_side(qx, qy, ux, uy, px, py, fx, fy) -> float:
+    """Parameter of the point X on the line q + s*u with the least
+    |p - X| + |X - f|: p reflected across the line to m, and the chord
+    m -> f cut with it, or, for a chord parallel to the line, the
+    projection of its midpoint.  The tests' reference for the reflection
+    descent's steps."""
+    uu = ux * ux + uy * uy
+    s = ((px - qx) * ux + (py - qy) * uy) / uu
+    mx = 2.0 * (qx + s * ux) - px
+    my = 2.0 * (qy + s * uy) - py
+    wx, wy = fx - mx, fy - my
+    denom = ux * wy - uy * wx
+    if denom == 0.0:
+        return (((mx + fx) / 2.0 - qx) * ux + ((my + fy) / 2.0 - qy) * uy) / uu
+    return ((mx - qx) * wy - (my - qy) * wx) / denom
+
+
 def orthic_config(t: Triangle) -> InscribedConfig:
     """Side parameters of the altitude feet: each vertex's projection
     parameter on the opposite side, in the frame."""

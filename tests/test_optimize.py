@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import optimize_bits
 from conftest import (
     acute_triangles,
+    best_on_side,
     check_pin_tables,
     orthic_config,
     pin_test,
@@ -27,10 +28,10 @@ from fagnano.geometry import (
     orthic_triangle,
 )
 from fagnano.optimize import (
+    CLAMP_MARGIN,
     DEFAULT_MAX_ITER,
     InscribedConfig,
     InvalidConfigError,
-    _best_on_side,
     min_perimeter_closed_form,
     minimize_grid_then_simplex,
     minimize_reflection_descent,
@@ -90,6 +91,32 @@ def test_objective_preconditions():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(InvalidConfigError):
             InscribedConfig(bad, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("bad", (0.0, 1.0, math.nan, math.inf))
+@pytest.mark.parametrize("index", range(3))
+def test_config_names_the_bad_parameter(index, bad):
+    values = [0.5, 0.5, 0.5]
+    values[index] = bad
+    name = InscribedConfig._fields[index]
+    with pytest.raises(InvalidConfigError) as info:
+        InscribedConfig(*values)
+    assert str(info.value) == f"{name}={bad} outside the open interval (0, 1)"
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    (
+        ((0.0, 1.0, math.nan), "t_on_bc=0.0"),
+        ((math.inf, 0.5, -1.0), "t_on_bc=inf"),
+        ((0.5, math.nan, 0.0), "t_on_ca=nan"),
+        ((0.5, 2.0, math.inf), "t_on_ca=2.0"),
+    ),
+)
+def test_config_names_the_first_bad_parameter(values, named):
+    with pytest.raises(InvalidConfigError) as info:
+        InscribedConfig(*values)
+    assert str(info.value) == f"{named} outside the open interval (0, 1)"
 
 
 # ----------------------------------------------------------- grid then simplex
@@ -250,7 +277,57 @@ def test_best_on_side_parallel_chord():
     # Side q = (0, 0), u = (1, 0): p = (0, 1) reflects to (0, -1), level
     # with f = (2, -1), so the straightened chord runs parallel to the side
     # and every point ties; the chord midpoint (1, -1) projects to 1.0.
-    assert _best_on_side(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0, -1.0) == 1.0
+    assert best_on_side(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 2.0, -1.0) == 1.0
+
+
+def clamp_box(value):
+    return min(max(value, CLAMP_MARGIN), 1.0 - CLAMP_MARGIN)
+
+
+# A start parameter anywhere in (0, 1) or within 1e-6 of a face, where the
+# steps clamp.
+face_gaps = st.floats(min_value=1e-15, max_value=1e-6)
+start_params = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    face_gaps,
+    face_gaps.map(lambda gap: 1.0 - gap),
+)
+
+
+@st.composite
+def shapes_and_starts(draw):
+    """An acute shape and a start: random, or the orthic configuration, the
+    fixed point, where a sweep often raises the perimeter by rounding."""
+    t = draw(acute_triangles(margin=1e-3))
+    if draw(st.booleans()):
+        return t, orthic_config(t)
+    return t, InscribedConfig(*(draw(start_params) for _ in range(3)))
+
+
+@settings(max_examples=300)
+@given(shapes_and_starts())
+def test_one_sweep_is_three_reference_steps(case):
+    # One sweep takes the best point on bc, then on ca, then on ab, each
+    # between the current points on the other two sides and clamped to the
+    # box; if the three steps raised the perimeter, the start is kept.
+    t, start = case
+    s1, s2, s3 = start.as_tuple()
+    result = minimize_reflection_descent(t, start, max_iter=1)
+    _, ax, ay, bx, by, cx, cy = t.frame
+    u0x, u0y = cx - bx, cy - by
+    u1x, u1y = ax - cx, ay - cy
+    u2x, u2y = bx - ax, by - ay
+    raw = [best_on_side(bx, by, u0x, u0y, cx + s2 * u1x, cy + s2 * u1y, ax + s3 * u2x, ay + s3 * u2y)]
+    p0 = clamp_box(raw[-1])
+    raw.append(best_on_side(cx, cy, u1x, u1y, ax + s3 * u2x, ay + s3 * u2y, bx + p0 * u0x, by + p0 * u0y))
+    p1 = clamp_box(raw[-1])
+    raw.append(best_on_side(ax, ay, u2x, u2y, bx + p0 * u0x, by + p0 * u0y, cx + p1 * u1x, cy + p1 * u1y))
+    p2 = clamp_box(raw[-1])
+    steps = InscribedConfig(p0, p1, p2)
+    want = start if objective(t, steps) > objective(t, start) else steps
+    assert [v.hex() for v in result.config.as_tuple()] == [v.hex() for v in want.as_tuple()]
+    assert result.clamped == any(v != clamp_box(v) for v in raw)
+    assert result.iterations == 1
 
 
 def test_reflection_validation(equilateral):
