@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import optimize_bits
 from conftest import (
@@ -304,8 +304,18 @@ def shapes_and_starts(draw):
     return t, InscribedConfig(*(draw(start_params) for _ in range(3)))
 
 
+# A start whose points on ca and ab round to c and b: the first step's
+# chord lies on the side line bc, parallel to it, so the step takes the
+# chord midpoint's projection.
+PARALLEL_CHORD_CASE = (
+    Triangle(Point(-4.0, -7.0), Point(2.0, -2.0), Point(-7.0, 7.0)),
+    InscribedConfig(0.5, 5e-324, 1.0 - 2.0**-53),
+)
+
+
 @settings(max_examples=300)
 @given(shapes_and_starts())
+@example(PARALLEL_CHORD_CASE)
 def test_one_sweep_is_three_reference_steps(case):
     # One sweep takes the best point on bc, then on ca, then on ab, each
     # between the current points on the other two sides and clamped to the
@@ -317,11 +327,15 @@ def test_one_sweep_is_three_reference_steps(case):
     u0x, u0y = cx - bx, cy - by
     u1x, u1y = ax - cx, ay - cy
     u2x, u2y = bx - ax, by - ay
-    raw = [best_on_side(bx, by, u0x, u0y, cx + s2 * u1x, cy + s2 * u1y, ax + s3 * u2x, ay + s3 * u2y)]
+    on_ca = cx + s2 * u1x, cy + s2 * u1y
+    on_ab = ax + s3 * u2x, ay + s3 * u2y
+    raw = [best_on_side(bx, by, u0x, u0y, *on_ca, *on_ab)]
     p0 = clamp_box(raw[-1])
-    raw.append(best_on_side(cx, cy, u1x, u1y, ax + s3 * u2x, ay + s3 * u2y, bx + p0 * u0x, by + p0 * u0y))
+    on_bc = bx + p0 * u0x, by + p0 * u0y
+    raw.append(best_on_side(cx, cy, u1x, u1y, *on_ab, *on_bc))
     p1 = clamp_box(raw[-1])
-    raw.append(best_on_side(ax, ay, u2x, u2y, bx + p0 * u0x, by + p0 * u0y, cx + p1 * u1x, cy + p1 * u1y))
+    on_ca = cx + p1 * u1x, cy + p1 * u1y
+    raw.append(best_on_side(ax, ay, u2x, u2y, *on_bc, *on_ca))
     p2 = clamp_box(raw[-1])
     steps = InscribedConfig(p0, p1, p2)
     want = start if objective(t, steps) > objective(t, start) else steps
