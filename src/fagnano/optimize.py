@@ -18,25 +18,24 @@ parameter picks an affine point on one side of an acute triangle:
 Both exist to be checked against the closed-form answer, the orthic triangle's
 perimeter, so neither route is allowed to peek at altitude feet.
 
-Inputs are validated once at entry: each solver reads the margin its
-``Triangle`` stored, as ``_feet`` does, and calls ``require_acute`` only to
-raise.  The inner loops run on bare floats in the triangle's power-of-two
-frame (see ``Triangle.frame``), so every decision is the same at any scale,
-and the perimeters are mapped back with ``math.ldexp``.  Those floats live in
-locals, not in lists: the simplex keeps its four sorted vertices and their
-values in eight names, and the descent unrolls its three-axis sweep over
-three parameters and the three sides.  The loops also write out
-``_raw_objective``'s expressions, in its order, instead of calling its
-closure, at six sites: the descent's start, the simplex's reflected point,
-its second trial point and its three shrunk vertices (inserted by
-comparisons, in the order a stable sort gives), the descent after each
-sweep and at its extrapolated candidate.  The descent also writes out its
-reflection step, the best point on one side, at each side of a sweep.
-Every float rounds as before, bit for bit.  Per shape of the oracle
-benchmark (seed 1, best of 20 interleaved passes, 2-core Xeon, Python
-3.11), the simplex takes 163 us, against 173 us with a called shrink and
-203 us with every evaluation called; a descent takes 32 us, against 37 us
-with called steps and start and 42 us with every evaluation called.
+Inputs are validated once at entry; the inner loops run on bare floats in the
+triangle's power-of-two frame (see ``Triangle.frame``), so every decision is
+the same at any scale, and the perimeters are mapped back with ``math.ldexp``.
+Those floats live in locals, not in lists: the simplex keeps its four sorted
+vertices and their values in eight names, and the descent unrolls its
+three-axis sweep over three parameters and the three sides.  The loops also
+write out ``_raw_objective``'s expressions, in its order, instead of calling
+its closure, at six sites: the descent's start, the simplex's reflected point,
+its second trial point and its three shrunk vertices (inserted by comparisons,
+in the order a stable sort gives), the descent after each sweep and at its
+extrapolated candidate.  The descent also writes out its reflection step, the
+best point on one side, at each side of a sweep; only its rare parallel-chord
+branch stays a function, ``_parallel_chord_step``.  Every float rounds as
+before, bit for bit.  Per shape of the oracle benchmark (seed 1, best of 20
+interleaved passes, 2-core Xeon, Python 3.11), the simplex takes 163 us,
+against 173 us with a called shrink and 203 us with every evaluation called; a
+descent takes 32 us, against 37 us with called steps and start and 42 us with
+every evaluation called.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import math
 from operator import itemgetter
 
 from .geometry import (
-    ANGLE_TOL,
     GeometryError,
     Point,
     Triangle,
@@ -86,11 +84,9 @@ class InscribedConfig(_Record):
     _fields = ("t_on_bc", "t_on_ca", "t_on_ab")
 
     def __init__(self, t_on_bc: float, t_on_ca: float, t_on_ab: float):
-        if not (0.0 < t_on_bc < 1.0 and 0.0 < t_on_ca < 1.0 and 0.0 < t_on_ab < 1.0):
-            # Only a failed test names the parameter, the first bad one.
-            for name, value in zip(self._fields, (t_on_bc, t_on_ca, t_on_ab)):
-                if not (0.0 < value < 1.0):
-                    raise InvalidConfigError(f"{name}={value} outside the open interval (0, 1)")
+        for name, value in zip(self._fields, (t_on_bc, t_on_ca, t_on_ab)):
+            if not (0.0 < value < 1.0):
+                raise InvalidConfigError(f"{name}={value} outside the open interval (0, 1)")
         _set(self, "t_on_bc", t_on_bc)
         _set(self, "t_on_ca", t_on_ca)
         _set(self, "t_on_ab", t_on_ab)
@@ -208,10 +204,7 @@ def minimize_grid_then_simplex(
     ``tol``.  The returned perimeter never exceeds the medial configuration's
     perimeter.
     """
-    # The stored margin, as _feet reads it: require_acute only raises.
-    margin = t.classification.margin
-    if not margin > ANGLE_TOL:
-        require_acute(t)
+    margin = require_acute(t).margin
     _check_limits(max_iter, tol)
     f = _raw_objective(t)
     dist = math.dist
@@ -369,12 +362,24 @@ def minimize_grid_then_simplex(
             recorded = v0
             history.append((iterations, math.ldexp(recorded, -e)))
 
-    # v0 is f(*P0), the value objective() maps back.  The fields in order:
-    # config, perimeter, iterations, converged, history, clamped, warning.
+    # v0 is f(*P0), the value objective() maps back.
     return MinimizeResult(
-        InscribedConfig(*P0), math.ldexp(v0, -e), iterations, converged, tuple(history),
-        False, _near_right_warning(margin),
+        config=InscribedConfig(*P0),
+        perimeter=math.ldexp(v0, -e),
+        iterations=iterations,
+        converged=converged,
+        history=tuple(history),
+        warning=_near_right_warning(margin),
     )
+
+
+def _parallel_chord_step(qx, qy, ux, uy, uu, mx, my, fx, fy) -> float:
+    """The descent's reflection step on the side line q + s*u when the
+    chord m -> f runs parallel to it (their cross product is 0): every
+    point of the line ties, and the step takes the projection parameter of
+    the chord's midpoint.  The one copy of this rare branch; a sweep calls
+    it from each of its three sides, and only there."""
+    return (((mx + fx) / 2.0 - qx) * ux + ((my + fy) / 2.0 - qy) * uy) / uu
 
 
 def minimize_reflection_descent(
@@ -407,10 +412,7 @@ def minimize_reflection_descent(
     that lowered the perimeter by at least ``tol * perimeter`` are recorded
     in the history, which is therefore strictly decreasing.
     """
-    # The stored margin, as _feet reads it: require_acute only raises.
-    margin = t.classification.margin
-    if not margin > ANGLE_TOL:
-        require_acute(t)
+    margin = require_acute(t).margin
     _check_limits(max_iter, tol)
     e, ax, ay, bx, by, cx, cy = t.frame
     # Parameter pk picks the frame point q + pk * u on side k: bc from b,
@@ -450,7 +452,8 @@ def minimize_reflection_descent(
         # least |p - X| + |X - f|, exactly.  p is reflected across the side
         # line to m (s is its projection parameter), and the chord m -> f
         # cuts the line at X; a chord parallel to the side (denom == 0)
-        # makes every point tie, and X is the projection of its midpoint.
+        # makes every point tie, and X is the projection of its midpoint,
+        # which _parallel_chord_step computes.
         # px, py is always the point on bc, qx, qy on ca and rx, ry on ab.
         qx, qy = cx + p1 * u1x, cy + p1 * u1y
         rx, ry = ax + p2 * u2x, ay + p2 * u2y
@@ -461,7 +464,7 @@ def minimize_reflection_descent(
         wx, wy = rx - mx, ry - my
         denom = u0x * wy - u0y * wx
         if denom == 0.0:
-            p0 = (((mx + rx) / 2.0 - bx) * u0x + ((my + ry) / 2.0 - by) * u0y) / uu0
+            p0 = _parallel_chord_step(bx, by, u0x, u0y, uu0, mx, my, rx, ry)
         else:
             p0 = ((mx - bx) * wy - (my - by) * wx) / denom
         if not (lo <= p0 <= hi):
@@ -475,7 +478,7 @@ def minimize_reflection_descent(
         wx, wy = px - mx, py - my
         denom = u1x * wy - u1y * wx
         if denom == 0.0:
-            p1 = (((mx + px) / 2.0 - cx) * u1x + ((my + py) / 2.0 - cy) * u1y) / uu1
+            p1 = _parallel_chord_step(cx, cy, u1x, u1y, uu1, mx, my, px, py)
         else:
             p1 = ((mx - cx) * wy - (my - cy) * wx) / denom
         if not (lo <= p1 <= hi):
@@ -489,7 +492,7 @@ def minimize_reflection_descent(
         wx, wy = qx - mx, qy - my
         denom = u2x * wy - u2y * wx
         if denom == 0.0:
-            p2 = (((mx + qx) / 2.0 - ax) * u2x + ((my + qy) / 2.0 - ay) * u2y) / uu2
+            p2 = _parallel_chord_step(ax, ay, u2x, u2y, uu2, mx, my, qx, qy)
         else:
             p2 = ((mx - ax) * wy - (my - ay) * wx) / denom
         if not (lo <= p2 <= hi):
@@ -550,8 +553,14 @@ def minimize_reflection_descent(
             break
     # current is f(p0, p1, p2), the value objective() maps back.
     return MinimizeResult(
-        InscribedConfig(p0, p1, p2), math.ldexp(current, -e), iterations, converged,
-        tuple(history), ever_clamped, _near_right_warning(margin), extrapolations,
+        config=InscribedConfig(p0, p1, p2),
+        perimeter=math.ldexp(current, -e),
+        iterations=iterations,
+        converged=converged,
+        history=tuple(history),
+        clamped=ever_clamped,
+        warning=_near_right_warning(margin),
+        extrapolations=extrapolations,
     )
 
 

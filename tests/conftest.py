@@ -146,9 +146,13 @@ def verdict_fields_oracle(p, o, tol_angle):
 
 
 def check_pin_tables(data, pins):
-    """Assert that the tables of the pin file ``data`` match its registry
-    ``pins``, name -> (keys, value), one to one, each holding its keys in order."""
-    assert [name for name in vars(data) if name.isupper()] == list(pins)
+    """Assert that the tables of the pin file ``data``, its upper-case dicts,
+    match its registry ``pins``, name -> (keys, value), one to one, each
+    holding its keys in order."""
+    tables = [
+        name for name, value in vars(data).items() if name.isupper() and isinstance(value, dict)
+    ]
+    assert tables == list(pins)
     for name, (keys, _) in pins.items():
         assert list(getattr(data, name)) == list(keys), name
 

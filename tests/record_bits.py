@@ -6,8 +6,8 @@ from the current code.  Run from the repository root:
 test_optimize.PINS and test_theorem.PINS map each table name to (keys,
 value): its keys in file order and the function that computes a key's entry.
 This computes every table of both files before it writes either, so a
-failure leaves both as they were; then it rewrites each dict literal in
-place, one repr line per entry, and prints every entry that changed, was
+failure leaves both as they were; then it rewrites each table's dict literal
+in place, one repr line per entry, and prints every entry that changed, was
 added or was removed.  On a tree whose pins hold it leaves both files byte
 for byte as they were.  pytest does not collect this file and no test runs
 it, so a change that moves a pin by accident still fails the tests.
@@ -38,7 +38,8 @@ def main() -> None:
                     changes.append(f"{name}[{key!r}]: {show(old, key)} -> {show(new, key)}")
         path = pathlib.Path(data.__file__)
         lines = path.read_text().splitlines(keepends=True)
-        for node in reversed([n for n in ast.parse("".join(lines)).body if isinstance(n, ast.Assign)]):
+        assigns = [n for n in ast.parse("".join(lines)).body if isinstance(n, ast.Assign)]
+        for node in reversed([n for n in assigns if n.targets[0].id in tables]):
             name = node.targets[0].id
             entries = "".join(f"    {k!r}: {v!r},\n" for k, v in tables[name].items())
             lines[node.lineno - 1 : node.end_lineno] = [f"{name} = {{\n{entries}}}\n"]

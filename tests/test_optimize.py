@@ -19,7 +19,7 @@ from conftest import (
     sample_acute_angles,
     scaled,
 )
-from fagnano import cli
+from fagnano import cli, optimize
 from fagnano.geometry import (
     NotAcuteError,
     Point,
@@ -311,11 +311,53 @@ PARALLEL_CHORD_CASE = (
     Triangle(Point(-4.0, -7.0), Point(2.0, -2.0), Point(-7.0, 7.0)),
     InscribedConfig(0.5, 5e-324, 1.0 - 2.0**-53),
 )
+# Far from the origin, where a step clamped 1e-9 short of a corner rounds
+# onto it.  Side ca: the start's point on ab rounds to a, the step on bc
+# clamps onto c, and the chord from a (reflected onto itself) to c lies on
+# line ca.  Side ab: the start's point on ab rounds to b, the step on bc
+# clamps onto b and, at the right-angled corner a (margin 3.7e-9), the step
+# on ca clamps onto a, so the chord from b to a lies on line ab.  Each step
+# takes the midpoint's projection, 0.5, unclamped.
+FAR = 2.0**28
+PARALLEL_CHORD_CA_CASE = (
+    Triangle(Point(FAR, FAR), Point(FAR + 3, FAR + 8), Point(FAR + 9, FAR + 2)),
+    InscribedConfig(0.5, 5e-324, 5e-324),
+)
+FARTHER = 2.0**37
+PARALLEL_CHORD_AB_CASE = (
+    Triangle(
+        Point(FARTHER, FARTHER),
+        Point(FARTHER + 400, FARTHER),
+        Point(FARTHER + 2.0**-15, FARTHER + 8192),
+    ),
+    InscribedConfig(0.5, 0.5, 1.0 - 2.0**-53),
+)
+
+
+def test_parallel_chord_cases_reach_their_sides(monkeypatch):
+    # Each case's first sweep takes the parallel-chord branch on its side
+    # alone; the side is told by the corner the step measures from.
+    for (t, start), side in (
+        (PARALLEL_CHORD_CASE, "bc"), (PARALLEL_CHORD_CA_CASE, "ca"), (PARALLEL_CHORD_AB_CASE, "ab")
+    ):
+        _, ax, ay, bx, by, cx, cy = t.frame
+        corners = {(bx, by): "bc", (cx, cy): "ca", (ax, ay): "ab"}
+        taken = []
+        step = optimize._parallel_chord_step
+        monkeypatch.setattr(
+            optimize, "_parallel_chord_step",
+            lambda qx, qy, *rest: taken.append(corners[qx, qy]) or step(qx, qy, *rest),
+        )
+        minimize_reflection_descent(t, start, max_iter=1)
+        monkeypatch.undo()
+        assert taken == [side]
 
 
 @settings(max_examples=300)
 @given(shapes_and_starts())
 @example(PARALLEL_CHORD_CASE)
+@example(PARALLEL_CHORD_CA_CASE)
+@example(PARALLEL_CHORD_AB_CASE)
 def test_one_sweep_is_three_reference_steps(case):
     # One sweep takes the best point on bc, then on ca, then on ab, each
     # between the current points on the other two sides and clamped to the
@@ -603,13 +645,9 @@ def cli_stdout_digest(argv):
     return code, len(data), hashlib.sha256(data).hexdigest()
 
 
-# A near-right parent, from_angles(pi/2 - 1e-3, pi/4), as the CLI's
-# coordinate argument: each run is among the longest and prints the warning.
-NEAR_RIGHT_ARG = ",".join(
-    repr(v)
-    for p in Triangle.from_angles(math.pi / 2 - 1e-3, math.pi / 4).vertices
-    for v in (p.x, p.y)
-)
+# A near-right parent as the CLI's coordinate argument: each run is among
+# the longest and prints the warning.
+NEAR_RIGHT_ARG = optimize_bits.NEAR_RIGHT_ARG
 BIT_CLI_COMMANDS = {
     "grid-simplex": ["minimize", "golden-bfc"],
     "reflection": ["minimize", "golden-bfc", "--method", "reflection"],
@@ -681,6 +719,12 @@ PINS = {
         lambda i: descent_bits(minimize_reflection_descent(*NEAR_FACE_CASES[i])),
     ),
 }
+
+
+def test_near_right_arg_is_its_parent():
+    # The literal is from_angles(pi/2 - 1e-3, pi/4), coordinate by coordinate.
+    t = Triangle.from_angles(math.pi / 2 - 1e-3, math.pi / 4)
+    assert NEAR_RIGHT_ARG == ",".join(repr(v) for p in t.vertices for v in (p.x, p.y))
 
 
 def test_pins_cover_every_table():
